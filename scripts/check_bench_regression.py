@@ -4,11 +4,8 @@
 Two report schemas are understood, detected from the current report's keys:
 
 * Google Benchmark native JSON (``batch_throughput --json`` writes
-  ``BENCH_batch_throughput.json``): throughput is derived from per-batch
-  ``real_time`` (64 programs per batch iteration), NOT from the report's
-  ``programs_per_sec`` counter — that counter averages the pipeline's
-  wall-clock throughput sample over iterations and so drifts with iteration
-  count; ``real_time`` is the number the benchmark actually measures.
+  ``BENCH_batch_throughput.json``): throughput is 64 programs per batch
+  iteration divided by the per-batch ``real_time``.
 
 * BenchReport scalar JSON (``grid_throughput --json`` writes
   ``BENCH_grid_throughput.json`` with a ``scalars`` map): every numeric
@@ -89,7 +86,8 @@ def write_baseline(path, kind, current):
         }
     else:
         doc = {
-            "note": "higher-is-better BenchReport scalars; refresh with "
+            "note": "BenchReport scalars, higher-is-better unless the gate "
+                    "names them in --lower-is-better; refresh with "
                     "scripts/check_bench_regression.py --update",
             "scalars": {name: round(v, 6)
                         for name, v in sorted(current.items())},

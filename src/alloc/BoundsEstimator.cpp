@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <climits>
 
 using namespace npral;
 
@@ -131,4 +132,31 @@ RegBounds npral::estimateRegBounds(const ThreadAnalysis &TA) {
   assert(Bounds.MaxPR >= Bounds.MinPR && "MaxPR below MinPR");
   assert(Bounds.MaxR >= Bounds.MinR && "MaxR below MinR");
   return Bounds;
+}
+
+int npral::feasibilityFloorAt(const std::vector<const RegBounds *> &Threads,
+                              int SGR) {
+  int Total = SGR;
+  for (const RegBounds *B : Threads)
+    Total += std::max(B->MinPR, B->MinR - SGR);
+  return Total;
+}
+
+int npral::feasibilityFloor(const std::vector<const RegBounds *> &Threads,
+                            int *SGRStar) {
+  // Past the largest MinR every thread sits at its MinPR and the floor only
+  // grows with the window.
+  int MaxMinR = 0;
+  for (const RegBounds *B : Threads)
+    MaxMinR = std::max(MaxMinR, B->MinR);
+  int Best = INT_MAX;
+  for (int SGR = 0; SGR <= MaxMinR; ++SGR) {
+    const int Total = feasibilityFloorAt(Threads, SGR);
+    if (Total < Best) {
+      Best = Total;
+      if (SGRStar)
+        *SGRStar = SGR;
+    }
+  }
+  return Best;
 }

@@ -15,6 +15,10 @@
 /// MaxPR is minimised first: extra private registers cost every thread,
 /// while extra shared registers only matter for the max-SR thread.
 ///
+/// The lower bounds of all threads sharing a register file also give the
+/// Lemma-1 feasibility floor (feasibilityFloor below), which decides
+/// exactly whether any allocation fits a budget.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef NPRAL_ALLOC_BOUNDSESTIMATOR_H
@@ -22,6 +26,8 @@
 
 #include "alloc/ColoringUtils.h"
 #include "analysis/InterferenceGraph.h"
+
+#include <vector>
 
 namespace npral {
 
@@ -39,6 +45,20 @@ struct RegBounds {
 
 /// Compute the bounds for an analysed thread.
 RegBounds estimateRegBounds(const ThreadAnalysis &TA);
+
+/// The Lemma-1 floor of threads sharing one register file with a shared
+/// window of \p SGR registers: Σᵢ max(MinPRᵢ, MinRᵢ − SGR) + SGR. No
+/// allocation with that window uses fewer registers (every thread needs
+/// PR >= MinPR and PR + SR >= MinR with SR <= SGR), and the fragment
+/// fallback reaches every per-thread floor, so the floor is exact.
+int feasibilityFloorAt(const std::vector<const RegBounds *> &Threads, int SGR);
+
+/// The smallest feasibilityFloorAt over all window sizes: an allocation
+/// into Nreg registers exists exactly when this is <= Nreg. It takes
+/// O(threads × max MinR) time. \p SGRStar, when non-null, receives the
+/// smallest minimising window size.
+int feasibilityFloor(const std::vector<const RegBounds *> &Threads,
+                     int *SGRStar = nullptr);
 
 } // namespace npral
 

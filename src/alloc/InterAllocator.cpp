@@ -67,8 +67,10 @@ namespace {
 /// For each SGR, every thread takes the smallest PR with a feasible
 /// (PR, SGR) allocation; among fitting configurations the cheapest (by
 /// total moves, then registers) wins. Returns false when no SGR fits.
+/// \p Bounds holds each thread's bounds, aligned with \p Intras.
 bool sweepSharedWindow(
-    std::vector<std::unique_ptr<IntraThreadAllocator>> &Intras, int Nreg,
+    std::vector<std::unique_ptr<IntraThreadAllocator>> &Intras,
+    const std::vector<const RegBounds *> &Bounds, int Nreg,
     std::vector<int> &PR, std::vector<int> &SR) {
   const int Nthd = static_cast<int>(Intras.size());
   int MaxSGR = 0;
@@ -80,6 +82,10 @@ bool sweepSharedWindow(
   int BestTotal = 0;
   std::vector<int> BestPR, BestSR;
   for (int SGR = 0; SGR <= MaxSGR; ++SGR) {
+    // Every thread's PR starts at its floor below, so a window whose
+    // Lemma-1 floor exceeds Nreg cannot fit whatever pricing finds.
+    if (feasibilityFloorAt(Bounds, SGR) > Nreg)
+      continue;
     std::vector<int> CandPR(static_cast<size_t>(Nthd));
     int64_t Cost = 0;
     int SumPR = 0;
@@ -161,28 +167,31 @@ InterThreadResult npral::allocateInterThread(
   auto cancelled = [&]() {
     return Limits.Cancel && Limits.Cancel->load(std::memory_order_relaxed);
   };
-  auto failCancelled = [&]() {
-    Result.FailReason = "allocation cancelled (deadline exceeded)";
-    Result.FailCode = StatusCode::DeadlineExceeded;
+  auto fail = [&](std::string Reason, StatusCode Code) {
+    Result.FailReason = std::move(Reason);
+    Result.FailCode = Code;
     if (Log) {
       Log->Success = false;
       Log->FailReason = Result.FailReason;
     }
     return Result;
   };
-  if (Nthd == 0) {
-    Result.FailReason = "no threads";
-    Result.FailCode = StatusCode::InvalidIR;
-    if (Log) {
-      Log->Success = false;
-      Log->FailReason = Result.FailReason;
-    }
-    return Result;
-  }
+  auto failCancelled = [&]() {
+    return fail("allocation cancelled (deadline exceeded)",
+                StatusCode::DeadlineExceeded);
+  };
+  auto failInfeasible = [&]() {
+    return fail("register requirement cannot be reduced to fit Nreg=" +
+                    std::to_string(Nreg),
+                StatusCode::Infeasible);
+  };
+  if (Nthd == 0)
+    return fail("no threads", StatusCode::InvalidIR);
 
   // Build per-thread intra allocators and start from the move-free upper
   // bounds (Fig. 8 lines 1-4).
   std::vector<std::unique_ptr<IntraThreadAllocator>> Intras;
+  std::vector<const RegBounds *> Bounds;
   std::vector<int> PR(static_cast<size_t>(Nthd));
   std::vector<int> SR(static_cast<size_t>(Nthd));
   for (int T = 0; T < Nthd; ++T) {
@@ -200,6 +209,7 @@ InterThreadResult npral::allocateInterThread(
     if (Log)
       Intras.back()->setDecisionLog(Log, T);
     const RegBounds &B = Intras.back()->getBounds();
+    Bounds.push_back(&B);
     PR[static_cast<size_t>(T)] = B.MaxPR;
     SR[static_cast<size_t>(T)] = B.MaxR - B.MaxPR;
   }
@@ -222,6 +232,16 @@ InterThreadResult npral::allocateInterThread(
     assert(IR.Feasible && "current configuration must stay feasible");
     return IR.WeightedCost;
   };
+
+  // Lemma 1 decides an infeasible budget exactly, before any pricing: the
+  // loop and the sweep only visit configurations at or above the floor. A
+  // cancelled run still fails as cancelled.
+  if (requirement() > Nreg) {
+    if (cancelled())
+      return failCancelled();
+    if (feasibilityFloor(Bounds) > Nreg)
+      return failInfeasible();
+  }
 
   // Greedy reduction loop (Fig. 8 lines 5-16).
   int StepIndex = 0;
@@ -294,17 +314,8 @@ InterThreadResult npral::allocateInterThread(
       // thread takes its smallest feasible PR, which is complete over the
       // per-thread feasibility frontier. Fig. 8 does not include this step;
       // see DESIGN.md ("extensions").
-      if (!sweepSharedWindow(Intras, Nreg, PR, SR)) {
-        Result.FailReason =
-            "register requirement cannot be reduced to fit Nreg=" +
-            std::to_string(Nreg);
-        Result.FailCode = StatusCode::Infeasible;
-        if (Log) {
-          Log->Success = false;
-          Log->FailReason = Result.FailReason;
-        }
-        return Result;
-      }
+      if (!sweepSharedWindow(Intras, Bounds, Nreg, PR, SR))
+        return failInfeasible();
       MetricsRegistry::global().counter("alloc.sweep_fallbacks").increment();
       if (Log) {
         Step.Chosen = ReductionStep::ChoseSweepFallback;

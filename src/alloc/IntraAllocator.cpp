@@ -146,11 +146,12 @@ IntraResult IntraThreadAllocator::computeAllocation(int PR, int SR) {
     return Result;
   }
 
-  // Strategy 2: greedy NSR exclusion / block splitting.
-  ColorAllocation Greedy = allocateWithGreedySplitting(PR, SR);
-
-  // Strategy 3: constructive fallback.
+  // Strategy 3, computed first: the constructive fallback's cost is the
+  // ceiling greedy splitting must meet to be chosen.
   ColorAllocation Fragment = allocateByFragments(Original, TA, PR, SR, CM);
+
+  // Strategy 2: greedy NSR exclusion / block splitting.
+  ColorAllocation Greedy = allocateWithGreedySplitting(PR, SR, Fragment);
 
   // Under the unit model the historical raw-count comparison is preserved
   // exactly; a frequency model compares the weighted costs instead.
@@ -211,8 +212,9 @@ IntraResult IntraThreadAllocator::computeAllocation(int PR, int SR) {
   return Result;
 }
 
-ColorAllocation IntraThreadAllocator::allocateWithGreedySplitting(int PR,
-                                                                  int SR) {
+ColorAllocation
+IntraThreadAllocator::allocateWithGreedySplitting(int PR, int SR,
+                                                  const ColorAllocation &Ceiling) {
   ColorAllocation Result;
   Result.PR = PR;
   Result.SR = SR;
@@ -222,6 +224,21 @@ ColorAllocation IntraThreadAllocator::allocateWithGreedySplitting(int PR,
   // Progress cap: each split adds a register; allow a generous multiple.
   const int MaxSplits = 4 * Original.NumRegs + 16;
 
+  // The cost of the movs inserted so far, as computeAllocation compares it
+  // with the fragment fallback's.
+  auto insertedCost = [&]() -> int64_t {
+    if (CM.isUnit())
+      return Work.countMoves() - Original.countMoves();
+    // The transforms never add blocks, so per-block mov deltas line up
+    // with the model's weights.
+    int64_t Weighted = 0;
+    for (int B = 0; B < Original.getNumBlocks(); ++B)
+      Weighted += CM.blockWeight(B) *
+                  static_cast<int64_t>(countBlockMoves(Work.block(B)) -
+                                       countBlockMoves(Original.block(B)));
+    return Weighted;
+  };
+
   for (int Iter = 0; Iter < MaxSplits; ++Iter) {
     ThreadAnalysis WorkTA = analyzeThread(Work);
     ConstrainedColoringResult CCR = colorConstrained(WorkTA, PR, R);
@@ -229,18 +246,7 @@ ColorAllocation IntraThreadAllocator::allocateWithGreedySplitting(int PR,
       Result.Feasible = true;
       Result.ColorProgram = rewriteToColors(Work, CCR.Colors, R);
       Result.MoveCost = Work.countMoves() - Original.countMoves();
-      if (CM.isUnit()) {
-        Result.WeightedCost = Result.MoveCost;
-      } else {
-        // The transforms never add blocks, so per-block mov deltas line up
-        // with the model's weights.
-        int64_t Weighted = 0;
-        for (int B = 0; B < Original.getNumBlocks(); ++B)
-          Weighted += CM.blockWeight(B) *
-                      static_cast<int64_t>(countBlockMoves(Work.block(B)) -
-                                           countBlockMoves(Original.block(B)));
-        Result.WeightedCost = Weighted;
-      }
+      Result.WeightedCost = insertedCost();
       return Result;
     }
 
@@ -354,6 +360,16 @@ ColorAllocation IntraThreadAllocator::allocateWithGreedySplitting(int PR,
     if (!DidSplit) {
       Result.Feasible = false;
       Result.FailReason = "greedy splitting made no progress";
+      return Result;
+    }
+    // Both transforms only insert movs into existing blocks and block
+    // weights are non-negative, so the inserted cost never falls. Once it
+    // exceeds the fragment fallback's, greedy can no longer be chosen.
+    if (Ceiling.Feasible &&
+        insertedCost() >
+            (CM.isUnit() ? Ceiling.MoveCost : Ceiling.WeightedCost)) {
+      Result.Feasible = false;
+      Result.FailReason = "greedy splitting cannot beat the fragment fallback";
       return Result;
     }
   }

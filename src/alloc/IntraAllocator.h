@@ -105,8 +105,11 @@ private:
   int LogThread = -1;
 
   IntraResult computeAllocation(int PR, int SR);
-  /// Strategy 2; returns an infeasible result when it cannot converge.
-  ColorAllocation allocateWithGreedySplitting(int PR, int SR);
+  /// Strategy 2; returns an infeasible result when it cannot converge, and
+  /// gives up as soon as its inserted cost exceeds that of a feasible
+  /// \p Ceiling (the fragment fallback's allocation, which then wins).
+  ColorAllocation allocateWithGreedySplitting(int PR, int SR,
+                                              const ColorAllocation &Ceiling);
 };
 
 /// Rewrite \p P's register operands through \p Colors (one color per

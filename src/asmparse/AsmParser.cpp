@@ -10,6 +10,7 @@
 #include <cassert>
 #include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 using namespace npral;
@@ -150,6 +151,9 @@ private:
     SourceLoc Loc;
   };
   std::vector<Fixup> Fixups;
+  /// Blocks the parser named itself ("bb<N>", opened by an instruction
+  /// after a mid-stream branch) rather than a label.
+  std::set<int> AutoNamed;
   bool SawInstruction = false;
   /// Set after a control-flow instruction: the next instruction (if no
   /// label intervenes) opens a fresh block, so conditional branches may
@@ -256,7 +260,7 @@ Status ThreadParser::parseDirective(LineLexer &Lex, std::string_view Dir) {
 Status ThreadParser::parseInstruction(LineLexer &Lex, Opcode Op) {
   SawInstruction = true;
   if (NeedNewBlock) {
-    startBlock("bb" + std::to_string(P.getNumBlocks()));
+    AutoNamed.insert(startBlock("bb" + std::to_string(P.getNumBlocks())));
     NeedNewBlock = false;
   }
   const OpcodeInfo &Info = getOpcodeInfo(Op);
@@ -404,8 +408,22 @@ Status ThreadParser::parseLine(LineLexer &Lex) {
   if (Lex.peek().Kind == TokKind::Colon) {
     Lex.take();
     std::string Name(First.Text);
-    if (BlockByName.count(Name))
-      return Lex.error("duplicate label '" + Name + "'");
+    if (auto It = BlockByName.find(Name); It != BlockByName.end()) {
+      if (!AutoNamed.count(It->second))
+        return Lex.error("duplicate label '" + Name + "'");
+      // The parser gave this name to a block it opened itself; printed
+      // programs label their blocks "bb<id>" as well. The label takes the
+      // name, and the parser's block moves to the first free "<name>.<k>".
+      const int Auto = It->second;
+      BlockByName.erase(It);
+      const std::string Prefix = Name + ".";
+      int K = 1;
+      while (BlockByName.count(Prefix + std::to_string(K)))
+        ++K;
+      const std::string Renamed = Prefix + std::to_string(K);
+      P.block(Auto).NameId = P.Strings.intern(Renamed);
+      BlockByName.emplace(Renamed, Auto);
+    }
     startBlock(Name);
     NeedNewBlock = false;
     if (!Lex.atEnd())

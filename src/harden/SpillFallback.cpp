@@ -8,7 +8,6 @@
 #include "trace/TraceEngine.h"
 
 #include <algorithm>
-#include <climits>
 
 using namespace npral;
 
@@ -85,31 +84,6 @@ BitVector maxPressureSet(const Program &P, const ThreadAnalysis &TA) {
     }
   }
   return Best;
-}
-
-/// The §5 feasibility floor over the current bounds: the smallest
-/// Σ max(MinPRᵢ, MinRᵢ − SGR) + SGR over all shared-window sizes. The
-/// fragment fallback (Lemma 1) realises any configuration at or above the
-/// per-thread floors, so LB <= Nreg means an allocation exists. \p SGRStar
-/// receives the minimising window size.
-int feasibilityFloor(
-    const std::vector<std::shared_ptr<const ThreadAnalysisBundle>> &Bundles,
-    int &SGRStar) {
-  int MaxMinR = 0;
-  for (const auto &B : Bundles)
-    MaxMinR = std::max(MaxMinR, B->Bounds.MinR);
-  int BestTotal = INT_MAX;
-  SGRStar = 0;
-  for (int SGR = 0; SGR <= MaxMinR; ++SGR) {
-    int Total = SGR;
-    for (const auto &B : Bundles)
-      Total += std::max(B->Bounds.MinPR, B->Bounds.MinR - SGR);
-    if (Total < BestTotal) {
-      BestTotal = Total;
-      SGRStar = SGR;
-    }
-  }
-  return BestTotal;
 }
 
 } // namespace
@@ -189,8 +163,11 @@ SpillFallbackResult npral::allocateWithSpillFallback(
       return R;
     }
 
+    std::vector<const RegBounds *> Bounds;
+    for (const auto &B : Bundles)
+      Bounds.push_back(&B->Bounds);
     int SGRStar = 0;
-    const int Floor = feasibilityFloor(Bundles, SGRStar);
+    const int Floor = feasibilityFloor(Bounds, &SGRStar);
     if (Floor <= Nreg && R.UsedSpilling) {
       // The bounds fit; retry the real allocator on the degraded threads.
       if (Log)

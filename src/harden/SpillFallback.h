@@ -3,9 +3,10 @@
 /// \file
 /// Graceful degradation for infeasible register budgets. The Fig. 8
 /// inter-thread loop (and its sweep fallback) can only trade moves for
-/// registers down to the hard floor Σ MinPRᵢ + maxᵢ(MinRᵢ − MinPRᵢ)-ish —
-/// below that no split/move strategy exists and allocateInterThread fails
-/// with StatusCode::Infeasible. This wrapper turns that hard failure into a
+/// registers down to the Lemma-1 floor minₛ Σᵢ max(MinPRᵢ, MinRᵢ − s) + s
+/// (feasibilityFloor, BoundsEstimator.h) — below that no split/move
+/// strategy exists and allocateInterThread fails with
+/// StatusCode::Infeasible. This wrapper turns that hard failure into a
 /// degraded success: it demotes the cheapest live ranges to absolute-
 /// addressed scratch memory (SpillCode.h), re-analyses the rewritten
 /// threads, and retries until the bounds fit.

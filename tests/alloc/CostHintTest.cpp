@@ -10,7 +10,14 @@
 //  * ColorAllocation::MoveCost from the fragment allocator equals the
 //    number of mov/xor ops the allocation actually added to the program
 //    (relocations, xor swaps, and edge-fix parallel copies included), and
-//    WeightedCost == MoveCost under the unit model.
+//    WeightedCost == MoveCost under the unit model;
+//
+//  * excludeNSR and splitInBlock only insert `mov`s into existing blocks —
+//    the block count is unchanged, no block's mov count falls, and no
+//    existing mov is removed — for every pair they apply to. The
+//    intra-thread allocator's fragment-cost ceiling on greedy splitting
+//    is exact only because of this: the cost greedy has inserted never
+//    falls while it runs.
 //
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +44,46 @@ int countMoveOps(const Program &P) {
       if (I.Op == Opcode::Mov || I.Op == Opcode::Xor)
         ++N;
   return N;
+}
+
+/// \p Before's instruction \p I survives as \p J of the transformed
+/// program: same instruction, except that references to \p V may now name
+/// the transform's fresh register \p Fresh.
+bool survivesAs(const Instruction &I, const Instruction &J, Reg V, Reg Fresh) {
+  auto sameReg = [&](Reg A, Reg B) {
+    return A == B || (A == V && B == Fresh);
+  };
+  return I.Op == J.Op && I.Imm == J.Imm && I.Target == J.Target &&
+         sameReg(I.Def, J.Def) && sameReg(I.Use1, J.Use1) &&
+         sameReg(I.Use2, J.Use2);
+}
+
+/// A splitting transform of \p V into \p Fresh turned \p Before into
+/// \p After by inserting movs only: the blocks correspond one to one, and
+/// each block of \p After is its \p Before block, in order, with movs
+/// interleaved. No block's mov count falls and no existing mov is removed.
+void expectOnlyInsertsMovs(const Program &Before, const Program &After, Reg V,
+                           Reg Fresh, const std::string &What) {
+  ASSERT_EQ(After.getNumBlocks(), Before.getNumBlocks()) << What;
+  for (int B = 0; B < Before.getNumBlocks(); ++B) {
+    const std::vector<Instruction> &Old = Before.block(B).Instrs;
+    const std::vector<Instruction> &New = After.block(B).Instrs;
+    int OldMovs = 0, NewMovs = 0;
+    size_t Next = 0; // First instruction of Old not yet matched in New.
+    for (const Instruction &J : New) {
+      NewMovs += J.Op == Opcode::Mov;
+      if (Next < Old.size() && survivesAs(Old[Next], J, V, Fresh))
+        ++Next;
+      else
+        EXPECT_EQ(J.Op, Opcode::Mov)
+            << What << ": block " << B << " gained a non-mov instruction";
+    }
+    for (const Instruction &I : Old)
+      OldMovs += I.Op == Opcode::Mov;
+    EXPECT_EQ(Next, Old.size())
+        << What << ": block " << B << " lost or rewrote an instruction";
+    EXPECT_GE(NewMovs, OldMovs) << What << ": block " << B;
+  }
 }
 
 } // namespace
@@ -68,11 +115,38 @@ TEST(CostHintTest, ExcludeNSRHintMatchesInsertedMoves) {
             << " (V=" << V << " NSR=" << NSR << ")";
         EXPECT_EQ(countMoveOps(Copy) - Before, Hint)
             << Name << " V=" << V << " NSR=" << NSR;
+        expectOnlyInsertsMovs(P, Copy, V, Fresh,
+                              Name + " excludeNSR V=" + std::to_string(V) +
+                                  " NSR=" + std::to_string(NSR));
         ++PairsChecked;
       }
     }
   }
   // The property must have had real coverage, not vacuous passes.
+  EXPECT_GT(PairsChecked, 100);
+}
+
+TEST(CostHintTest, SplitInBlockOnlyInsertsMoves) {
+  int PairsChecked = 0;
+  for (const std::string &Name : getWorkloadNames()) {
+    ErrorOr<Workload> W = buildWorkload(Name, 0);
+    ASSERT_TRUE(W.ok()) << W.status().str();
+    const Program &P = W->Code;
+    ThreadAnalysis TA = analyzeThread(P);
+
+    for (int B = 0; B < P.getNumBlocks(); ++B) {
+      for (Reg V = 0; V < P.NumRegs; ++V) {
+        Program Copy = P;
+        Reg Fresh = splitInBlock(Copy, TA, V, B);
+        if (Fresh == NoReg)
+          continue;
+        expectOnlyInsertsMovs(P, Copy, V, Fresh,
+                              Name + " splitInBlock V=" + std::to_string(V) +
+                                  " block=" + std::to_string(B));
+        ++PairsChecked;
+      }
+    }
+  }
   EXPECT_GT(PairsChecked, 100);
 }
 

@@ -159,6 +159,28 @@ TEST(AsmParserTest, ErrorDuplicateLabel) {
   EXPECT_NE(R.status().str().find("duplicate label"), std::string::npos);
 }
 
+TEST(AsmParserTest, LabelRenamesParserNamedBlock) {
+  // The `br` after the bz opens a block the parser names "bb1"; the later
+  // label bb1 takes the name (and the branch), and the parser's block
+  // becomes bb1.1.
+  Program P = parseOrDie(R"(
+.thread t
+main:
+    imm a, 1
+    bz  a, bb2
+    br  bb1
+bb1:
+    halt
+bb2:
+    halt
+)");
+  ASSERT_EQ(P.getNumBlocks(), 4);
+  EXPECT_EQ(P.blockName(1), "bb1.1");
+  EXPECT_EQ(P.blockName(2), "bb1");
+  EXPECT_EQ(P.block(1).Instrs.back().Target, 2);
+  EXPECT_EQ(P.block(0).Instrs.back().Target, 3);
+}
+
 TEST(AsmParserTest, ErrorMissingOperand) {
   auto R = parseSingleProgram(".thread t\nmain:\n  add a, b\n  halt\n");
   ASSERT_FALSE(R.ok());

@@ -67,6 +67,23 @@ inline FuzzCase makeCase(uint64_t Seed, bool SmallPrograms = false) {
   return C;
 }
 
+/// The spill mode's budget for \p C (built with SmallPrograms from
+/// \p Seed): 1..4 registers, varied by seed, below the feasibility lower
+/// bound Σ MinPRᵢ + maxᵢ(MinRᵢ − MinPRᵢ), but never under 4 registers per
+/// thread. Returns 0 when that leaves no gap below the bound.
+inline int squeezedBudget(const FuzzCase &C, uint64_t Seed) {
+  int SumMinPR = 0, MaxMinSRGap = 0;
+  for (const Program &P : C.Renamed.Threads) {
+    const RegBounds B = estimateRegBounds(analyzeThread(P));
+    SumMinPR += B.MinPR;
+    MaxMinSRGap = std::max(MaxMinSRGap, B.MinR - B.MinPR);
+  }
+  const int LowerBound = SumMinPR + MaxMinSRGap;
+  const int Squeeze = 1 + static_cast<int>(Seed % 4);
+  const int Tight = std::max(4 * C.Nthd, LowerBound - Squeeze);
+  return Tight < LowerBound ? Tight : 0;
+}
+
 /// The printed assembly of every physical thread, concatenated. This is the
 /// byte string the bit-identity goldens are hashes of.
 inline std::string printPhysicalThreads(const MultiThreadProgram &MTP) {
@@ -105,16 +122,8 @@ inline std::string goldenOutcome(uint64_t Seed, const std::string &Mode) {
   // Spill mode: squeeze the budget below the feasibility lower bound, as in
   // AllocFuzzTest.SpillFallbackRecoversInfeasibleBudgets.
   FuzzCase C = makeCase(Seed, /*SmallPrograms=*/true);
-  int SumMinPR = 0, MaxMinSRGap = 0;
-  for (const Program &P : C.Renamed.Threads) {
-    const RegBounds B = estimateRegBounds(analyzeThread(P));
-    SumMinPR += B.MinPR;
-    MaxMinSRGap = std::max(MaxMinSRGap, B.MinR - B.MinPR);
-  }
-  const int LowerBound = SumMinPR + MaxMinSRGap;
-  const int Squeeze = 1 + static_cast<int>(Seed % 4);
-  const int Tight = std::max(4 * C.Nthd, LowerBound - Squeeze);
-  if (Tight >= LowerBound)
+  const int Tight = squeezedBudget(C, Seed);
+  if (Tight == 0)
     return "skip";
   SpillFallbackOptions Opts;
   Opts.MaxSpills = 256;

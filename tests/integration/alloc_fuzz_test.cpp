@@ -7,6 +7,8 @@
 //  * Fuzz: every successful allocation must pass the independent
 //    AllocationVerifier and the lint cross-thread race checker with zero
 //    error findings.
+//  * Exact feasibility: the allocator succeeds if and only if the
+//    Lemma-1 floor (feasibilityFloor) fits Nreg.
 //  * Differential invariants: per-thread bounds always satisfy
 //    MinPR <= MaxPR <= MaxR and MinR <= MaxR; and whenever the Chaitin
 //    baseline colors every thread inside its fixed Nreg/Nthd partition
@@ -81,11 +83,10 @@ TEST_P(AllocFuzzTest, AllocationVerifiesAndRaceFree) {
   const uint64_t Seed = GetParam();
   FuzzCase C = makeCase(Seed);
 
-  // Per-thread bounds and the feasibility lower bound
-  // LB = sum MinPR_i + max_i (MinR_i - MinPR_i): the fragment fallback
-  // guarantees an allocation whenever LB <= Nreg.
-  int SumMinPR = 0, MaxMinSRGap = 0;
+  // Per-thread bounds and the Lemma-1 feasibility floor: the allocator
+  // must succeed exactly when the floor fits Nreg.
   std::vector<std::shared_ptr<const ThreadAnalysisBundle>> Bundles;
+  std::vector<const RegBounds *> Bounds;
   for (const Program &P : C.Renamed.Threads) {
     auto Bundle =
         std::make_shared<const ThreadAnalysisBundle>(computeThreadAnalysisBundle(P));
@@ -95,19 +96,20 @@ TEST_P(AllocFuzzTest, AllocationVerifiesAndRaceFree) {
     EXPECT_LE(B.MaxPR, B.MaxR) << "seed " << Seed;
     EXPECT_LE(B.MinR, B.MaxR) << "seed " << Seed;
     EXPECT_LE(B.MinPR, B.MinR) << "seed " << Seed;
-    SumMinPR += B.MinPR;
-    MaxMinSRGap = std::max(MaxMinSRGap, B.MinR - B.MinPR);
+    Bounds.push_back(&B);
     Bundles.push_back(std::move(Bundle));
   }
-  const int LowerBound = SumMinPR + MaxMinSRGap;
+  const int Floor = feasibilityFloor(Bounds);
 
   InterThreadResult R = allocateInterThread(C.Renamed, C.Nreg, Bundles);
-  if (LowerBound <= C.Nreg)
-    ASSERT_TRUE(R.Success)
-        << "seed " << Seed << ": allocator failed although LB=" << LowerBound
-        << " fits Nreg=" << C.Nreg << ": " << R.FailReason;
-  if (!R.Success)
-    return; // genuinely infeasible budget; nothing to verify
+  ASSERT_EQ(R.Success, Floor <= C.Nreg)
+      << "seed " << Seed << ": floor " << Floor << " vs Nreg=" << C.Nreg
+      << ": " << (R.Success ? "allocated" : R.FailReason);
+  if (!R.Success) {
+    // Genuinely infeasible budget; nothing to verify.
+    EXPECT_EQ(R.FailCode, StatusCode::Infeasible) << "seed " << Seed;
+    return;
+  }
 
   EXPECT_LE(R.RegistersUsed, C.Nreg) << "seed " << Seed;
 

@@ -225,6 +225,10 @@ TEST(DecisionLogTest, FailureIsLogged) {
   ASSERT_FALSE(R.Success);
   EXPECT_FALSE(Log.Success);
   EXPECT_EQ(Log.FailReason, R.FailReason);
+  // The Lemma-1 floor decides the verdict before anything is priced: no
+  // reduction step runs and no thread is recolored.
+  EXPECT_TRUE(Log.Reductions.empty());
+  EXPECT_TRUE(Log.IntraEvents.empty());
   std::ostringstream OS;
   Log.renderExplain(OS);
   EXPECT_NE(OS.str().find("failed:"), std::string::npos);
