@@ -13,7 +13,7 @@
 
 #include "driver/AnalysisCache.h"
 #include "driver/BatchPipeline.h"
-#include "support/Diagnostics.h"
+#include "support/Status.h"
 #include "support/ThreadPool.h"
 #include "workloads/ProgramGenerator.h"
 

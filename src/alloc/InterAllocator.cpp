@@ -127,32 +127,6 @@ bool sweepSharedWindow(
 
 } // namespace
 
-InterThreadResult npral::allocateInterThread(const MultiThreadProgram &MTP,
-                                             int Nreg) {
-  return allocateInterThread(MTP, Nreg, {});
-}
-
-InterThreadResult npral::allocateInterThread(
-    const MultiThreadProgram &MTP, int Nreg,
-    const std::vector<std::shared_ptr<const ThreadAnalysisBundle>> &Analyses) {
-  return allocateInterThread(MTP, Nreg, Analyses, {});
-}
-
-InterThreadResult npral::allocateInterThread(
-    const MultiThreadProgram &MTP, int Nreg,
-    const std::vector<std::shared_ptr<const ThreadAnalysisBundle>> &Analyses,
-    const std::vector<CostModel> &Models) {
-  return allocateInterThread(MTP, Nreg, Analyses, Models, nullptr);
-}
-
-InterThreadResult npral::allocateInterThread(
-    const MultiThreadProgram &MTP, int Nreg,
-    const std::vector<std::shared_ptr<const ThreadAnalysisBundle>> &Analyses,
-    const std::vector<CostModel> &Models, AllocationDecisionLog *Log) {
-  return allocateInterThread(MTP, Nreg, Analyses, Models, Log,
-                             InterAllocLimits());
-}
-
 InterThreadResult npral::allocateInterThread(
     const MultiThreadProgram &MTP, int Nreg,
     const std::vector<std::shared_ptr<const ThreadAnalysisBundle>> &Analyses,

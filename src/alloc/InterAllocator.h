@@ -82,47 +82,32 @@ struct InterThreadResult {
 };
 
 /// Run the inter-thread allocator for the threads of \p MTP sharing \p Nreg
-/// physical registers.
-InterThreadResult allocateInterThread(const MultiThreadProgram &MTP, int Nreg);
-
-/// Same, reusing precomputed per-thread analyses. \p Analyses is aligned
-/// with MTP.Threads; null (or missing) entries are computed fresh. When an
-/// entry is non-null the corresponding thread must already be live-range
-/// renamed and the bundle must match its content — the batch driver's
-/// content-hash cache guarantees both. The bundles are only read, so the
-/// same shared_ptr may be passed to any number of concurrent calls.
+/// physical registers. Every trailing parameter is optional:
+///
+///  * \p Analyses reuses precomputed per-thread analyses, aligned with
+///    MTP.Threads; null (or missing) entries are computed fresh. When an
+///    entry is non-null the corresponding thread must already be live-range
+///    renamed and the bundle must match its content — the batch driver's
+///    content-hash cache guarantees both. The bundles are only read, so the
+///    same shared_ptr may be passed to any number of concurrent calls.
+///  * \p Models prices every candidate reduction by frequency-weighted move
+///    cost (aligned with MTP.Threads; missing entries mean the unit model),
+///    so the Fig. 8 greedy loop sheds registers where the reconciling moves
+///    execute rarely. All-unit models give the unweighted result.
+///  * \p Log, when non-null, receives one ReductionStep per Fig. 8
+///    iteration (with the move-cost bids of every candidate the loop
+///    priced), one RebalanceStep per applied PGO exchange, and the
+///    intra-thread recolor/split events of every thread — the data behind
+///    `npralc alloc --explain`. The allocation itself is unchanged.
+///  * \p Limits.Cancel is checked at every Fig. 8 iteration and every
+///    rebalance step; when it fires the call fails with
+///    StatusCode::DeadlineExceeded.
 InterThreadResult allocateInterThread(
     const MultiThreadProgram &MTP, int Nreg,
-    const std::vector<std::shared_ptr<const ThreadAnalysisBundle>> &Analyses);
-
-/// Profile-guided variant: \p Models is aligned with MTP.Threads (missing
-/// entries mean the unit model) and prices every candidate reduction by
-/// frequency-weighted move cost, so the Fig. 8 greedy loop sheds registers
-/// where the reconciling moves execute rarely. With all-unit models the
-/// result is identical to the unweighted overloads.
-InterThreadResult allocateInterThread(
-    const MultiThreadProgram &MTP, int Nreg,
-    const std::vector<std::shared_ptr<const ThreadAnalysisBundle>> &Analyses,
-    const std::vector<CostModel> &Models);
-
-/// Fully instrumented variant: when \p Log is non-null it receives one
-/// ReductionStep per Fig. 8 iteration (with the move-cost bids of every
-/// candidate the loop priced), one RebalanceStep per applied PGO exchange,
-/// and the intra-thread recolor/split events of every thread — the data
-/// behind `npralc alloc --explain`. The allocation itself is unchanged.
-InterThreadResult allocateInterThread(
-    const MultiThreadProgram &MTP, int Nreg,
-    const std::vector<std::shared_ptr<const ThreadAnalysisBundle>> &Analyses,
-    const std::vector<CostModel> &Models, AllocationDecisionLog *Log);
-
-/// Cancellable variant: checks \p Limits.Cancel at every Fig. 8 iteration
-/// and every rebalance step, failing with StatusCode::DeadlineExceeded when
-/// it fires. Identical to the 5-argument overload under default limits.
-InterThreadResult allocateInterThread(
-    const MultiThreadProgram &MTP, int Nreg,
-    const std::vector<std::shared_ptr<const ThreadAnalysisBundle>> &Analyses,
-    const std::vector<CostModel> &Models, AllocationDecisionLog *Log,
-    const InterAllocLimits &Limits);
+    const std::vector<std::shared_ptr<const ThreadAnalysisBundle>> &Analyses =
+        {},
+    const std::vector<CostModel> &Models = {},
+    AllocationDecisionLog *Log = nullptr, const InterAllocLimits &Limits = {});
 
 /// Symmetric Register Allocation: all Nthd threads run \p P. Exhaustively
 /// sweeps (PR, SR) with Nthd*PR + SR <= Nreg, minimising total register use

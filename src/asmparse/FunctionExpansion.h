@@ -19,7 +19,7 @@
 #define NPRAL_ASMPARSE_FUNCTIONEXPANSION_H
 
 #include "ir/Program.h"
-#include "support/Diagnostics.h"
+#include "support/Status.h"
 
 #include <map>
 #include <string>

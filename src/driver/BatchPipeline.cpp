@@ -37,10 +37,11 @@ int64_t nowNs() {
 /// \p ProfileHash is the content hash of Opts.Profile (0 when absent),
 /// computed once by runBatch and folded into every cache key.
 /// \p AllowSpill overrides Opts.AllowSpill so the degraded retry can
-/// re-run a strict job in spill-permitted mode.
+/// re-run a strict job in spill-permitted mode. \p Log, when non-null,
+/// records the allocation's decisions (see runSingleJob).
 BatchJobResult processOne(const BatchJob &In, const BatchOptions &Opts,
                           AnalysisCache *Cache, uint64_t ProfileHash,
-                          bool AllowSpill) {
+                          bool AllowSpill, AllocationDecisionLog *Log) {
   BatchJobResult R;
   R.Name = In.Name.empty() ? In.Path : In.Name;
   NPRAL_TRACE_SPAN_ARGS("batch", "job", {"name", R.Name});
@@ -184,12 +185,15 @@ BatchJobResult processOne(const BatchJob &In, const BatchOptions &Opts,
       SpillFallbackOptions SpillOpts;
       SpillOpts.MaxSpills = Opts.MaxSpills;
       SpillFallbackResult SF = allocateWithSpillFallback(
-          MTP, Opts.Nreg, Bundles, Models, nullptr, Limits, SpillOpts);
+          MTP, Opts.Nreg, Bundles, Models, Log, Limits, SpillOpts);
       Alloc = std::move(SF.Inter);
       R.UsedSpilling = SF.UsedSpilling;
       R.SpilledRanges = SF.SpilledRanges;
+      R.SpillLoads = SF.SpillLoads;
+      R.SpillStores = SF.SpillStores;
+      R.SpillAttempts = SF.Attempts;
     } else {
-      Alloc = allocateInterThread(MTP, Opts.Nreg, Bundles, Models, nullptr,
+      Alloc = allocateInterThread(MTP, Opts.Nreg, Bundles, Models, Log,
                                   Limits);
     }
     R.AllocNs = nowNs() - T0;
@@ -219,14 +223,21 @@ BatchJobResult processOne(const BatchJob &In, const BatchOptions &Opts,
   // Stage 6: translation validation — prove the physical output computes
   // exactly what the renamed virtual program (still held in MTP; allocation
   // does not mutate its input) computes. Spill-degraded outputs are proved
-  // against the same pre-spill reference.
+  // against the same pre-spill reference. A strict run's decision log
+  // describes its one allocation attempt, so it must also agree with the
+  // result it explains.
   if (Opts.Validate) {
     NPRAL_TRACE_SPAN_ARGS("batch", "validate", {"name", R.Name});
     const int64_t T0 = nowNs();
-    DiagnosticEngine Diags;
-    ValidationResult V = validateTranslation(MTP, Alloc.Physical, Diags);
+    MetricsRegistry *Metrics = &MetricsRegistry::global();
+    DiagnosticEngine &Diags = R.ValidateDiags;
+    R.Validation = validateTranslation(MTP, Alloc.Physical, Diags, Metrics);
+    const int LogMismatches =
+        Log && !AllowSpill ? crossCheckDecisionLog(*Log, Alloc, Diags, Metrics)
+                           : 0;
     R.ValidateNs = nowNs() - T0;
-    if (!V.Proved) {
+    Diags.sortByPosition();
+    if (!R.Validation.Proved || LogMismatches > 0) {
       const Diagnostic *First = Diags.firstError();
       return fail("validate", StatusCode::Internal,
                   "translation validation refuted the allocation: " +
@@ -236,6 +247,8 @@ BatchJobResult processOne(const BatchJob &In, const BatchOptions &Opts,
     R.Validated = true;
   }
 
+  R.Threads = std::move(Alloc.Threads);
+  R.SharedBase = Alloc.SharedBase;
   if (Opts.KeepPhysical)
     R.Physical = std::move(Alloc.Physical);
   R.Success = true;
@@ -246,16 +259,19 @@ BatchJobResult processOne(const BatchJob &In, const BatchOptions &Opts,
 /// exception net and the bounded degraded retry. Whatever the job does
 /// lands in its returned result, never in the caller's control flow.
 BatchJobResult runIsolated(const BatchJob &In, const BatchOptions &Opts,
-                           AnalysisCache *Cache, uint64_t ProfileHash) {
+                           AnalysisCache *Cache, uint64_t ProfileHash,
+                           AllocationDecisionLog *Log) {
   try {
     BatchJobResult R =
-        processOne(In, Opts, Cache, ProfileHash, Opts.AllowSpill);
+        processOne(In, Opts, Cache, ProfileHash, Opts.AllowSpill, Log);
     if (!R.Success && !Opts.AllowSpill && Opts.RetryDegraded &&
         R.FailCode == StatusCode::Infeasible) {
       // One bounded retry in degraded mode: only for budget failures
       // (a deadline or parse error would fail identically again).
-      BatchJobResult Retry =
-          processOne(In, Opts, Cache, ProfileHash, /*AllowSpill=*/true);
+      if (Log)
+        *Log = AllocationDecisionLog();
+      BatchJobResult Retry = processOne(In, Opts, Cache, ProfileHash,
+                                        /*AllowSpill=*/true, Log);
       Retry.Retried = true;
       return Retry;
     }
@@ -284,9 +300,10 @@ uint64_t resolveProfileHash(const BatchOptions &Opts, uint64_t Override) {
 
 BatchJobResult npral::runSingleJob(const BatchJob &In,
                                    const BatchOptions &Opts,
-                                   AnalysisCache *Cache,
-                                   uint64_t ProfileHash) {
-  return runIsolated(In, Opts, Cache, resolveProfileHash(Opts, ProfileHash));
+                                   AnalysisCache *Cache, uint64_t ProfileHash,
+                                   AllocationDecisionLog *Log) {
+  return runIsolated(In, Opts, Cache, resolveProfileHash(Opts, ProfileHash),
+                     Log);
 }
 
 BatchResult npral::runBatch(const std::vector<BatchJob> &Inputs,
@@ -307,9 +324,9 @@ BatchResult npral::runBatch(const std::vector<BatchJob> &Inputs,
   // spaces apart makes hit/miss accounting per configuration exact).
   const uint64_t ProfileHash = resolveProfileHash(Opts, 0);
 
-  // The per-run registry is the source of truth for batch counters; the
-  // legacy PipelineStats struct is reconstructed from it below and the
-  // instruments then fold into the process-wide registry.
+  // The per-run registry holds the job-latency histogram; the batch.*
+  // counters join it from PipelineStats below, and the whole run then
+  // folds into the process-wide registry.
   MetricsRegistry RunMetrics;
 
   const int64_t Wall0 = nowNs();
@@ -322,42 +339,41 @@ BatchResult npral::runBatch(const std::vector<BatchJob> &Inputs,
       // Fault isolation: whatever one item does — fail a stage, blow a
       // deadline, or throw — lands in its own result slot; the batch and
       // its siblings continue.
-      Slot = runIsolated(In, Opts, Cache, ProfileHash);
+      Slot = runIsolated(In, Opts, Cache, ProfileHash, /*Log=*/nullptr);
       RunMetrics.histogram("batch.job_wall_ns").observe(nowNs() - Job0);
     });
   }
 
-  RunMetrics.counter("batch.programs")
-      .add(static_cast<int64_t>(Inputs.size()));
-  RunMetrics.gauge("batch.jobs").set(std::max(1, Opts.Jobs));
-  RunMetrics.gauge("batch.cache.enabled").set(Cache != nullptr ? 1 : 0);
+  PipelineStats &S = Out.Stats;
+  S.WallNs = nowNs() - Wall0;
+  S.Programs = static_cast<int>(Inputs.size());
+  S.Jobs = std::max(1, Opts.Jobs);
+  S.CacheEnabled = Cache != nullptr;
   for (const BatchJobResult &R : Out.Results) {
-    RunMetrics.counter(R.Success ? "batch.succeeded" : "batch.failed")
-        .increment();
-    if (R.UsedSpilling)
-      RunMetrics.counter("batch.degraded").increment();
-    if (R.Retried)
-      RunMetrics.counter("batch.retried").increment();
-    if (R.WatchdogFired || R.FailCode == StatusCode::DeadlineExceeded)
-      RunMetrics.counter("batch.deadline_exceeded").increment();
-    if (R.FailCode == StatusCode::FaultInjected)
-      RunMetrics.counter("batch.faults_injected").increment();
-    if (R.Validated)
-      RunMetrics.counter("batch.validated").increment();
-    if (R.FailStage == "validate")
-      RunMetrics.counter("batch.validate_failed").increment();
-    RunMetrics.counter("batch.cache.hits").add(R.CacheHits);
-    RunMetrics.counter("batch.cache.misses").add(R.CacheMisses);
-    RunMetrics.counter("batch.stage.parse_ns").add(R.ParseNs);
-    RunMetrics.counter("batch.stage.analysis_ns").add(R.AnalysisNs);
-    RunMetrics.counter("batch.stage.bounds_ns").add(R.BoundsNs);
-    RunMetrics.counter("batch.stage.alloc_ns").add(R.AllocNs);
-    RunMetrics.counter("batch.stage.verify_ns").add(R.VerifyNs);
-    RunMetrics.counter("batch.stage.validate_ns").add(R.ValidateNs);
+    ++(R.Success ? S.Succeeded : S.Failed);
+    S.Degraded += R.UsedSpilling ? 1 : 0;
+    S.Retried += R.Retried ? 1 : 0;
+    S.DeadlineExceeded +=
+        R.WatchdogFired || R.FailCode == StatusCode::DeadlineExceeded ? 1 : 0;
+    S.FaultsInjected += R.FailCode == StatusCode::FaultInjected ? 1 : 0;
+    S.Validated += R.Validated ? 1 : 0;
+    S.ValidateFailed += R.FailStage == "validate" ? 1 : 0;
+    S.CacheHits += R.CacheHits;
+    S.CacheMisses += R.CacheMisses;
+    S.ParseNs += R.ParseNs;
+    S.AnalysisNs += R.AnalysisNs;
+    S.BoundsNs += R.BoundsNs;
+    S.AllocNs += R.AllocNs;
+    S.VerifyNs += R.VerifyNs;
+    S.ValidateNs += R.ValidateNs;
   }
-  RunMetrics.counter("batch.wall_ns").add(nowNs() - Wall0);
-
-  Out.Stats = PipelineStats::fromRegistry(RunMetrics);
+  if (const Histogram *H = RunMetrics.findHistogram("batch.job_wall_ns")) {
+    S.JobWallCount = H->count();
+    S.JobWallP50Ns = H->percentile(50);
+    S.JobWallP95Ns = H->percentile(95);
+    S.JobWallP99Ns = H->percentile(99);
+  }
+  S.toRegistry(RunMetrics);
   MetricsRegistry::global().merge(RunMetrics);
   return Out;
 }
@@ -383,40 +399,6 @@ void PipelineStats::toRegistry(MetricsRegistry &MR) const {
   MR.counter("batch.validated").add(Validated);
   MR.counter("batch.validate_failed").add(ValidateFailed);
   MR.counter("batch.stage.validate_ns").add(ValidateNs);
-}
-
-PipelineStats PipelineStats::fromRegistry(const MetricsRegistry &MR) {
-  PipelineStats S;
-  S.Programs = static_cast<int>(MR.counterValue("batch.programs"));
-  S.Succeeded = static_cast<int>(MR.counterValue("batch.succeeded"));
-  S.Failed = static_cast<int>(MR.counterValue("batch.failed"));
-  S.Jobs = std::max<int>(1, static_cast<int>(MR.gaugeValue("batch.jobs")));
-  S.CacheEnabled = MR.gaugeValue("batch.cache.enabled") != 0;
-  S.CacheHits = MR.counterValue("batch.cache.hits");
-  S.CacheMisses = MR.counterValue("batch.cache.misses");
-  S.ParseNs = MR.counterValue("batch.stage.parse_ns");
-  S.AnalysisNs = MR.counterValue("batch.stage.analysis_ns");
-  S.BoundsNs = MR.counterValue("batch.stage.bounds_ns");
-  S.AllocNs = MR.counterValue("batch.stage.alloc_ns");
-  S.VerifyNs = MR.counterValue("batch.stage.verify_ns");
-  S.WallNs = MR.counterValue("batch.wall_ns");
-  S.Degraded = static_cast<int>(MR.counterValue("batch.degraded"));
-  S.Retried = static_cast<int>(MR.counterValue("batch.retried"));
-  S.DeadlineExceeded =
-      static_cast<int>(MR.counterValue("batch.deadline_exceeded"));
-  S.FaultsInjected =
-      static_cast<int>(MR.counterValue("batch.faults_injected"));
-  S.Validated = static_cast<int>(MR.counterValue("batch.validated"));
-  S.ValidateFailed =
-      static_cast<int>(MR.counterValue("batch.validate_failed"));
-  S.ValidateNs = MR.counterValue("batch.stage.validate_ns");
-  if (const Histogram *H = MR.findHistogram("batch.job_wall_ns")) {
-    S.JobWallCount = H->count();
-    S.JobWallP50Ns = H->percentile(50);
-    S.JobWallP95Ns = H->percentile(95);
-    S.JobWallP99Ns = H->percentile(99);
-  }
-  return S;
 }
 
 void PipelineStats::renderText(std::ostream &OS) const {

@@ -6,6 +6,7 @@
 ///
 ///   parse -> live-range renaming -> liveness/NSR/interference ->
 ///   bounds estimation -> inter/intra allocation -> safety verification
+///   [-> translation validation]
 ///
 /// across a fixed-size ThreadPool. Jobs are independent — each writes only
 /// its own result slot — so the output is bit-identical for any worker
@@ -34,7 +35,9 @@
 #include "alloc/InterAllocator.h"
 #include "harden/FaultInjector.h"
 #include "ir/Program.h"
+#include "lint/TranslationValidator.h"
 #include "profile/ExecutionProfile.h"
+#include "support/DiagnosticEngine.h"
 #include "support/Status.h"
 
 #include <cstdint>
@@ -68,8 +71,9 @@ struct BatchOptions {
   /// not just cross-thread clobbers — at roughly one extra dataflow pass
   /// per job. A refuted job fails in stage "validate".
   bool Validate = false;
-  /// Retain each job's physical program in its result (costs memory; the
-  /// CLI leaves it off, tests and the determinism suite turn it on).
+  /// Retain each job's physical program in its result (costs memory;
+  /// `npralc batch` leaves it off, `alloc`, `run`, serve and the tests turn
+  /// it on).
   bool KeepPhysical = false;
   /// Execution profile to guide allocation (must outlive the batch).
   /// Threads are matched by code hash — a profile acts as a database: any
@@ -122,8 +126,8 @@ struct BatchJobResult {
   std::string Name;
   bool Success = false;
   std::string FailReason;
-  /// Pipeline stage that failed: "parse", "analysis", "bounds", "alloc",
-  /// "verify", or "internal" for a captured exception. Empty on success.
+  /// Pipeline stage that failed: "parse", "analysis", "alloc", "verify",
+  /// "validate", or "internal" for a captured exception. Empty on success.
   std::string FailStage;
   /// Classification of the failure; Ok on success.
   StatusCode FailCode = StatusCode::Ok;
@@ -136,11 +140,21 @@ struct BatchJobResult {
   bool UsedSpilling = false;
   /// True when translation validation ran and proved the job's output.
   bool Validated = false;
-  /// Live ranges demoted to memory by the spill fallback.
+  /// Live ranges demoted to memory by the spill fallback, the spill
+  /// instructions it inserted, and its allocateInterThread attempts
+  /// (1 = the plain call sufficed; 0 when spilling was not permitted).
   int SpilledRanges = 0;
+  int SpillLoads = 0;
+  int SpillStores = 0;
+  int SpillAttempts = 0;
   int NumThreads = 0;
   int RegistersUsed = 0;
   int SGR = 0;
+  /// First shared physical register (= Σ PRᵢ).
+  int SharedBase = 0;
+  /// Per-thread PR/SR split, move costs and strategy, aligned with the
+  /// program's threads. Filled on success.
+  std::vector<ThreadAllocation> Threads;
   int TotalMoveCost = 0;
   /// Frequency-weighted total (== TotalMoveCost without PGO).
   int64_t TotalWeightedCost = 0;
@@ -156,8 +170,21 @@ struct BatchJobResult {
   int64_t AllocNs = 0;
   int64_t VerifyNs = 0;
   int64_t ValidateNs = 0;
+  /// Translation-validation counts, and every diagnostic the validate
+  /// stage reported (the validator's, plus the decision-log cross-check's
+  /// when runSingleJob got a log), sorted by program position. Filled
+  /// whenever the validate stage ran, refuted or not.
+  ValidationResult Validation;
+  DiagnosticEngine ValidateDiags;
   /// Filled when BatchOptions::KeepPhysical.
   MultiThreadProgram Physical;
+
+  /// "[<stage>/<code>] <reason>": the one-line verdict every front end
+  /// reports for a failed job.
+  std::string failureSummary() const {
+    return "[" + FailStage + "/" + statusCodeName(FailCode) + "] " +
+           FailReason;
+  }
 };
 
 /// Aggregated batch counters.
@@ -214,13 +241,9 @@ struct PipelineStats {
 
   /// Write every field into \p MR under the stable `batch.*` metric names
   /// (counters for additive fields, gauges for per-run configuration).
+  /// runBatch fills the struct from its job results and publishes it
+  /// through here, once per run.
   void toRegistry(MetricsRegistry &MR) const;
-  /// Reconstruct a PipelineStats from the `batch.*` instruments of \p MR —
-  /// the inverse of toRegistry. runBatch aggregates into a per-run
-  /// MetricsRegistry first (which then merges into the global registry);
-  /// this adapter keeps the legacy struct and its byte-stable renderers on
-  /// top of that source of truth.
-  static PipelineStats fromRegistry(const MetricsRegistry &MR);
 };
 
 struct BatchResult {
@@ -261,13 +284,24 @@ BatchResult runBatch(const std::vector<BatchJob> &Inputs,
 /// the serve daemon's per-request entry point: one request, one isolated
 /// result, a shared long-lived \p Cache across requests.
 ///
+/// It is also the one path from a program to a checked allocation behind
+/// `npralc alloc`, `run` and `verify`.
+///
 /// \p ProfileHash partitions a shared cache's key space the way a loaded
 /// profile's content hash does in runBatch (serve clients pass an opaque
 /// hash; 0 = the unpartitioned default). Opts.Profile / Opts.StaticPGO,
 /// when set, take precedence exactly as in runBatch.
+///
+/// \p Log, when non-null, receives the allocation decision log of the
+/// final attempt (it is cleared before the degraded retry). It only
+/// observes: the allocation is the same with or without it. With
+/// Opts.Validate on and spilling off, the validate stage also
+/// cross-checks the log against the result (crossCheckDecisionLog), and a
+/// mismatch refutes the job like a failed proof.
 BatchJobResult runSingleJob(const BatchJob &In, const BatchOptions &Opts,
                             AnalysisCache *Cache = nullptr,
-                            uint64_t ProfileHash = 0);
+                            uint64_t ProfileHash = 0,
+                            AllocationDecisionLog *Log = nullptr);
 
 } // namespace npral
 

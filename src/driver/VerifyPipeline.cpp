@@ -2,14 +2,10 @@
 
 #include "driver/VerifyPipeline.h"
 
-#include "alloc/InterAllocator.h"
-#include "analysis/LiveRangeRenaming.h"
 #include "asmparse/AsmParser.h"
-#include "harden/SpillFallback.h"
-#include "ir/IRPrinter.h"
+#include "driver/BatchPipeline.h"
 #include "lint/Lint.h"
 #include "lint/TranslationValidator.h"
-#include "profile/StaticFrequencyEstimator.h"
 #include "support/StringUtils.h"
 #include "support/ThreadPool.h"
 #include "trace/MetricsRegistry.h"
@@ -23,13 +19,10 @@ using namespace npral;
 
 namespace {
 
-/// Check one file; writes only \p Out. Diagnostics end up sorted by
-/// program position so the result is independent of worker scheduling.
-void verifyOne(const std::string &Path, const VerifyOptions &Opts,
-               VerifyFileResult &Out) {
-  Out.Name = Path;
-  NPRAL_TRACE_SPAN_ARGS("verify", "file", {"name", Path});
-
+/// Check one file in paired mode; writes only \p Out. Diagnostics end up
+/// sorted by program position so the result is independent of worker
+/// scheduling.
+void verifyPaired(const std::string &Path, VerifyFileResult &Out) {
   std::ifstream Stream(Path);
   if (!Stream) {
     Out.FailReason = "cannot open '" + Path + "'";
@@ -44,67 +37,24 @@ void verifyOne(const std::string &Path, const VerifyOptions &Opts,
   }
   MultiThreadProgram MTP = Parsed.take();
 
+  // The file carries both sides of the proof obligation: virtual threads
+  // first, then the same number of hand-written physical threads.
+  if (MTP.getNumThreads() < 2 || MTP.getNumThreads() % 2 != 0) {
+    Out.FailReason = "paired mode needs an even number of threads "
+                     "(virtual half followed by physical half)";
+    return;
+  }
+  const int Half = MTP.getNumThreads() / 2;
   MultiThreadProgram Virt, Phys;
-  if (Opts.Paired) {
-    // The file carries both sides of the proof obligation: virtual threads
-    // first, then the same number of hand-written physical threads.
-    if (MTP.getNumThreads() < 2 || MTP.getNumThreads() % 2 != 0) {
-      Out.FailReason = "paired mode needs an even number of threads "
-                       "(virtual half followed by physical half)";
-      return;
-    }
-    const int Half = MTP.getNumThreads() / 2;
-    Virt.Name = MTP.Name;
-    Phys.Name = MTP.Name;
-    for (int T = 0; T < Half; ++T)
-      Virt.Threads.push_back(MTP.Threads[static_cast<size_t>(T)]);
-    for (int T = Half; T < MTP.getNumThreads(); ++T)
-      Phys.Threads.push_back(MTP.Threads[static_cast<size_t>(T)]);
-    if (Status S = mapNamedPhysicalRegisters(Phys); !S.ok()) {
-      Out.FailReason = S.str();
-      return;
-    }
-  } else {
-    // Allocate mode: the validator checks the allocator's own output
-    // against the renamed input, exactly as the batch pipeline would.
-    for (Program &T : MTP.Threads)
-      T = renameLiveRanges(T);
-    std::vector<CostModel> Models;
-    if (Opts.Profile || Opts.StaticPGO) {
-      Models.reserve(MTP.Threads.size());
-      for (const Program &T : MTP.Threads) {
-        CostModel CM;
-        const ThreadProfile *TP =
-            Opts.Profile
-                ? Opts.Profile->findByCodeHash(fnv1aHash(programToString(T)))
-                : nullptr;
-        if (TP) {
-          const int ProfIdx =
-              static_cast<int>(TP - Opts.Profile->Threads.data());
-          CM = Opts.Profile->costModel(ProfIdx, T.getNumBlocks());
-        } else if (Opts.StaticPGO) {
-          CM = estimateCostModel(T);
-        }
-        Models.push_back(std::move(CM));
-      }
-    }
-    InterThreadResult Alloc;
-    if (Opts.AllowSpill) {
-      SpillFallbackOptions SpillOpts;
-      SpillOpts.MaxSpills = Opts.MaxSpills;
-      SpillFallbackResult SF = allocateWithSpillFallback(
-          MTP, Opts.Nreg, {}, Models, nullptr, InterAllocLimits(), SpillOpts);
-      Alloc = std::move(SF.Inter);
-      Out.UsedSpilling = SF.UsedSpilling;
-    } else {
-      Alloc = allocateInterThread(MTP, Opts.Nreg, {}, Models, nullptr);
-    }
-    if (!Alloc.Success) {
-      Out.FailReason = "allocation failed: " + Alloc.FailReason;
-      return;
-    }
-    Virt = std::move(MTP);
-    Phys = std::move(Alloc.Physical);
+  Virt.Name = MTP.Name;
+  Phys.Name = MTP.Name;
+  for (int T = 0; T < Half; ++T)
+    Virt.Threads.push_back(MTP.Threads[static_cast<size_t>(T)]);
+  for (int T = Half; T < MTP.getNumThreads(); ++T)
+    Phys.Threads.push_back(MTP.Threads[static_cast<size_t>(T)]);
+  if (Status S = mapNamedPhysicalRegisters(Phys); !S.ok()) {
+    Out.FailReason = S.str();
+    return;
   }
 
   DiagnosticEngine Engine;
@@ -116,6 +66,34 @@ void verifyOne(const std::string &Path, const VerifyOptions &Opts,
   Out.InstructionsMatched = V.InstructionsMatched;
   Out.CopiesInterpreted = V.CopiesInterpreted;
   Out.Diags = Engine.diagnostics();
+}
+
+/// Check one file in allocate mode: the shared job path (parse, rename,
+/// use-of-undef precondition, allocation, safety verifier, translation
+/// validation) proves the allocator's own output against the renamed
+/// input. A job that fails before its validate stage is an error.
+void verifyAllocated(const std::string &Path, const VerifyOptions &Opts,
+                     VerifyFileResult &Out) {
+  BatchJob Job;
+  Job.Path = Path;
+  BatchOptions BO;
+  BO.Nreg = Opts.Nreg;
+  BO.Validate = true;
+  BO.AllowSpill = Opts.AllowSpill;
+  BO.MaxSpills = Opts.MaxSpills;
+  BO.StaticPGO = Opts.StaticPGO;
+  BO.Profile = Opts.Profile;
+  const BatchJobResult R = runSingleJob(Job, BO);
+  if (!R.Success && R.FailStage != "validate") {
+    Out.FailReason = R.failureSummary();
+    return;
+  }
+  Out.Proved = R.Validated;
+  Out.ThreadsProved = R.Validation.ThreadsProved;
+  Out.InstructionsMatched = R.Validation.InstructionsMatched;
+  Out.CopiesInterpreted = R.Validation.CopiesInterpreted;
+  Out.UsedSpilling = R.UsedSpilling;
+  Out.Diags = R.ValidateDiags.diagnostics();
 }
 
 } // namespace
@@ -131,11 +109,17 @@ VerifyResult npral::runVerify(const std::vector<std::string> &Paths,
     ThreadPool Pool(Opts.Jobs);
     parallelFor(Pool, static_cast<int>(Paths.size()), [&](int I) {
       VerifyFileResult &Slot = Out.Files[static_cast<size_t>(I)];
+      const std::string &Path = Paths[static_cast<size_t>(I)];
+      Slot.Name = Path;
+      NPRAL_TRACE_SPAN_ARGS("verify", "file", {"name", Path});
       try {
-        verifyOne(Paths[static_cast<size_t>(I)], Opts, Slot);
+        if (Opts.Paired)
+          verifyPaired(Path, Slot);
+        else
+          verifyAllocated(Path, Opts, Slot);
       } catch (const std::exception &E) {
         Slot = VerifyFileResult();
-        Slot.Name = Paths[static_cast<size_t>(I)];
+        Slot.Name = Path;
         Slot.FailReason = std::string("uncaught exception: ") + E.what();
       }
     });

@@ -8,8 +8,10 @@
 /// renamed virtual program computes.
 ///
 /// Two modes per file:
-///   - allocate mode (default): parse, rename live ranges, allocate (with
-///     optional spill fallback and PGO weighting), validate the allocator's
+///   - allocate mode (default): the batch pipeline's shared job path
+///     (runSingleJob) — parse, rename live ranges, reject use of undefined
+///     registers, allocate (with optional spill fallback and PGO
+///     weighting), run the safety verifier, and validate the allocator's
 ///     own output against the renamed input;
 ///   - paired mode: the file itself carries both halves of the proof
 ///     obligation — the first half of its threads is the virtual program,
@@ -61,8 +63,9 @@ struct VerifyFileResult {
   std::string Name;
   /// True when the validator proved the translation.
   bool Proved = false;
-  /// Nonempty when the file never reached the validator (I/O, parse or
-  /// allocation failure); such a file counts as an error, not a rejection.
+  /// Nonempty when the file never reached the validator (I/O, parse,
+  /// analysis, allocation or safety-verifier failure); such a file counts
+  /// as an error, not a rejection.
   std::string FailReason;
   int ThreadsProved = 0;
   int64_t InstructionsMatched = 0;

@@ -13,6 +13,14 @@ using namespace npral;
 
 namespace {
 
+/// First absolute word of the spill scratch region: the top quarter of the
+/// 1 Mi-word simulator memory, clear of the example workloads' data.
+constexpr int64_t SlotBase = 0xE0000;
+/// Scratch words reserved per thread; thread T's slots start at
+/// SlotBase + T * SlotStride, so windows of different threads never
+/// overlap while a thread demotes fewer than SlotStride ranges.
+constexpr int64_t SlotStride = 0x1000;
+
 /// Frequency-weighted reference count of \p V in \p P: the dynamic price of
 /// demoting it (one reload per use, one store per def, each executing with
 /// its site's block frequency).
@@ -242,7 +250,7 @@ SpillFallbackResult npral::allocateWithSpillFallback(
     std::vector<int64_t> &Slots = SlotOf[static_cast<size_t>(VictimThread)];
     Slots.resize(static_cast<size_t>(P.NumRegs), 0);
     Slots[static_cast<size_t>(Victim)] =
-        Opts.SlotBase + VictimThread * Opts.SlotStride +
+        SlotBase + VictimThread * SlotStride +
         NextSlot[static_cast<size_t>(VictimThread)]++;
     SpillRewrite SR = insertSpillCode(P, {Victim}, Slots);
     std::vector<char> &NS = NoSpill[static_cast<size_t>(VictimThread)];

@@ -45,14 +45,6 @@ namespace npral {
 struct SpillFallbackOptions {
   /// Total live ranges the fallback may demote before giving up.
   int MaxSpills = 64;
-  /// First absolute word of the spill scratch region. The default sits in
-  /// the top quarter of the 1 Mi-word simulator memory, clear of the
-  /// example workloads' data.
-  int64_t SlotBase = 0xE0000;
-  /// Scratch words reserved per thread; thread T's slots start at
-  /// SlotBase + T * SlotStride. Must be >= MaxSpills so windows of
-  /// different threads can never overlap.
-  int64_t SlotStride = 0x1000;
 };
 
 struct SpillFallbackResult {

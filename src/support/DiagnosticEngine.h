@@ -17,7 +17,7 @@
 #ifndef NPRAL_SUPPORT_DIAGNOSTICENGINE_H
 #define NPRAL_SUPPORT_DIAGNOSTICENGINE_H
 
-#include "support/Diagnostics.h"
+#include "support/Status.h"
 
 #include <ostream>
 #include <string>

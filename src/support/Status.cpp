@@ -1,4 +1,4 @@
-//===- Diagnostics.cpp ----------------------------------------------------===//
+//===- Status.cpp ---------------------------------------------------------===//
 
 #include "support/Status.h"
 

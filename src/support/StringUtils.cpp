@@ -6,6 +6,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <ostream>
 
 using namespace npral;
@@ -51,9 +52,14 @@ std::optional<int64_t> npral::parseInteger(std::string_view S) {
     S.remove_prefix(2);
   }
 
-  int64_t Value = 0;
+  // Accumulate the magnitude unsigned and refuse anything past the int64_t
+  // range; |INT64_MIN| is one more than INT64_MAX.
+  const uint64_t Limit =
+      static_cast<uint64_t>(std::numeric_limits<int64_t>::max()) +
+      (Negative ? 1 : 0);
+  uint64_t Value = 0;
   for (char C : S) {
-    int Digit;
+    unsigned Digit;
     if (C >= '0' && C <= '9')
       Digit = C - '0';
     else if (Base == 16 && C >= 'a' && C <= 'f')
@@ -62,9 +68,11 @@ std::optional<int64_t> npral::parseInteger(std::string_view S) {
       Digit = C - 'A' + 10;
     else
       return std::nullopt;
+    if (Value > (Limit - Digit) / Base)
+      return std::nullopt;
     Value = Value * Base + Digit;
   }
-  return Negative ? -Value : Value;
+  return static_cast<int64_t>(Negative ? 0 - Value : Value);
 }
 
 bool npral::isIdentifier(std::string_view S) {

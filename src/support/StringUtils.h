@@ -22,7 +22,8 @@ std::string_view trim(std::string_view S);
 /// Split on a separator character, keeping empty fields.
 std::vector<std::string_view> split(std::string_view S, char Sep);
 
-/// Parse a decimal or 0x-prefixed integer; std::nullopt on malformed input.
+/// Parse a decimal or 0x-prefixed integer; std::nullopt on malformed input
+/// or a value outside the int64_t range.
 std::optional<int64_t> parseInteger(std::string_view S);
 
 /// True if \p S is a valid identifier: [A-Za-z_.][A-Za-z0-9_.]*.

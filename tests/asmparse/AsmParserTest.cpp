@@ -191,6 +191,14 @@ TEST(AsmParserTest, ErrorTrailingTokens) {
   ASSERT_FALSE(R.ok());
 }
 
+TEST(AsmParserTest, ErrorOverflowingImmediate) {
+  // An immediate past the int64_t range is malformed, not silently wrapped.
+  auto R = parseSingleProgram(
+      ".thread t\nmain:\n  imm x, 99999999999999999999\n  halt\n");
+  ASSERT_FALSE(R.ok());
+  EXPECT_EQ(R.status().code(), StatusCode::ParseError) << R.status().str();
+}
+
 TEST(AsmParserTest, EntryLiveDeclaresRegister) {
   // .entrylive declares registers even when nothing references them (they
   // may be consumed only inside expanded .func bodies).

@@ -9,7 +9,6 @@
 #include "driver/AnalysisCache.h"
 #include "driver/BatchPipeline.h"
 #include "ir/IRPrinter.h"
-#include "trace/MetricsRegistry.h"
 #include "workloads/ProgramGenerator.h"
 
 #include "gtest/gtest.h"
@@ -211,7 +210,7 @@ TEST(BatchPipelineTest, ValidateProvesJobsAndFillsStats) {
   EXPECT_EQ(R.Stats.ValidateFailed, 0);
   EXPECT_GT(R.Stats.ValidateNs, 0);
 
-  // The validate line is rendered by both renderers...
+  // The validate line is rendered by both renderers.
   std::ostringstream Text;
   R.Stats.renderText(Text);
   EXPECT_NE(Text.str().find("validate: 4 proved, 0 refuted"),
@@ -222,14 +221,6 @@ TEST(BatchPipelineTest, ValidateProvesJobsAndFillsStats) {
   EXPECT_NE(JSON.str().find("\"validate\": {\"proved\": 4"),
             std::string::npos)
       << JSON.str();
-
-  // ...and round-trips through the metrics registry adapters.
-  MetricsRegistry MR;
-  R.Stats.toRegistry(MR);
-  PipelineStats Back = PipelineStats::fromRegistry(MR);
-  EXPECT_EQ(Back.Validated, R.Stats.Validated);
-  EXPECT_EQ(Back.ValidateFailed, R.Stats.ValidateFailed);
-  EXPECT_EQ(Back.ValidateNs, R.Stats.ValidateNs);
 }
 
 TEST(BatchPipelineTest, ValidateOffKeepsStatsOutputByteStable) {

@@ -47,17 +47,24 @@ std::string renderJSON(const VerifyResult &R) {
 TEST(VerifyPipelineTest, ProvesAllExamplesInAllocateMode) {
   // In allocate mode even bad_swap.s proves: the allocator re-allocates
   // its threads correctly; the planted miscompile only exists in the
-  // hand-written physical half that --paired checks.
+  // hand-written physical half that --paired checks. lint_buggy.s reads a
+  // register before it may be defined, so the shared job path stops it at
+  // its analysis precondition, exactly as batch does.
   std::vector<std::string> Paths = allExamples();
   ASSERT_GE(Paths.size(), 12u);
   VerifyOptions Opts;
   Opts.Jobs = 4;
   VerifyResult R = runVerify(Paths, Opts);
   EXPECT_EQ(R.Rejected, 0);
-  EXPECT_EQ(R.Errors, 0);
-  EXPECT_EQ(R.Proved, static_cast<int>(Paths.size()));
-  EXPECT_TRUE(R.allProved());
+  EXPECT_EQ(R.Errors, 1);
+  EXPECT_EQ(R.Proved, static_cast<int>(Paths.size()) - 1);
   for (const VerifyFileResult &F : R.Files) {
+    if (std::filesystem::path(F.Name).filename() == "lint_buggy.s") {
+      EXPECT_FALSE(F.Proved);
+      EXPECT_NE(F.FailReason.find("may be undefined"), std::string::npos)
+          << F.FailReason;
+      continue;
+    }
     EXPECT_TRUE(F.Proved) << F.Name << ": " << F.FailReason;
     EXPECT_GT(F.ThreadsProved, 0) << F.Name;
     EXPECT_GT(F.InstructionsMatched, 0) << F.Name;

@@ -13,7 +13,7 @@
 
 #include "analysis/LiveRangeRenaming.h"
 #include "harden/SpillFallback.h"
-#include "support/Diagnostics.h"
+#include "support/Status.h"
 #include "workloads/Harness.h"
 
 #include "gtest/gtest.h"

@@ -1,7 +1,7 @@
 //===- SupportTest.cpp - Diagnostics, Rng, strings, tables ----------------===//
 
-#include "support/Diagnostics.h"
 #include "support/Random.h"
+#include "support/Status.h"
 #include "support/StringUtils.h"
 #include "support/TableFormatter.h"
 
@@ -109,6 +109,18 @@ TEST(StringUtilsTest, ParseIntegerRejectsGarbage) {
   EXPECT_FALSE(parseInteger("").has_value());
   EXPECT_FALSE(parseInteger("-").has_value());
   EXPECT_FALSE(parseInteger("0x").has_value());
+}
+
+TEST(StringUtilsTest, ParseIntegerRejectsOverflow) {
+  EXPECT_EQ(parseInteger("9223372036854775807"), INT64_MAX);
+  EXPECT_EQ(parseInteger("-9223372036854775808"), INT64_MIN);
+  EXPECT_EQ(parseInteger("-0x8000000000000000"), INT64_MIN);
+  EXPECT_EQ(parseInteger("0x7fffffffffffffff"), INT64_MAX);
+  EXPECT_FALSE(parseInteger("99999999999999999999").has_value());
+  EXPECT_FALSE(parseInteger("9223372036854775808").has_value());
+  EXPECT_FALSE(parseInteger("-9223372036854775809").has_value());
+  EXPECT_FALSE(parseInteger("0x8000000000000000").has_value());
+  EXPECT_FALSE(parseInteger("0x10000000000000000").has_value());
 }
 
 TEST(StringUtilsTest, IsIdentifier) {

@@ -193,31 +193,6 @@ PipelineStats sampleStats() {
 
 } // namespace
 
-TEST(PipelineStatsTest, RegistryRoundTripIsLossless) {
-  const PipelineStats S = sampleStats();
-  MetricsRegistry MR;
-  S.toRegistry(MR);
-  const PipelineStats R = PipelineStats::fromRegistry(MR);
-  EXPECT_EQ(R.Programs, S.Programs);
-  EXPECT_EQ(R.Succeeded, S.Succeeded);
-  EXPECT_EQ(R.Failed, S.Failed);
-  EXPECT_EQ(R.Jobs, S.Jobs);
-  EXPECT_EQ(R.CacheEnabled, S.CacheEnabled);
-  EXPECT_EQ(R.CacheHits, S.CacheHits);
-  EXPECT_EQ(R.CacheMisses, S.CacheMisses);
-  EXPECT_EQ(R.ParseNs, S.ParseNs);
-  EXPECT_EQ(R.AnalysisNs, S.AnalysisNs);
-  EXPECT_EQ(R.BoundsNs, S.BoundsNs);
-  EXPECT_EQ(R.AllocNs, S.AllocNs);
-  EXPECT_EQ(R.VerifyNs, S.VerifyNs);
-  EXPECT_EQ(R.WallNs, S.WallNs);
-  // And the renderers agree byte for byte after the round trip.
-  std::ostringstream A, B;
-  S.renderText(A);
-  R.renderText(B);
-  EXPECT_EQ(A.str(), B.str());
-}
-
 TEST(PipelineStatsTest, RenderTextGolden) {
   // Pinned byte-for-byte: the registry migration must not perturb the
   // pre-existing --stats output.
@@ -317,8 +292,8 @@ main:
   BatchResult R = runBatch(Jobs, Opts);
   EXPECT_EQ(R.Stats.Programs, 3);
   EXPECT_EQ(R.Stats.Succeeded, 3);
-  // The per-run registry is the source of truth and merges into the global
-  // one; the struct must agree with the global counters it came from.
+  // runBatch publishes its stats into the global registry; the struct and
+  // the global counters must agree.
   EXPECT_EQ(MetricsRegistry::global().counterValue("batch.programs"), 3);
   EXPECT_EQ(MetricsRegistry::global().counterValue("batch.succeeded"), 3);
   EXPECT_EQ(MetricsRegistry::global().gaugeValue("batch.jobs"), 2);

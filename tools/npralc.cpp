@@ -41,32 +41,33 @@
 //
 // Every subcommand accepts --trace-out <f.json> (record spans and events
 // while the command runs, write Chrome trace-event JSON on exit) and
-// --metrics (dump the global metrics registry to stderr on exit).
+// --metrics (dump the global metrics registry to stderr on exit). All
+// other flags come from one table per subcommand (dispatch); an unknown
+// flag, a missing value or an out-of-range number exits 2.
+//
+// `alloc`, `run` and `verify` allocate through the batch pipeline's
+// runSingleJob, like `batch` and `serve`, so all five give one verdict for
+// the same input.
 //
 // Threads may declare entry-live registers; `run` seeds them with zero (use
 // the C++ API for richer setups — see examples/).
 //
 //===----------------------------------------------------------------------===//
 
-#include "alloc/AllocationVerifier.h"
 #include "alloc/BoundsEstimator.h"
 #include "alloc/InterAllocator.h"
 #include "analysis/InterferenceGraph.h"
 #include "analysis/LiveRangeRenaming.h"
 #include "asmparse/AsmParser.h"
 #include "baseline/ChaitinAllocator.h"
-#include "driver/AnalysisCache.h"
 #include "driver/BatchPipeline.h"
 #include "driver/VerifyPipeline.h"
 #include "grid/GridHarness.h"
 #include "harden/FaultInjector.h"
-#include "harden/SpillFallback.h"
 #include "ir/IRPrinter.h"
 #include "lint/Lint.h"
-#include "lint/TranslationValidator.h"
 #include "profile/ExecutionProfile.h"
 #include "profile/ProfileCollector.h"
-#include "profile/StaticFrequencyEstimator.h"
 #include "serve/Client.h"
 #include "serve/Server.h"
 #include "sim/Simulator.h"
@@ -82,12 +83,18 @@
 #include "trace/TraceReport.h"
 #include "trace/TraceValidator.h"
 
-#include <cstdlib>
+#include <algorithm>
+#include <charconv>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
 using namespace npral;
@@ -114,8 +121,8 @@ int usage() {
          "                      and intra-thread events\n"
          "        --profile f   weight move costs by the execution counts\n"
          "                      in f (a .npprof from `npralc profile`);\n"
-         "                      threads are matched by position and must\n"
-         "                      hash to the profiled code\n"
+         "                      threads are matched by code hash, and a\n"
+         "                      thread matching no profiled code is stale\n"
          "        --pgo-static  weight move costs by 10^loop-depth instead\n"
          "                      of a collected profile\n"
          "        --allow-spill degrade gracefully when the budget is\n"
@@ -299,6 +306,83 @@ int usage() {
   return 2;
 }
 
+/// One row of a subcommand's flag table: the flag's spelling and the
+/// variable its value lands in. A bool target is a switch that takes no
+/// value. An integer target accepts [Min, Max], further clamped to what the
+/// target type holds; a uint64_t target takes the full unsigned range.
+struct Flag {
+  std::string_view Name;
+  std::variant<bool *, std::string *, int *, int64_t *, uint32_t *,
+               uint64_t *, FaultInjector *>
+      Target;
+  int64_t Min = 0;
+  int64_t Max = std::numeric_limits<int64_t>::max();
+};
+
+/// Store \p Value through \p Out; returns why it is unacceptable, or an
+/// empty string when it was stored.
+template <typename T>
+std::string storeValue(std::string_view Value, T *Out, int64_t Min,
+                       int64_t Max) {
+  if constexpr (std::is_same_v<T, std::string>) {
+    *Out = Value;
+  } else if constexpr (std::is_same_v<T, FaultInjector>) {
+    ErrorOr<FaultInjector> FI = FaultInjector::parse(std::string(Value));
+    if (!FI.ok())
+      return FI.status().str();
+    *Out = FI.take();
+  } else if constexpr (std::is_same_v<T, uint64_t>) {
+    // Hash tags use the top bit, so no detour through int64_t.
+    const char *End = Value.data() + Value.size();
+    auto [Ptr, Ec] = std::from_chars(Value.data(), End, *Out);
+    if (Ec != std::errc() || Ptr != End)
+      return "expected an unsigned 64-bit integer, got '" +
+             std::string(Value) + "'";
+  } else {
+    Max = std::min<int64_t>(Max, std::numeric_limits<T>::max());
+    const std::optional<int64_t> V = parseInteger(Value);
+    if (!V || *V < Min || *V > Max)
+      return "expected an integer in [" + std::to_string(Min) + ", " +
+             std::to_string(Max) + "], got '" + std::string(Value) + "'";
+    *Out = static_cast<T>(*V);
+  }
+  return "";
+}
+
+/// Parse argv[2..argc) against \p Table; arguments not starting with '-'
+/// are collected in \p Positional. An unknown flag, a missing value or an
+/// unacceptable value prints `error: <flag>: <why>` and returns false.
+bool parseFlags(int argc, char **argv, const std::vector<Flag> &Table,
+                std::vector<std::string> &Positional) {
+  for (int I = 2; I < argc; ++I) {
+    const std::string_view Arg = argv[I];
+    if (Arg.empty() || Arg[0] != '-') {
+      Positional.emplace_back(Arg);
+      continue;
+    }
+    auto bad = [&](const std::string &Why) {
+      std::cerr << "error: " << Arg << ": " << Why << "\n";
+      return false;
+    };
+    const auto It = std::find_if(Table.begin(), Table.end(),
+                                 [&](const Flag &F) { return F.Name == Arg; });
+    if (It == Table.end())
+      return bad("unknown flag");
+    if (bool *const *Switch = std::get_if<bool *>(&It->Target)) {
+      **Switch = true;
+      continue;
+    }
+    if (++I == argc)
+      return bad("missing value");
+    const std::string Why = std::visit(
+        [&](auto *Out) { return storeValue(argv[I], Out, It->Min, It->Max); },
+        It->Target);
+    if (!Why.empty())
+      return bad(Why);
+  }
+  return true;
+}
+
 ErrorOr<MultiThreadProgram> loadFile(const std::string &Path,
                                      bool Rename = true) {
   std::ifstream In(Path);
@@ -313,6 +397,12 @@ ErrorOr<MultiThreadProgram> loadFile(const std::string &Path,
     for (Program &T : MTP->Threads)
       T = renameLiveRanges(T);
   return MTP;
+}
+
+/// Report a failed job the way `batch` lists it in its failed[] report.
+int reportFailure(const BatchJobResult &R) {
+  std::cerr << R.Name << ": " << R.failureSummary() << "\n";
+  return 1;
 }
 
 int cmdAnalyze(const MultiThreadProgram &MTP) {
@@ -354,87 +444,49 @@ std::optional<ExecutionProfile> loadProfile(const std::string &Path) {
   return Prof;
 }
 
-int cmdAlloc(const MultiThreadProgram &MTP, int Nreg, bool Print,
-             const ExecutionProfile *Prof, bool StaticPGO, bool Explain,
-             bool AllowSpill, int MaxSpills, bool Validate) {
-  // Resolve per-thread cost models. A collected profile matches threads by
-  // position and must hash to the code it was collected on — silently
-  // applying stale counts would skew every weighted decision.
-  const bool PGO = Prof != nullptr || StaticPGO;
-  std::vector<CostModel> Models;
-  if (Prof) {
-    if (Prof->getNumThreads() != MTP.getNumThreads()) {
-      std::cerr << "error: profile has " << Prof->getNumThreads()
-                << " threads, program has " << MTP.getNumThreads() << "\n";
+int cmdAlloc(const std::string &Path, BatchOptions Opts,
+             const std::string &ProfilePath, bool Explain) {
+  std::optional<ExecutionProfile> Prof;
+  if (!ProfilePath.empty()) {
+    Prof = loadProfile(ProfilePath);
+    if (!Prof)
       return 1;
-    }
-    for (int T = 0; T < MTP.getNumThreads(); ++T) {
-      const Program &P = MTP.Threads[static_cast<size_t>(T)];
-      const uint64_t Hash = fnv1aHash(programToString(P));
-      if (Prof->Threads[static_cast<size_t>(T)].CodeHash != Hash) {
-        std::cerr << "error: profile is stale: thread '" << P.Name
-                  << "' does not match the profiled code\n";
-        return 1;
-      }
-      Models.push_back(Prof->costModel(T, P.getNumBlocks()));
-    }
-  } else if (StaticPGO) {
-    for (const Program &P : MTP.Threads)
-      Models.push_back(estimateCostModel(P));
+    Opts.Profile = &*Prof;
   }
-
+  const bool PGO = Prof || Opts.StaticPGO;
+  Opts.KeepPhysical = true;
+  BatchJob Job;
+  Job.Path = Path;
+  // The log only observes; with --validate on a strict run the job also
+  // cross-checks it against the result.
   AllocationDecisionLog Log;
-  InterThreadResult R;
-  SpillFallbackResult SF;
-  // --validate cross-checks the decision log against the result, so it
-  // needs the log collected even without --explain. The log is purely
-  // observational: collecting it never changes the allocation.
-  const bool WantLog = Explain || (Validate && !AllowSpill);
-  if (AllowSpill) {
-    SpillFallbackOptions SOpts;
-    SOpts.MaxSpills = MaxSpills;
-    SF = allocateWithSpillFallback(MTP, Nreg, {}, Models,
-                                   Explain ? &Log : nullptr,
-                                   InterAllocLimits(), SOpts);
-    R = std::move(SF.Inter);
-  } else {
-    R = allocateInterThread(MTP, Nreg, {}, Models, WantLog ? &Log : nullptr);
+  const BatchJobResult R = runSingleJob(Job, Opts, nullptr, 0, &Log);
+  if (R.FailStage == "parse" || R.FailStage == "analysis")
+    return reportFailure(R);
+  // Silently applying unit weights to code the profile never saw would
+  // skew every weighted decision.
+  if (Prof && R.ProfiledThreads < R.NumThreads) {
+    std::cerr << "error: profile is stale: "
+              << R.NumThreads - R.ProfiledThreads << " of " << R.NumThreads
+              << " thread(s) match no profiled code\n";
+    return 1;
   }
   if (Explain) {
     Log.renderExplain(std::cout);
     std::cout << "\n";
   }
-  if (!R.Success) {
-    std::cerr << "allocation failed: " << R.FailReason << "\n";
+  if (R.FailStage == "validate") {
+    R.ValidateDiags.renderText(std::cerr);
+    std::cerr << "translation validation FAILED\n";
     return 1;
   }
-  if (Status S = verifyAllocationSafety(R.Physical); !S.ok()) {
-    std::cerr << "internal error, unsafe allocation: " << S.str() << "\n";
-    return 1;
-  }
-  // Translation validation: prove the physical output equivalent to the
-  // (renamed) virtual input, and cross-check the decision log against the
-  // reported result. Spill-degraded outputs are proved against the same
-  // pre-spill reference; the log cross-check only applies to the strict
-  // path, where the log describes the final (only) allocation attempt.
-  if (Validate) {
-    DiagnosticEngine Engine;
-    ValidationResult V = validateTranslation(MTP, R.Physical, Engine,
-                                             &MetricsRegistry::global());
-    int LogMismatches = 0;
-    if (!AllowSpill)
-      LogMismatches =
-          crossCheckDecisionLog(Log, R, Engine, &MetricsRegistry::global());
-    if (!V.Proved || LogMismatches > 0) {
-      Engine.sortByPosition();
-      Engine.renderText(std::cerr);
-      std::cerr << "translation validation FAILED\n";
-      return 1;
-    }
-    std::cout << "validated: " << V.ThreadsProved << " thread(s) proved, "
-              << V.InstructionsMatched << " instruction(s) matched, "
-              << V.CopiesInterpreted << " copies interpreted\n";
-  }
+  if (!R.Success)
+    return reportFailure(R);
+  if (R.Validated)
+    std::cout << "validated: " << R.Validation.ThreadsProved
+              << " thread(s) proved, " << R.Validation.InstructionsMatched
+              << " instruction(s) matched, " << R.Validation.CopiesInterpreted
+              << " copies interpreted\n";
   // The default table is byte-stable against pre-PGO builds; the weighted
   // column only appears when a PGO flag is active.
   std::vector<std::string> Cols{"Thread", "PR", "SR", "PrivateBase", "Moves",
@@ -443,28 +495,29 @@ int cmdAlloc(const MultiThreadProgram &MTP, int Nreg, bool Print,
     Cols.push_back("WMoves");
   TableFormatter Table(Cols);
   for (size_t T = 0; T < R.Threads.size(); ++T) {
+    const ThreadAllocation &TA = R.Threads[T];
     Table.row()
-        .cell(MTP.Threads[T].Name)
-        .cell(R.Threads[T].PR)
-        .cell(R.Threads[T].SR)
-        .cell(R.Threads[T].PrivateBase)
-        .cell(R.Threads[T].MoveCost)
-        .cell(R.Threads[T].Strategy);
+        .cell(R.Physical.Threads[T].Name)
+        .cell(TA.PR)
+        .cell(TA.SR)
+        .cell(TA.PrivateBase)
+        .cell(TA.MoveCost)
+        .cell(TA.Strategy);
     if (PGO)
-      Table.cell(static_cast<int64_t>(R.Threads[T].WeightedCost));
+      Table.cell(TA.WeightedCost);
   }
   Table.print(std::cout);
   std::cout << "SGR=" << R.SGR << " at p" << R.SharedBase << "; "
-            << R.RegistersUsed << "/" << Nreg << " registers used\n";
-  if (SF.UsedSpilling)
-    std::cout << "degraded: spilled " << SF.SpilledRanges
-              << " live range(s) to scratch memory (" << SF.SpillLoads
-              << " loads, " << SF.SpillStores << " stores, "
-              << SF.Attempts << " attempts)\n";
+            << R.RegistersUsed << "/" << Opts.Nreg << " registers used\n";
+  if (R.UsedSpilling)
+    std::cout << "degraded: spilled " << R.SpilledRanges
+              << " live range(s) to scratch memory (" << R.SpillLoads
+              << " loads, " << R.SpillStores << " stores, "
+              << R.SpillAttempts << " attempts)\n";
   if (PGO)
     std::cout << "weighted move cost: " << R.TotalWeightedCost << " ("
               << (Prof ? "collected profile" : "static estimate") << ")\n";
-  if (Print) {
+  if (!Explain) {
     std::cout << "\n";
     for (const Program &T : R.Physical.Threads) {
       printProgram(std::cout, T);
@@ -474,15 +527,12 @@ int cmdAlloc(const MultiThreadProgram &MTP, int Nreg, bool Print,
   return 0;
 }
 
-int cmdProfile(const MultiThreadProgram &MTP, int Iters, int MemLat,
+int cmdProfile(const MultiThreadProgram &MTP, const SimConfig &Config,
                const std::string &OutPath) {
   // Simulate the virtual program: in reference mode every thread has a
   // private register file, so no allocation is needed and the recorded
   // block IDs are the ones the allocators operate on.
   ProfileCollector Collector(MTP);
-  SimConfig Config;
-  Config.MemLatency = MemLat;
-  Config.TargetIterations = Iters;
   Simulator Sim(MTP, Config);
   Sim.setObserver(&Collector);
   for (int T = 0; T < MTP.getNumThreads(); ++T) {
@@ -510,16 +560,15 @@ int cmdProfile(const MultiThreadProgram &MTP, int Iters, int MemLat,
   return 0;
 }
 
-int cmdRun(const MultiThreadProgram &MTP, int Nreg, int Iters, int MemLat,
-           const std::string &TraceCycles, int SampleCycles) {
-  InterThreadResult R = allocateInterThread(MTP, Nreg);
-  if (!R.Success) {
-    std::cerr << "allocation failed: " << R.FailReason << "\n";
-    return 1;
-  }
-  SimConfig Config;
-  Config.MemLatency = MemLat;
-  Config.TargetIterations = Iters;
+int cmdRun(const std::string &Path, BatchOptions Opts,
+           const SimConfig &Config, const std::string &TraceCycles,
+           int64_t SampleCycles) {
+  Opts.KeepPhysical = true;
+  BatchJob Job;
+  Job.Path = Path;
+  const BatchJobResult R = runSingleJob(Job, Opts);
+  if (!R.Success)
+    return reportFailure(R);
   Simulator Sim(R.Physical, Config);
   // Virtual-time trace: ts is simulated cycles, so the file is a pure
   // function of the program and config (docs/observability.md).
@@ -553,13 +602,13 @@ int cmdRun(const MultiThreadProgram &MTP, int Nreg, int Iters, int MemLat,
   for (size_t T = 0; T < Run.Threads.size(); ++T) {
     const ThreadStats &TS = Run.Threads[T];
     Table.row()
-        .cell(MTP.Threads[T].Name)
+        .cell(R.Physical.Threads[T].Name)
         .cell(TS.Iterations)
         .cell(TS.InstrsExecuted)
         .cell(TS.CtxEvents)
         .cell(TS.MemOps);
     if (TS.CyclesAtTarget >= 0)
-      Table.cell(TS.cyclesPerIteration(Iters), 1);
+      Table.cell(TS.cyclesPerIteration(Config.TargetIterations), 1);
     else
       Table.cell("-"); // thread halted before reaching the target
   }
@@ -620,6 +669,8 @@ int cmdLint(MultiThreadProgram MTP, bool Json, bool AfterAlloc, bool Physical,
       return 1;
     }
   }
+  // Lint must accept programs the job path rejects (that is what it
+  // reports on), so --after-alloc calls the allocator directly.
   if (AfterAlloc) {
     for (Program &T : MTP.Threads)
       T = renameLiveRanges(T);
@@ -663,9 +714,8 @@ int cmdLint(MultiThreadProgram MTP, bool Json, bool AfterAlloc, bool Physical,
   return Werror && Engine.warningCount() > 0 ? 1 : 0;
 }
 
-int cmdVerify(const std::vector<std::string> &Files, int Jobs, bool Json,
-              bool Werror, int Nreg, bool AllowSpill, int MaxSpills,
-              bool StaticPGO, const std::string &ProfilePath, bool Paired) {
+int cmdVerify(const std::vector<std::string> &Files, VerifyOptions Opts,
+              const std::string &ProfilePath, bool Json, bool Werror) {
   if (Files.empty()) {
     std::cerr << "verify: no input files\n";
     return usage();
@@ -675,15 +725,10 @@ int cmdVerify(const std::vector<std::string> &Files, int Jobs, bool Json,
     Prof = loadProfile(ProfilePath);
     if (!Prof)
       return 1;
+    Opts.Profile = &*Prof;
   }
-  VerifyOptions Opts;
-  Opts.Nreg = Nreg;
-  Opts.Jobs = Jobs > 0 ? Jobs : 1;
-  Opts.AllowSpill = AllowSpill;
-  Opts.MaxSpills = MaxSpills;
-  Opts.StaticPGO = StaticPGO;
-  Opts.Profile = Prof ? &*Prof : nullptr;
-  Opts.Paired = Paired;
+  if (Opts.Jobs == 0)
+    Opts.Jobs = ThreadPool::hardwareConcurrency();
   VerifyResult R = runVerify(Files, Opts);
   if (Json)
     R.renderJSON(std::cout);
@@ -694,12 +739,8 @@ int cmdVerify(const std::vector<std::string> &Files, int Jobs, bool Json,
   return Werror && R.warningCount() > 0 ? 1 : 0;
 }
 
-int cmdBatch(const std::vector<std::string> &Files, int Jobs, bool UseCache,
-             bool Stats, bool Json, int Nreg,
-             const std::string &ProfilePath, bool StaticPGO, bool AllowSpill,
-             int MaxSpills, bool RetryDegraded, int DeadlineMs,
-             const std::string &FaultSpec, bool Validate,
-             int64_t CacheBytes) {
+int cmdBatch(const std::vector<std::string> &Files, BatchOptions Opts,
+             const std::string &ProfilePath, bool Stats, bool Json) {
   if (Files.empty()) {
     std::cerr << "batch: no input files\n";
     return usage();
@@ -709,6 +750,7 @@ int cmdBatch(const std::vector<std::string> &Files, int Jobs, bool UseCache,
     Prof = loadProfile(ProfilePath);
     if (!Prof)
       return 1;
+    Opts.Profile = &*Prof;
   }
   std::vector<BatchJob> Inputs;
   Inputs.reserve(Files.size());
@@ -717,31 +759,13 @@ int cmdBatch(const std::vector<std::string> &Files, int Jobs, bool UseCache,
     Job.Path = F;
     Inputs.push_back(std::move(Job));
   }
-  BatchOptions Opts;
-  Opts.Nreg = Nreg;
-  Opts.Jobs = Jobs > 0 ? Jobs : ThreadPool::hardwareConcurrency();
+  if (Opts.Jobs == 0)
+    Opts.Jobs = ThreadPool::hardwareConcurrency();
   // A byte budget only makes sense with the cache on, so it implies it.
-  Opts.UseCache = UseCache || CacheBytes > 0;
-  Opts.CacheBytes = CacheBytes;
-  Opts.Profile = Prof ? &*Prof : nullptr;
-  Opts.StaticPGO = StaticPGO;
-  Opts.AllowSpill = AllowSpill;
-  Opts.MaxSpills = MaxSpills;
-  Opts.RetryDegraded = RetryDegraded;
-  Opts.DeadlineMs = DeadlineMs;
-  Opts.Validate = Validate;
-  if (!FaultSpec.empty()) {
-    ErrorOr<FaultInjector> FI = FaultInjector::parse(FaultSpec);
-    if (!FI.ok()) {
-      std::cerr << "error: bad --fault-inject spec: " << FI.status().str()
-                << "\n";
-      return usage();
-    }
-    Opts.Faults = FI.take();
-  } else {
+  Opts.UseCache = Opts.UseCache || Opts.CacheBytes > 0;
+  if (!Opts.Faults.enabled())
     Opts.Faults = FaultInjector::fromEnv();
-  }
-  const bool PGO = Opts.Profile != nullptr || StaticPGO;
+  const bool PGO = Opts.Profile != nullptr || Opts.StaticPGO;
   BatchResult Batch = runBatch(Inputs, Opts);
 
   std::vector<std::string> Cols{"File", "Threads", "Status", "Regs", "SGR",
@@ -768,8 +792,7 @@ int cmdBatch(const std::vector<std::string> &Files, int Jobs, bool UseCache,
   // The failed[] report: one line per failed job with the stage and the
   // status-code classification of its failure.
   for (const BatchJobResult *R : Batch.failed())
-    std::cerr << R->Name << ": [" << R->FailStage << "/"
-              << statusCodeName(R->FailCode) << "] " << R->FailReason << "\n";
+    reportFailure(*R);
   if (Stats) {
     if (Json)
       Batch.Stats.renderJSON(std::cout);
@@ -780,6 +803,12 @@ int cmdBatch(const std::vector<std::string> &Files, int Jobs, bool UseCache,
 }
 
 int cmdServe(ServeOptions Opts) {
+  if (Opts.SocketPath.empty()) {
+    std::cerr << "serve: --socket is required\n";
+    return usage();
+  }
+  if (!Opts.Faults.enabled())
+    Opts.Faults = FaultInjector::fromEnv();
   Server S(std::move(Opts));
   S.installSignalHandlers();
   if (Status St = S.start(); !St.ok()) {
@@ -799,6 +828,14 @@ int cmdServe(ServeOptions Opts) {
 
 int cmdClient(const std::string &SocketPath, const std::string &File,
               bool Health, bool FetchMetrics, AllocRequest Req) {
+  if (SocketPath.empty()) {
+    std::cerr << "client: --socket is required\n";
+    return usage();
+  }
+  if (!Health && !FetchMetrics && File.empty()) {
+    std::cerr << "client: need a file.s (or --health / --fetch-metrics)\n";
+    return usage();
+  }
   ErrorOr<ServeClient> C = ServeClient::connectTo(SocketPath);
   if (!C.ok()) {
     std::cerr << "client: " << C.status().str() << "\n";
@@ -845,26 +882,13 @@ int cmdClient(const std::string &SocketPath, const std::string &File,
   return 0;
 }
 
-int cmdGrid(const std::string &ScenarioName, int Engines,
-            const std::string &PolicyName, int Nreg, int Iters, int MemLat,
-            int HopLat, int Credits, bool Json,
-            const std::string &TraceCycles, int SampleCycles) {
-  GridOptions Opts;
-  if (Engines < 1 || Engines > 16) {
-    std::cerr << "grid: --engines must be in [1, 16]\n";
-    return usage();
-  }
-  Opts.NumEngines = Engines;
+int cmdGrid(const std::string &ScenarioName, GridOptions Opts,
+            const std::string &PolicyName, bool Json,
+            const std::string &TraceCycles, int64_t SampleCycles) {
   if (!parsePlacementPolicy(PolicyName, Opts.Policy)) {
     std::cerr << "grid: unknown placement policy '" << PolicyName << "'\n";
     return usage();
   }
-  Opts.Nreg = Nreg;
-  Opts.HopLatency = HopLat;
-  Opts.InitialCredits = Credits;
-  Opts.Sim = defaultExperimentConfig();
-  Opts.Sim.TargetIterations = Iters;
-  Opts.Sim.MemLatency = MemLat;
   // Virtual-time tracing: thread-state slices per engine, telemetry
   // counters on the configured period, flow arrows for work dispatches.
   CycleTrace CT;
@@ -874,7 +898,7 @@ int cmdGrid(const std::string &ScenarioName, int Engines,
   }
 
   std::vector<std::string> Pool;
-  if (!buildGridPool(ScenarioName, Engines, Pool)) {
+  if (!buildGridPool(ScenarioName, Opts.NumEngines, Pool)) {
     std::cerr << "grid: unknown scenario '" << ScenarioName
               << "' (want s1, s2, s3 or mixed)\n";
     return usage();
@@ -928,8 +952,9 @@ int cmdGrid(const std::string &ScenarioName, int Engines,
   }
 
   std::cout << "grid: " << Report.Name << "  engines=" << Report.NumEngines
-            << "  placement=" << Report.Policy << "  nreg=" << Nreg
-            << "  hoplat=" << HopLat << "  credits=" << Credits << "\n";
+            << "  placement=" << Report.Policy << "  nreg=" << Opts.Nreg
+            << "  hoplat=" << Opts.HopLatency
+            << "  credits=" << Opts.InitialCredits << "\n";
   TableFormatter Table({"Engine", "Kernels", "Regs", "Cycles", "Iters",
                         "IcStall"});
   for (size_t E = 0; E < Report.Engines.size(); ++E) {
@@ -1019,367 +1044,176 @@ int cmdReport(const std::string &Path, const std::string &HtmlOut) {
 int dispatch(int argc, char **argv) {
   if (argc < 3)
     return usage();
-  std::string Cmd = argv[1];
+  const std::string Cmd = argv[1];
 
+  // Everything a subcommand can set, at its documented default. Each
+  // subcommand's table points into the variables it uses; 0 keeps its
+  // documented meaning where it has one (all cores, no deadline, run to
+  // halt, unbounded cache) and is rejected where it cannot be honoured.
+  BatchOptions Batch;
+  Batch.Jobs = 0;
+  VerifyOptions Verify;
+  GridOptions Grid;
+  ServeOptions Serve;
+  AllocRequest Req;
+  SimConfig Sim;
+  Sim.TargetIterations = 10;
+  Sim.MemLatency = 40;
+  int RegsPerThread = 32, Nthd = 4;
+  int64_t SampleCycles = 0;
+  bool Json = false, Stats = false, Werror = false, Explain = false;
+  bool AfterAlloc = false, Physical = false, Health = false;
+  bool FetchMetrics = false;
+  std::string ProfilePath, TraceCycles, Only, OutPath, HtmlOut, SocketPath;
+  std::string Policy = "bounds";
+
+  const std::map<std::string, std::vector<Flag>> Tables = {
+      {"analyze", {}},
+      {"alloc",
+       {{"-nreg", &Batch.Nreg, 1},
+        {"--explain", &Explain},
+        {"--profile", &ProfilePath},
+        {"--pgo-static", &Batch.StaticPGO},
+        {"--allow-spill", &Batch.AllowSpill},
+        {"--max-spills", &Batch.MaxSpills},
+        {"--validate", &Batch.Validate}}},
+      {"run",
+       {{"-nreg", &Batch.Nreg, 1},
+        {"-iters", &Sim.TargetIterations},
+        {"-memlat", &Sim.MemLatency},
+        {"--trace-cycles", &TraceCycles},
+        {"--sample-cycles", &SampleCycles}}},
+      {"baseline", {{"-regs", &RegsPerThread, 1}}},
+      {"sra", {{"-nthd", &Nthd, 1}, {"-nreg", &Batch.Nreg, 1}}},
+      {"grid",
+       {{"--engines", &Grid.NumEngines, 1, 16},
+        {"--placement", &Policy},
+        {"-nreg", &Grid.Nreg, 1},
+        {"-iters", &Grid.Sim.TargetIterations},
+        {"-memlat", &Grid.Sim.MemLatency},
+        {"--hoplat", &Grid.HopLatency, 1},
+        {"--credits", &Grid.InitialCredits, 1},
+        {"--json", &Json},
+        {"--trace-cycles", &TraceCycles},
+        {"--sample-cycles", &SampleCycles}}},
+      {"lint",
+       {{"--json", &Json},
+        {"--after-alloc", &AfterAlloc},
+        {"--physical", &Physical},
+        {"--only", &Only},
+        {"-nreg", &Batch.Nreg, 1},
+        {"--Werror", &Werror}}},
+      {"verify",
+       {{"--jobs", &Verify.Jobs},
+        {"--json", &Json},
+        {"--Werror", &Werror},
+        {"-nreg", &Verify.Nreg, 1},
+        {"--allow-spill", &Verify.AllowSpill},
+        {"--max-spills", &Verify.MaxSpills},
+        {"--pgo-static", &Verify.StaticPGO},
+        {"--profile", &ProfilePath},
+        {"--paired", &Verify.Paired}}},
+      {"profile",
+       {{"-iters", &Sim.TargetIterations},
+        {"-memlat", &Sim.MemLatency},
+        {"-o", &OutPath}}},
+      {"batch",
+       {{"--jobs", &Batch.Jobs},
+        {"--cache", &Batch.UseCache},
+        {"--stats", &Stats},
+        {"--json", &Json},
+        {"-nreg", &Batch.Nreg, 1},
+        {"--profile", &ProfilePath},
+        {"--pgo-static", &Batch.StaticPGO},
+        {"--allow-spill", &Batch.AllowSpill},
+        {"--max-spills", &Batch.MaxSpills},
+        {"--retry-degraded", &Batch.RetryDegraded},
+        {"--deadline-ms", &Batch.DeadlineMs},
+        {"--fault-inject", &Batch.Faults},
+        {"--validate", &Batch.Validate},
+        {"--cache-bytes", &Batch.CacheBytes}}},
+      {"serve",
+       {{"--socket", &Serve.SocketPath},
+        {"--workers", &Serve.Workers},
+        {"--queue-cap", &Serve.QueueCapacity},
+        {"--max-conns", &Serve.MaxConnections},
+        {"--max-request-bytes", &Serve.MaxRequestBytes, 1},
+        {"--deadline-ms", &Serve.DefaultDeadlineMs},
+        {"--cache-bytes", &Serve.CacheBytes},
+        {"--retry-after-ms", &Serve.RetryAfterMs},
+        {"--fault-inject", &Serve.Faults}}},
+      {"client",
+       {{"--socket", &SocketPath},
+        {"-nreg", &Req.Nreg, 1},
+        {"--allow-spill", &Req.AllowSpill},
+        {"--max-spills", &Req.MaxSpills},
+        {"--validate", &Req.Validate},
+        {"--deadline-ms", &Req.DeadlineMs},
+        {"--profile-hash", &Req.ProfileHash},
+        {"--health", &Health},
+        {"--fetch-metrics", &FetchMetrics}}},
+      {"trace-validate", {}},
+      {"report", {{"--html", &HtmlOut}}},
+  };
+  const auto Table = Tables.find(Cmd);
+  if (Table == Tables.end())
+    return usage();
+  std::vector<std::string> Args;
+  if (!parseFlags(argc, argv, Table->second, Args))
+    return 2;
+
+  if (Cmd == "batch")
+    return cmdBatch(Args, std::move(Batch), ProfilePath, Stats, Json);
+  if (Cmd == "verify")
+    return cmdVerify(Args, Verify, ProfilePath, Json, Werror);
+  if (Cmd == "serve")
+    return Args.empty() ? cmdServe(std::move(Serve)) : usage();
+  if (Cmd == "client")
+    return Args.size() <= 1
+               ? cmdClient(SocketPath, Args.empty() ? "" : Args[0], Health,
+                           FetchMetrics, std::move(Req))
+               : usage();
+
+  // Every other subcommand takes exactly one file (or scenario).
+  if (Args.size() != 1)
+    return usage();
+  const std::string &Path = Args[0];
   if (Cmd == "trace-validate")
-    return cmdTraceValidate(argv[2]);
-
-  if (Cmd == "report") {
-    std::string HtmlOut;
-    for (int I = 3; I < argc; ++I) {
-      std::string Opt = argv[I];
-      if (Opt == "--html" && I + 1 < argc)
-        HtmlOut = argv[++I];
-      else
-        return usage();
-    }
-    return cmdReport(argv[2], HtmlOut);
-  }
-
-  if (Cmd == "grid") {
-    std::string ScenarioName = argv[2];
-    std::string Policy = "bounds";
-    int Engines = 4, Nreg = 128, Iters = 50, MemLat = 40, HopLat = 4;
-    int Credits = 4, SampleCycles = 0;
-    bool Json = false;
-    std::string TraceCycles;
-    for (int I = 3; I < argc; ++I) {
-      std::string Opt = argv[I];
-      if (Opt == "--json") {
-        Json = true;
-        continue;
-      }
-      if (I + 1 >= argc)
-        return usage();
-      std::string Value = argv[++I];
-      if (Opt == "--engines")
-        Engines = std::atoi(Value.c_str());
-      else if (Opt == "--placement")
-        Policy = Value;
-      else if (Opt == "-nreg")
-        Nreg = std::atoi(Value.c_str());
-      else if (Opt == "-iters")
-        Iters = std::atoi(Value.c_str());
-      else if (Opt == "-memlat")
-        MemLat = std::atoi(Value.c_str());
-      else if (Opt == "--hoplat")
-        HopLat = std::atoi(Value.c_str());
-      else if (Opt == "--credits")
-        Credits = std::atoi(Value.c_str());
-      else if (Opt == "--trace-cycles")
-        TraceCycles = Value;
-      else if (Opt == "--sample-cycles")
-        SampleCycles = std::atoi(Value.c_str());
-      else
-        return usage();
-    }
-    return cmdGrid(ScenarioName, Engines, Policy, Nreg, Iters, MemLat,
-                   HopLat, Credits, Json, TraceCycles, SampleCycles);
-  }
-
-  if (Cmd == "serve") {
-    ServeOptions Opts;
-    for (int I = 2; I < argc; ++I) {
-      std::string Opt = argv[I];
-      if (I + 1 >= argc)
-        return usage();
-      std::string Value = argv[++I];
-      if (Opt == "--socket")
-        Opts.SocketPath = Value;
-      else if (Opt == "--workers")
-        Opts.Workers = std::atoi(Value.c_str());
-      else if (Opt == "--queue-cap")
-        Opts.QueueCapacity = std::atoi(Value.c_str());
-      else if (Opt == "--max-conns")
-        Opts.MaxConnections = std::atoi(Value.c_str());
-      else if (Opt == "--max-request-bytes")
-        Opts.MaxRequestBytes =
-            static_cast<uint32_t>(std::atoll(Value.c_str()));
-      else if (Opt == "--deadline-ms")
-        Opts.DefaultDeadlineMs = std::atoi(Value.c_str());
-      else if (Opt == "--cache-bytes")
-        Opts.CacheBytes = std::atoll(Value.c_str());
-      else if (Opt == "--retry-after-ms")
-        Opts.RetryAfterMs = std::atoi(Value.c_str());
-      else if (Opt == "--fault-inject") {
-        ErrorOr<FaultInjector> FI = FaultInjector::parse(Value);
-        if (!FI.ok()) {
-          std::cerr << "error: bad --fault-inject spec: " << FI.status().str()
-                    << "\n";
-          return usage();
-        }
-        Opts.Faults = FI.take();
-      } else
-        return usage();
-    }
-    if (Opts.SocketPath.empty()) {
-      std::cerr << "serve: --socket is required\n";
-      return usage();
-    }
-    if (!Opts.Faults.enabled())
-      Opts.Faults = FaultInjector::fromEnv();
-    return cmdServe(std::move(Opts));
-  }
-
-  if (Cmd == "client") {
-    std::string SocketPath, File;
-    bool Health = false, FetchMetrics = false;
-    AllocRequest Req;
-    for (int I = 2; I < argc; ++I) {
-      std::string Opt = argv[I];
-      if (Opt == "--health") {
-        Health = true;
-      } else if (Opt == "--fetch-metrics") {
-        FetchMetrics = true;
-      } else if (Opt == "--allow-spill") {
-        Req.AllowSpill = true;
-      } else if (Opt == "--validate") {
-        Req.Validate = true;
-      } else if (Opt == "--socket" || Opt == "-nreg" ||
-                 Opt == "--max-spills" || Opt == "--deadline-ms" ||
-                 Opt == "--profile-hash") {
-        if (I + 1 >= argc)
-          return usage();
-        std::string Value = argv[++I];
-        if (Opt == "--socket")
-          SocketPath = Value;
-        else if (Opt == "-nreg")
-          Req.Nreg = std::atoi(Value.c_str());
-        else if (Opt == "--max-spills")
-          Req.MaxSpills = std::atoi(Value.c_str());
-        else if (Opt == "--deadline-ms")
-          Req.DeadlineMs = std::atoi(Value.c_str());
-        else
-          Req.ProfileHash =
-              static_cast<uint64_t>(std::strtoull(Value.c_str(), nullptr, 10));
-      } else if (!Opt.empty() && Opt[0] == '-') {
-        return usage();
-      } else {
-        File = std::move(Opt);
-      }
-    }
-    if (SocketPath.empty()) {
-      std::cerr << "client: --socket is required\n";
-      return usage();
-    }
-    if (!Health && !FetchMetrics && File.empty()) {
-      std::cerr << "client: need a file.s (or --health / --fetch-metrics)\n";
-      return usage();
-    }
-    return cmdClient(SocketPath, File, Health, FetchMetrics, std::move(Req));
-  }
-
-  if (Cmd == "batch") {
-    std::vector<std::string> Files;
-    int Jobs = 0, Nreg = 128, MaxSpills = 64, DeadlineMs = 0;
-    int64_t CacheBytes = 0;
-    bool UseCache = false, Stats = false, Json = false, StaticPGO = false;
-    bool AllowSpill = false, RetryDegraded = false, Validate = false;
-    std::string ProfilePath, FaultSpec;
-    for (int I = 2; I < argc; ++I) {
-      std::string Opt = argv[I];
-      if (Opt == "--cache") {
-        UseCache = true;
-      } else if (Opt == "--stats") {
-        Stats = true;
-      } else if (Opt == "--json") {
-        Json = true;
-      } else if (Opt == "--pgo-static") {
-        StaticPGO = true;
-      } else if (Opt == "--allow-spill") {
-        AllowSpill = true;
-      } else if (Opt == "--retry-degraded") {
-        RetryDegraded = true;
-      } else if (Opt == "--validate") {
-        Validate = true;
-      } else if (Opt == "--profile") {
-        if (I + 1 >= argc)
-          return usage();
-        ProfilePath = argv[++I];
-      } else if (Opt == "--fault-inject") {
-        if (I + 1 >= argc)
-          return usage();
-        FaultSpec = argv[++I];
-      } else if (Opt == "--cache-bytes") {
-        if (I + 1 >= argc)
-          return usage();
-        CacheBytes = std::atoll(argv[++I]);
-      } else if (Opt == "--jobs" || Opt == "-nreg" || Opt == "--max-spills" ||
-                 Opt == "--deadline-ms") {
-        if (I + 1 >= argc)
-          return usage();
-        int Value = std::atoi(argv[++I]);
-        if (Opt == "--jobs")
-          Jobs = Value;
-        else if (Opt == "-nreg")
-          Nreg = Value;
-        else if (Opt == "--max-spills")
-          MaxSpills = Value;
-        else
-          DeadlineMs = Value;
-      } else if (!Opt.empty() && Opt[0] == '-') {
-        return usage();
-      } else {
-        Files.push_back(std::move(Opt));
-      }
-    }
-    return cmdBatch(Files, Jobs, UseCache, Stats, Json, Nreg, ProfilePath,
-                    StaticPGO, AllowSpill, MaxSpills, RetryDegraded,
-                    DeadlineMs, FaultSpec, Validate, CacheBytes);
-  }
-
-  if (Cmd == "verify") {
-    std::vector<std::string> Files;
-    int Jobs = 1, Nreg = 128, MaxSpills = 64;
-    bool Json = false, Werror = false, AllowSpill = false, StaticPGO = false;
-    bool Paired = false;
-    std::string ProfilePath;
-    for (int I = 2; I < argc; ++I) {
-      std::string Opt = argv[I];
-      if (Opt == "--json") {
-        Json = true;
-      } else if (Opt == "--Werror") {
-        Werror = true;
-      } else if (Opt == "--allow-spill") {
-        AllowSpill = true;
-      } else if (Opt == "--pgo-static") {
-        StaticPGO = true;
-      } else if (Opt == "--paired") {
-        Paired = true;
-      } else if (Opt == "--profile") {
-        if (I + 1 >= argc)
-          return usage();
-        ProfilePath = argv[++I];
-      } else if (Opt == "--jobs" || Opt == "-nreg" || Opt == "--max-spills") {
-        if (I + 1 >= argc)
-          return usage();
-        int Value = std::atoi(argv[++I]);
-        if (Opt == "--jobs")
-          Jobs = Value;
-        else if (Opt == "-nreg")
-          Nreg = Value;
-        else
-          MaxSpills = Value;
-      } else if (!Opt.empty() && Opt[0] == '-') {
-        return usage();
-      } else {
-        Files.push_back(std::move(Opt));
-      }
-    }
-    return cmdVerify(Files, Jobs, Json, Werror, Nreg, AllowSpill, MaxSpills,
-                     StaticPGO, ProfilePath, Paired);
-  }
-
-  std::string Path = argv[2];
-  int Nreg = 128, RegsPerThread = 32, Iters = 10, MemLat = 40, Nthd = 4;
-  int MaxSpills = 64, SampleCycles = 0;
-  std::string TraceCycles;
-  bool Json = false, AfterAlloc = false, Physical = false, StaticPGO = false;
-  bool Explain = false, AllowSpill = false, Validate = false, Werror = false;
-  std::string Only, ProfilePath, OutPath;
-  for (int I = 3; I < argc; ++I) {
-    std::string Opt = argv[I];
-    if (Opt == "--json") {
-      Json = true;
-      continue;
-    }
-    if (Opt == "--explain") {
-      Explain = true;
-      continue;
-    }
-    if (Opt == "--allow-spill") {
-      AllowSpill = true;
-      continue;
-    }
-    if (Opt == "--validate") {
-      Validate = true;
-      continue;
-    }
-    if (Opt == "--Werror") {
-      Werror = true;
-      continue;
-    }
-    if (Opt == "--after-alloc") {
-      AfterAlloc = true;
-      continue;
-    }
-    if (Opt == "--physical") {
-      Physical = true;
-      continue;
-    }
-    if (Opt == "--pgo-static") {
-      StaticPGO = true;
-      continue;
-    }
-    if (I + 1 >= argc)
-      return usage();
-    std::string Value = argv[++I];
-    if (Opt == "--only")
-      Only = Value;
-    else if (Opt == "--profile")
-      ProfilePath = Value;
-    else if (Opt == "-o")
-      OutPath = Value;
-    else if (Opt == "-nreg")
-      Nreg = std::atoi(Value.c_str());
-    else if (Opt == "--max-spills")
-      MaxSpills = std::atoi(Value.c_str());
-    else if (Opt == "-regs")
-      RegsPerThread = std::atoi(Value.c_str());
-    else if (Opt == "-iters")
-      Iters = std::atoi(Value.c_str());
-    else if (Opt == "-memlat")
-      MemLat = std::atoi(Value.c_str());
-    else if (Opt == "-nthd")
-      Nthd = std::atoi(Value.c_str());
-    else if (Opt == "--trace-cycles")
-      TraceCycles = Value;
-    else if (Opt == "--sample-cycles")
-      SampleCycles = std::atoi(Value.c_str());
-    else
-      return usage();
-  }
+    return cmdTraceValidate(Path);
+  if (Cmd == "report")
+    return cmdReport(Path, HtmlOut);
+  if (Cmd == "grid")
+    return cmdGrid(Path, Grid, Policy, Json, TraceCycles, SampleCycles);
+  if (Cmd == "alloc")
+    return cmdAlloc(Path, std::move(Batch), ProfilePath, Explain);
+  if (Cmd == "run")
+    return cmdRun(Path, std::move(Batch), Sim, TraceCycles, SampleCycles);
 
   // Lint inspects the program as written (no live-range renaming), so
-  // diagnostics point at the user's own register names; the allocation
+  // diagnostics point at the user's own register names; the analysis
   // subcommands rename first like the full pipeline does.
   ErrorOr<MultiThreadProgram> MTP = loadFile(Path, /*Rename=*/Cmd != "lint");
   if (!MTP.ok()) {
     std::cerr << "error: " << MTP.status().str() << "\n";
     return 1;
   }
-
   if (Cmd == "analyze")
     return cmdAnalyze(*MTP);
-  if (Cmd == "alloc") {
-    std::optional<ExecutionProfile> Prof;
-    if (!ProfilePath.empty()) {
-      Prof = loadProfile(ProfilePath);
-      if (!Prof)
-        return 1;
-    }
-    return cmdAlloc(*MTP, Nreg, /*Print=*/!Explain, Prof ? &*Prof : nullptr,
-                    StaticPGO, Explain, AllowSpill, MaxSpills, Validate);
-  }
   if (Cmd == "profile")
-    return cmdProfile(*MTP, Iters, MemLat, OutPath);
-  if (Cmd == "run")
-    return cmdRun(*MTP, Nreg, Iters, MemLat, TraceCycles, SampleCycles);
+    return cmdProfile(*MTP, Sim, OutPath);
   if (Cmd == "baseline")
     return cmdBaseline(*MTP, RegsPerThread);
   if (Cmd == "sra")
-    return cmdSra(*MTP, Nthd, Nreg);
-  if (Cmd == "lint")
-    return cmdLint(MTP.take(), Json, AfterAlloc, Physical, Only, Nreg, Werror);
-  return usage();
+    return cmdSra(*MTP, Nthd, Batch.Nreg);
+  return cmdLint(MTP.take(), Json, AfterAlloc, Physical, Only, Batch.Nreg,
+                 Werror);
 }
 
 } // namespace
 
 int main(int argc, char **argv) {
   // Strip the global observability flags before subcommand parsing so every
-  // subcommand accepts them without threading two extra options through
-  // each per-command argument loop.
+  // subcommand accepts them without listing them in each flag table.
   std::string TraceOut;
   bool Metrics = false;
   std::vector<char *> Args;
@@ -1387,8 +1221,10 @@ int main(int argc, char **argv) {
   for (int I = 0; I < argc; ++I) {
     std::string_view Opt = argv[I];
     if (Opt == "--trace-out") {
-      if (I + 1 >= argc)
-        return usage();
+      if (I + 1 >= argc) {
+        std::cerr << "error: --trace-out: missing value\n";
+        return 2;
+      }
       TraceOut = argv[++I];
     } else if (Opt == "--metrics") {
       Metrics = true;
