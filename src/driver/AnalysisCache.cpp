@@ -67,6 +67,10 @@ uint64_t npral::hashProgramContent(const Program &P) {
   return fnv1aHash(encodeProgram(P));
 }
 
+uint64_t npral::analysisCacheKey(std::string_view Text, uint64_t ProfileHash) {
+  return fnv1aCombine(fnv1aHash(Text), ProfileHash);
+}
+
 void AnalysisCache::eraseLocked(
     std::unordered_map<uint64_t, Entry>::iterator It) const {
   Bytes.fetch_sub(It->second.Cost, std::memory_order_relaxed);

@@ -76,6 +76,12 @@ std::string encodeProgram(const Program &P);
 /// names do not (they do not affect analysis results).
 uint64_t hashProgramContent(const Program &P);
 
+/// The AnalysisCache key of a renamed thread whose flat encoding is \p Text,
+/// in the key-space partition \p ProfileHash (0 = unpartitioned). The batch
+/// pipeline and the grid's trait extraction both key through here, so a
+/// bundle one of them inserts is a hit for the other.
+uint64_t analysisCacheKey(std::string_view Text, uint64_t ProfileHash);
+
 class AnalysisCache {
 public:
   /// \p MaxBytes caps the approximate footprint of stored entries; 0 (the

@@ -112,7 +112,6 @@ BatchJobResult processOne(const BatchJob &In, const BatchOptions &Opts,
     // the hot path. Collected profiles are keyed by printed-text hash (the
     // collector's convention), so only profile-carrying runs pay for one.
     const std::string Text = encodeProgram(T);
-    const uint64_t ContentHash = fnv1aHash(Text);
 
     CostModel CM;
     const ThreadProfile *TP =
@@ -136,7 +135,7 @@ BatchJobResult processOne(const BatchJob &In, const BatchOptions &Opts,
       // The bundle itself is weight-independent, but folding the profile
       // hash keeps the cache partitioned per (program, profile) pair so a
       // long-lived shared cache never crosses PGO configurations.
-      const uint64_t Key = fnv1aCombine(ContentHash, ProfileHash);
+      const uint64_t Key = analysisCacheKey(Text, ProfileHash);
       Bundle = Cache->lookup(Key, Text);
       if (Bundle) {
         ++R.CacheHits;

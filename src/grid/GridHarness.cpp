@@ -4,31 +4,47 @@
 
 #include "alloc/IntraAllocator.h"
 #include "analysis/LiveRangeRenaming.h"
-#include "harden/SpillFallback.h"
+#include "driver/AnalysisCache.h"
+#include "driver/BatchPipeline.h"
 #include "support/Status.h"
 #include "trace/CycleTrace.h"
 #include "trace/MetricsRegistry.h"
 #include "trace/TraceEngine.h"
 
 #include <cassert>
+#include <map>
 #include <optional>
 
 using namespace npral;
 
-KernelTraits npral::computeKernelTraits(const std::string &Name) {
+KernelTraits npral::computeKernelTraits(const std::string &Name,
+                                        AnalysisCache *Cache) {
   ErrorOr<Workload> W = buildWorkload(Name, /*Slot=*/0);
   if (!W.ok())
     reportFatalError("grid: unknown kernel '" + Name + "': " +
                      W.status().str());
   Program Renamed = renameLiveRanges(W->Code);
-  ThreadAnalysisBundle Bundle = computeThreadAnalysisBundle(Renamed);
+  std::shared_ptr<const ThreadAnalysisBundle> Bundle;
+  std::string Text;
+  uint64_t Key = 0;
+  if (Cache) {
+    Text = encodeProgram(Renamed);
+    Key = analysisCacheKey(Text, /*ProfileHash=*/0);
+    Bundle = Cache->lookup(Key, Text);
+  }
+  if (!Bundle) {
+    Bundle = std::make_shared<const ThreadAnalysisBundle>(
+        computeThreadAnalysisBundle(Renamed));
+    if (Cache)
+      Bundle = Cache->insert(Key, std::move(Text), std::move(Bundle));
+  }
 
   KernelTraits T;
   T.Name = Name;
-  T.MinPR = Bundle.Bounds.MinPR;
-  T.MaxPR = Bundle.Bounds.MaxPR;
-  T.MaxR = Bundle.Bounds.MaxR;
-  T.BoundaryNodes = Bundle.TA.BoundaryNodes.count();
+  T.MinPR = Bundle->Bounds.MinPR;
+  T.MaxPR = Bundle->Bounds.MaxPR;
+  T.MaxR = Bundle->Bounds.MaxR;
+  T.BoundaryNodes = Bundle->TA.BoundaryNodes.count();
   int64_t Instrs = 0, CtxPoints = 0;
   for (const BasicBlock &B : Renamed.Blocks)
     for (const Instruction &I : B.Instrs) {
@@ -83,7 +99,9 @@ GridReport npral::runKernelPoolGrid(const std::string &Name,
          "pool must provide four threads per engine");
 
   // Traits once per distinct kernel, in first-appearance order so the
-  // trait indices (and everything downstream) are deterministic.
+  // trait indices (and everything downstream) are deterministic. Their
+  // analyses stay in Cache for the allocation jobs below.
+  AnalysisCache Cache;
   PlacementInput In;
   In.NumEngines = Opts.NumEngines;
   In.ThreadsPerEngine = 4;
@@ -94,48 +112,68 @@ GridReport npral::runKernelPoolGrid(const std::string &Name,
       if (In.Traits[T].Name == Kernel)
         TraitIdx = static_cast<int>(T);
     if (TraitIdx < 0) {
-      In.Traits.push_back(computeKernelTraits(Kernel));
+      In.Traits.push_back(computeKernelTraits(Kernel, &Cache));
       TraitIdx = static_cast<int>(In.Traits.size()) - 1;
     }
     In.Pool.push_back(TraitIdx);
   }
   Report.Placement = placeThreads(In, Opts.Policy);
 
-  // Per-engine inter-thread allocation: each engine is an independent
-  // register file, so each bin gets its own Fig. 8 run (with the spill
-  // fallback as the safety net for tight budgets).
+  // Allocation through the job path, once per distinct bin. Every engine
+  // is an independent register file, but engines whose bins hold the same
+  // kernels in the same slots get byte-equal job inputs, hence equal
+  // allocations: the first such engine runs the job, and each one then
+  // simulates its own copy of the physical program and of the bin's
+  // workloads (memory image, entry values).
+  BatchOptions JobOpts;
+  JobOpts.Nreg = Opts.Nreg;
+  JobOpts.AllowSpill = true;
+  JobOpts.Verify = true;
+  JobOpts.Validate = true;
+  JobOpts.KeepPhysical = true;
+  struct BinAllocation {
+    std::vector<Workload> Workloads;
+    BatchJobResult Job;
+  };
+  std::map<std::vector<std::string>, BinAllocation> Allocated;
   EngineGrid Grid(Opts.HopLatency, Opts.InitialCredits);
   for (int E = 0; E < Opts.NumEngines; ++E) {
-    const std::vector<int> &Bin = Report.Placement.Bins[static_cast<size_t>(E)];
+    const std::string EngineName = Name + "_e" + std::to_string(E);
     GridEngineReport ER;
-    std::vector<Workload> Workloads;
-    for (size_t Slot = 0; Slot < Bin.size(); ++Slot) {
-      const std::string &Kernel = Pool[static_cast<size_t>(Bin[Slot])];
-      ER.Kernels.push_back(Kernel);
-      ErrorOr<Workload> W = buildWorkload(Kernel, static_cast<int>(Slot));
-      if (!W.ok())
-        reportFatalError("grid: " + W.status().str());
-      Workloads.push_back(W.take());
+    for (int PoolIdx : Report.Placement.Bins[static_cast<size_t>(E)])
+      ER.Kernels.push_back(Pool[static_cast<size_t>(PoolIdx)]);
+    auto [It, Fresh] = Allocated.try_emplace(ER.Kernels);
+    BinAllocation &Bin = It->second;
+    if (Fresh) {
+      for (size_t Slot = 0; Slot < ER.Kernels.size(); ++Slot) {
+        ErrorOr<Workload> W =
+            buildWorkload(ER.Kernels[Slot], static_cast<int>(Slot));
+        if (!W.ok())
+          reportFatalError("grid: " + W.status().str());
+        Bin.Workloads.push_back(W.take());
+      }
+      BatchJob Job;
+      Job.Name = EngineName;
+      Job.Program = toMultiThreadProgram(Bin.Workloads, EngineName);
+      Bin.Job = runSingleJob(Job, JobOpts, &Cache);
+      ++Report.AllocJobs;
+      MetricsRegistry::global().counter("grid.alloc_jobs").increment();
     }
-    MultiThreadProgram MTP =
-        toMultiThreadProgram(Workloads, Name + "_e" + std::to_string(E));
-    for (Program &T : MTP.Threads)
-      T = renameLiveRanges(T);
-    SpillFallbackResult SF = allocateWithSpillFallback(
-        MTP, Opts.Nreg, {}, {}, /*Log=*/nullptr, InterAllocLimits());
-    if (!SF.Inter.Success) {
-      Report.FailReason = "engine " + std::to_string(E) +
-                          " allocation failed: " + SF.Inter.FailReason;
+    if (!Bin.Job.Success) {
+      Report.FailReason =
+          "engine " + std::to_string(E) + ": " + Bin.Job.failureSummary();
       return Report;
     }
-    ER.RegistersUsed = SF.Inter.RegistersUsed;
-    ER.Spilled = SF.UsedSpilling;
-    ER.SpilledRanges = SF.SpilledRanges;
+    ER.RegistersUsed = Bin.Job.RegistersUsed;
+    ER.Spilled = Bin.Job.UsedSpilling;
+    ER.SpilledRanges = Bin.Job.SpilledRanges;
     Report.Engines.push_back(std::move(ER));
 
-    MicroEngine &ME = Grid.addEngine(std::move(SF.Inter.Physical), Opts.Sim);
-    for (size_t T = 0; T < Workloads.size(); ++T) {
-      const Workload &W = Workloads[T];
+    MultiThreadProgram Physical = Bin.Job.Physical;
+    Physical.Name = EngineName;
+    MicroEngine &ME = Grid.addEngine(std::move(Physical), Opts.Sim);
+    for (size_t T = 0; T < Bin.Workloads.size(); ++T) {
+      const Workload &W = Bin.Workloads[T];
       for (const Workload::MemRegion &Region : W.InitMemory)
         ME.sim().writeMemory(Region.Base, Region.Words);
       ME.sim().setEntryValues(static_cast<int>(T), W.EntryValues);

@@ -4,9 +4,19 @@
 /// Glue from kernel names to a finished grid run: replicate a Table-3
 /// scenario template across N engines, extract per-kernel placement traits
 /// (register bounds + ctx density), place the pool with a chosen policy,
-/// run the paper's inter-thread allocator independently on every engine's
-/// bin (spill fallback engaged, as each engine has its own GPR file), and
-/// simulate the engines in lockstep over the modeled interconnect.
+/// allocate every engine's bin through the batch pipeline's job path
+/// (runSingleJob: the paper's inter-thread allocator with the spill
+/// fallback engaged, as each engine has its own GPR file, then the
+/// CSB-privacy verifier and the translation validator), and simulate the
+/// engines in lockstep over the modeled interconnect.
+///
+/// Allocation runs once per distinct bin, not once per engine. A bin is its
+/// kernel names in slot order, and buildWorkload(Name, Slot) is pure, so
+/// engines with equal bins get equal job inputs and hence equal checked
+/// allocations; each such engine simulates its own copy of the one result.
+/// One run-local AnalysisCache holds the analysis of every distinct kernel:
+/// the traits step fills it and every allocation job hits it (a kernel's
+/// code, and so its renamed encoding, is the same in every slot).
 ///
 /// The headline number is aggregate throughput in iterations (packets) per
 /// kilocycle: total iterations retired across all threads of all engines,
@@ -28,6 +38,8 @@
 #include <vector>
 
 namespace npral {
+
+class AnalysisCache;
 
 struct GridOptions {
   int NumEngines = 4;
@@ -65,12 +77,17 @@ struct GridEngineReport {
 
 struct GridReport {
   bool Success = false;
+  /// "engine <E>: " + the failing job's BatchJobResult::failureSummary()
+  /// for an allocation failure, or the simulator's reason.
   std::string FailReason;
   std::string Name;
   std::string Policy;
   int NumEngines = 0;
   std::vector<GridEngineReport> Engines;
   PlacementResult Placement;
+  /// Allocation jobs run: one per distinct bin among the engines allocated
+  /// (up to and including a failing one).
+  int AllocJobs = 0;
   /// Max over engines of TotalCycles — the grid's wall-clock.
   int64_t MaxEngineCycles = 0;
   int64_t TotalIterations = 0;
@@ -83,8 +100,12 @@ struct GridReport {
 };
 
 /// Extract the placement traits of kernel \p Name (built at slot 0,
-/// live-range renamed, analysed). Fatal on unknown kernels.
-KernelTraits computeKernelTraits(const std::string &Name);
+/// live-range renamed, analysed). Fatal on unknown kernels. With \p Cache,
+/// the analysis is looked up, or computed and inserted, under the job
+/// path's key (analysisCacheKey, unpartitioned), so a later runSingleJob
+/// over this kernel on the same cache reuses it.
+KernelTraits computeKernelTraits(const std::string &Name,
+                                 AnalysisCache *Cache = nullptr);
 
 /// Run a grid over an explicit kernel-name pool. Pool size must equal
 /// NumEngines * 4 (each engine runs the paper's four thread contexts).

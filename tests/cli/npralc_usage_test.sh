@@ -5,7 +5,10 @@
 #    "error: <flag>: ..." on stderr (never a silent default or an abort);
 #  * the well-formed forms of the same invocations exit 0;
 #  * alloc, run, verify, batch and serve all give lint_buggy.s (which reads
-#    a register before it may be defined) the same use-of-undef verdict.
+#    a register before it may be defined) the same use-of-undef verdict;
+#  * grid classifies an allocation failure like the other front ends do
+#    ("engine <E>: [alloc/infeasible] ...") and degrades a tight budget by
+#    spilling instead of failing.
 #
 # usage: npralc_usage_test.sh <path/to/npralc> <examples/asm directory>
 set -u
@@ -65,6 +68,11 @@ expect 0 alloc "$F" --allow-spill --max-spills 0
 # The full unsigned 64-bit range parses; the exit is the missing daemon.
 expect 1 client --socket "$TMP/none" --health \
   --profile-hash 18446744073709551615
+
+expect 1 grid s1 --engines 2 -nreg 64
+grep -q -F '[alloc/infeasible]' "$TMP/err" ||
+  fail "npralc grid s1 -nreg 64: no [alloc/infeasible] verdict"
+expect 0 grid s1 --engines 4 -nreg 96 --json
 
 # One verdict for lint_buggy.s from every front end that allocates.
 for Cmd in alloc run verify batch; do

@@ -482,8 +482,8 @@ TEST(CacheCorruptionTest, BatchRecomputesThroughSharedCorruptedCache) {
   ASSERT_GT(Cache.size(), 0u);
 
   // Damage every entry the pipeline inserted. Keys are reconstructible:
-  // fnv1aCombine(flat content hash of the renamed thread, 0) with no
-  // profile — the same derivation processOne uses.
+  // analysisCacheKey(flat encoding of the renamed thread, 0) with no
+  // profile — the key function processOne uses.
   int Corrupted = 0;
   for (const std::string &Name : allExamples()) {
     std::optional<MultiThreadProgram> MTP = loadExample(Name);
@@ -493,7 +493,7 @@ TEST(CacheCorruptionTest, BatchRecomputesThroughSharedCorruptedCache) {
       if (!verifyProgram(T).ok())
         continue; // the pipeline never renamed or cached this thread
       const uint64_t Key =
-          fnv1aCombine(hashProgramContent(renameLiveRanges(T)), 0);
+          analysisCacheKey(encodeProgram(renameLiveRanges(T)), 0);
       if (Cache.corruptEntryForTesting(Key))
         ++Corrupted;
     }

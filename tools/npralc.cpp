@@ -924,6 +924,7 @@ int cmdGrid(const std::string &ScenarioName, GridOptions Opts,
        << "  \"placement\": \"" << Report.Policy << "\",\n"
        << "  \"placement_cost\": " << Report.Placement.Cost << ",\n"
        << "  \"placement_swaps\": " << Report.Placement.SwapsApplied << ",\n"
+       << "  \"alloc_jobs\": " << Report.AllocJobs << ",\n"
        << "  \"iterations\": " << Report.TotalIterations << ",\n"
        << "  \"max_engine_cycles\": " << Report.MaxEngineCycles << ",\n"
        << "  \"iterations_per_kilocycle\": "
