@@ -1,8 +1,8 @@
-//===- EngineGrid.h - Lockstep multi-micro-engine grid ----------*- C++ -*-===//
+//===- EngineGrid.h - Multi-micro-engine grid, one lane each ---*- C++ -*-===//
 ///
 /// \file
-/// Scale-out of the single-micro-engine model: an EngineGrid steps 2-16
-/// MicroEngines in lockstep time slices, exchanging typed messages over a
+/// Scale-out of the single-micro-engine model: an EngineGrid runs 2-16
+/// MicroEngines, each exchanging typed messages with the ingress over a
 /// modeled Interconnect (mgsim's Processor grid + Network is the design
 /// exemplar). Each MicroEngine owns one complete Simulator — its own GPR
 /// file, memory image, thread set and SimResult — and implements the
@@ -12,11 +12,19 @@
 /// credit window blocks at its `loopend` and the wait is booked in the
 /// InterconnectStall cycle bucket.
 ///
-/// Lockstep safety: the slice length equals the interconnect hop latency,
-/// so a message sent during slice K (arrival >= send + HopLatency) can
-/// never be due before the boundary that ends slice K. Delivering all
-/// arrived messages at each boundary, with engines stepped in fixed index
-/// order, therefore never violates causality and is fully deterministic.
+/// Independent lanes: the ingress answers a completion from (E, T) with a
+/// dispatch to the same (E, T) and keeps no other state, so engine E's
+/// inbound traffic depends only on its own outbound traffic. Every engine
+/// therefore gets a lane — its own Interconnect to the ingress, at the same
+/// chain distance — and the lanes run as independent tasks on a run-local
+/// ThreadPool. Delivery happens at multiples of the hop latency (the
+/// boundaries), ordered by (ArriveCycle, Seq). From boundary B a lane
+/// advances straight to the earliest of B + L_E (L_E, the one-way latency,
+/// bounds how soon anything sent from B on can land), the first boundary at
+/// or after its earliest in-flight arrival, and the next sample boundary.
+/// Since advanceUntil(a) then advanceUntil(b) equals advanceUntil(b) when
+/// nothing is delivered at a, every engine's run is exactly the one a
+/// global per-boundary lockstep would give (docs/grid.md).
 ///
 /// A single-engine grid attaches no GridPort at all: the engine's run is
 /// the plain Simulator::run() sequence and its result is cycle-identical
@@ -117,13 +125,14 @@ struct GridRunResult {
   std::vector<EngineTraffic> Traffic;
 };
 
-/// Steps N engines in lockstep over a shared Interconnect. Engines are
-/// added fully configured (program, SimConfig, initial credits); memory and
-/// entry values are seeded through engine.sim() before run().
+/// Runs N engines, each on its own lane to the ingress. Engines are added
+/// fully configured (program, SimConfig, initial credits); memory and entry
+/// values are seeded through engine.sim() before run().
 class EngineGrid {
 public:
-  /// \p HopLatency is both the per-hop message latency and the lockstep
-  /// slice length; \p InitialCredits is each thread's work window.
+  /// \p HopLatency is both the per-hop message latency and the spacing of
+  /// the delivery boundaries; \p InitialCredits is each thread's work
+  /// window.
   EngineGrid(int HopLatency, int InitialCredits);
 
   MicroEngine &addEngine(MultiThreadProgram Program, const SimConfig &Config);
@@ -131,22 +140,27 @@ public:
   int numEngines() const { return static_cast<int>(Engines.size()); }
   MicroEngine &engine(int Id) { return *Engines[static_cast<size_t>(Id)]; }
 
-  /// Attach cycle-domain telemetry for the next run(): \p Trace receives
-  /// the fabric's message slices and dispatch->delivery flow events, and
-  /// \p Sampler (optional) is driven at every lockstep slice boundary with
-  /// per-engine occupancy / ready depth / credits plus the fabric's
-  /// in-flight message count. Either may be null. For a single-engine grid
-  /// (no fabric, no boundaries) the sampler is delegated to the engine's
-  /// own scheduler loop under the same grid.engine0.* counter names.
+  /// Attach cycle-domain telemetry for the next run(). \p Trace receives
+  /// every engine's thread-state slices (engine E on pid E + 1; run() wires
+  /// each engine's simulator itself) plus the fabric's message slices and
+  /// dispatch->delivery flow events. \p Sampler (optional) is driven once
+  /// per sample boundary — the first delivery boundary at or after each
+  /// due cycle — with per-engine occupancy / ready depth / credits plus the
+  /// fabric's in-flight message count. Either may be null. For a
+  /// single-engine grid (no fabric, no boundaries) the sampler is delegated
+  /// to the engine's own scheduler loop under the same grid.engine0.*
+  /// counter names.
   void setTelemetry(CycleTrace *Trace, TelemetrySampler *Sampler);
 
   /// Run every engine to completion. Single engine: plain simulator run, no
-  /// fabric. Multiple engines: lockstep slices of HopLatency cycles with
-  /// boundary message delivery.
+  /// fabric. Multiple engines: one lane per engine, run in parallel; each
+  /// lane records into its own trace and sample rows, merged after the
+  /// join (traces appended in engine order with flow ids renumbered, sample
+  /// rows replayed through the sampler in boundary order).
   GridRunResult run();
 
 private:
-  Interconnect Fabric;
+  int HopLatency;
   int InitialCredits;
   std::vector<std::unique_ptr<MicroEngine>> Engines;
   CycleTrace *Trace = nullptr;

@@ -178,10 +178,6 @@ GridReport npral::runKernelPoolGrid(const std::string &Name,
         ME.sim().writeMemory(Region.Base, Region.Words);
       ME.sim().setEntryValues(static_cast<int>(T), W.EntryValues);
     }
-    // Engine E records its thread-state slices on process track E + 1
-    // (track 0 is the fabric).
-    if (Opts.Trace)
-      ME.sim().setCycleTrace(Opts.Trace, E + 1);
   }
 
   std::optional<TelemetrySampler> Sampler;

@@ -8,7 +8,8 @@
 /// (runSingleJob: the paper's inter-thread allocator with the spill
 /// fallback engaged, as each engine has its own GPR file, then the
 /// CSB-privacy verifier and the translation validator), and simulate the
-/// engines in lockstep over the modeled interconnect.
+/// engines, each on its own lane to the ingress over the modeled
+/// interconnect.
 ///
 /// Allocation runs once per distinct bin, not once per engine. A bin is its
 /// kernel names in slot order, and buildWorkload(Name, Slot) is pure, so
@@ -46,7 +47,8 @@ struct GridOptions {
   PlacementPolicy Policy = PlacementPolicy::Bounds;
   /// GPR file size of each engine.
   int Nreg = 128;
-  /// Interconnect per-hop latency (= lockstep slice length), cycles.
+  /// Interconnect per-hop latency (= spacing of the delivery boundaries),
+  /// cycles.
   int HopLatency = 4;
   /// Work tokens each thread starts with (its credit window).
   int InitialCredits = 4;

@@ -21,8 +21,9 @@
 ///    instead of being lost).
 ///
 /// Delivery is deterministic: messages are ordered by (ArriveCycle,
-/// sequence number), and the grid only delivers at lockstep slice
-/// boundaries that all engines have reached.
+/// sequence number). An EngineGrid gives every engine its own Interconnect
+/// to the ingress (its lane) and delivers only at boundaries the engine has
+/// reached.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -51,14 +52,14 @@ struct Message {
   int Thread = 0;
   int64_t SendCycle = 0;
   int64_t ArriveCycle = 0;
-  /// Global send order; ties on ArriveCycle deliver in send order.
+  /// Send order on this fabric; ties on ArriveCycle deliver in send order.
   uint64_t Seq = 0;
 };
 
 class Interconnect {
 public:
-  /// \p HopLatency must be >= 1: a message can never arrive in the slice
-  /// it was sent, which is what makes lockstep delivery conservative.
+  /// \p HopLatency must be >= 1: a message never arrives at the cycle it
+  /// was sent, so delivering at boundaries never goes back in time.
   explicit Interconnect(int HopLatency);
 
   int hopLatency() const { return HopLatency; }
@@ -73,7 +74,8 @@ public:
   /// every message becomes an 'X' slice on the fabric track (pid 0, tid =
   /// engine lane) spanning its modeled latency, and each WorkDispatch
   /// additionally opens a flow ('s' at the send, 'f' at the delivery on
-  /// the destination thread's track, id = the message sequence number), so
+  /// the destination thread's track, id = the message sequence number;
+  /// a grid renumbers them when it merges its lanes' traces), so
   /// dispatch -> delivery renders as arrows in Perfetto.
   void setCycleTrace(CycleTrace *T) { Trace = T; }
 

@@ -531,7 +531,7 @@ bool Simulator::advanceUntil(int64_t StopAt) {
         continue;
       if (TS.GridBlocked) {
         AnyGridBlocked = true;
-        continue; // wakes only via grantWork between slices
+        continue; // wakes only via grantWork between advances
       }
       if (TS.WaitingChannel >= 0 &&
           Channels[static_cast<size_t>(TS.WaitingChannel)] == 0)
@@ -554,7 +554,7 @@ bool Simulator::advanceUntil(int64_t StopAt) {
       }
       // CPU idles until a memory op completes or, when only grid-blocked
       // threads remain, until control returns to the grid (which may then
-      // deliver a token). Clamp to the slice boundary so interconnect
+      // deliver a token). Clamp to the stop boundary so interconnect
       // deliveries are observed; with StopAt = forever this is the
       // pre-grid jump to EarliestReady.
       int64_t Until = EarliestReady >= 0 ? std::min(EarliestReady, StopAt)

@@ -218,8 +218,8 @@ public:
   /// Attach a telemetry sampler driven from the scheduler loop: when a
   /// sample comes due it records occupancy (non-halted threads) and
   /// ready-queue depth as `<Prefix>occupancy` / `<Prefix>ready` on the
-  /// cycle-trace pid. Null detaches. Engine grids sample at their lockstep
-  /// boundaries instead and leave this unset.
+  /// cycle-trace pid. Null detaches. Multi-engine grids sample at their
+  /// lanes' sample boundaries instead and leave this unset.
   void setSampler(TelemetrySampler *S, std::string Prefix) {
     Sampler = S;
     SamplePrefix = std::move(Prefix);
@@ -236,8 +236,10 @@ public:
   //===--- Incremental interface (engine grids) ---------------------------===//
   //
   // run() is exactly beginRun() + advanceUntil(forever) + takeResult(); the
-  // split exists so src/grid can step many engines in lockstep time slices
-  // and deliver interconnect messages between slices.
+  // split exists so src/grid can stop an engine at delivery boundaries and
+  // hand it interconnect messages in between. Stopping changes nothing by
+  // itself: advanceUntil(a) then advanceUntil(b) equals advanceUntil(b)
+  // when nothing is delivered at a.
 
   /// Reset per-run state (clock, result accumulators) and arm the run.
   void beginRun();

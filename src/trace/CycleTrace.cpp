@@ -129,6 +129,22 @@ int64_t CycleTrace::phaseCycles(int64_t Pid, int64_t Tid,
   return It == PhaseTotals.end() ? 0 : It->second[static_cast<size_t>(P)];
 }
 
+void CycleTrace::append(CycleTrace &&Other, uint64_t FlowIdBase) {
+  assert(Other.Open.empty() && "append a trace with open thread-state "
+                               "slices; closeTrack() every pid first");
+  Events.reserve(Events.size() + Other.Events.size());
+  for (CycleEvent &E : Other.Events) {
+    if (E.Ph == 's' || E.Ph == 'f')
+      E.FlowId += FlowIdBase;
+    Events.push_back(std::move(E));
+  }
+  Intervals += Other.Intervals;
+  for (const auto &[Track, Totals] : Other.PhaseTotals)
+    for (size_t P = 0; P < Totals.size(); ++P)
+      PhaseTotals[Track][P] += Totals[P];
+  Other.clear();
+}
+
 void CycleTrace::clear() {
   Events.clear();
   Intervals = 0;

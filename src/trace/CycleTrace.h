@@ -32,7 +32,9 @@
 /// engine lane), engine E is pid E+1 (tid = thread index); a plain
 /// single-simulator run uses pid 1. A CycleTrace is owned by one run and is
 /// not thread-safe — concurrent jobs each record into their own instance,
-/// which is what makes the determinism guarantee trivial to keep.
+/// which is what makes the determinism guarantee trivial to keep. A
+/// multi-engine grid does the same per engine lane and appends the lanes'
+/// traces in engine order, so its events come engine-major.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -126,6 +128,13 @@ public:
   /// Total cycles recorded for (\p Pid, \p Tid) in phase \p P, including
   /// the still-open slice — the cross-check against ThreadStats buckets.
   int64_t phaseCycles(int64_t Pid, int64_t Tid, ThreadPhase P) const;
+
+  /// Move every event of \p Other to the end of this trace, adding
+  /// \p FlowIdBase to its flow ids, and fold in its phase totals and
+  /// interval count; \p Other is left empty. Every track of \p Other must
+  /// be closed. Grid lanes record into their own traces and are appended
+  /// in engine order after the run.
+  void append(CycleTrace &&Other, uint64_t FlowIdBase);
 
   /// Drop everything recorded.
   void clear();

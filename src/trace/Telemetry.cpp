@@ -69,9 +69,15 @@ void TelemetrySampler::endSample(int64_t ReachedCycle) {
   if (Ring)
     Ring->push(std::move(Pending));
   Pending = TelemetrySample();
+  Next = nextDueAfter(Next, Period, ReachedCycle);
+}
+
+int64_t TelemetrySampler::nextDueAfter(int64_t Next, int64_t Period,
+                                       int64_t ReachedCycle) {
   // First period multiple strictly after what the simulation has reached:
   // a driver that stepped over several periods takes one sample, not a
   // back-filled burst of identical ones.
   if (ReachedCycle >= Next)
     Next += ((ReachedCycle - Next) / Period + 1) * Period;
+  return Next;
 }

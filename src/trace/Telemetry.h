@@ -13,9 +13,10 @@
 ///    reallocation) will read to detect drift without parsing a trace file.
 ///
 /// Sampling is driven by the simulation itself (the scheduler loop for a
-/// plain run, the lockstep slice boundary for a grid), so sample cycles and
-/// values are deterministic; the host never perturbs them. Either sink may
-/// be null; a sampler with neither is never constructed in practice.
+/// plain run, the engine lanes' sample boundaries for a grid), so sample
+/// cycles and values are deterministic; the host never perturbs them.
+/// Either sink may be null; a sampler with neither is never constructed in
+/// practice.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -95,6 +96,12 @@ public:
   /// Close the sample, push it to the ring, and schedule the next sample at
   /// the first period multiple after \p ReachedCycle.
   void endSample(int64_t ReachedCycle);
+
+  /// The schedule endSample() follows: the next due cycle after a sample
+  /// due at \p Next closes at \p ReachedCycle. Grid lanes run it on their
+  /// own to stop at the boundaries the sampler will be driven at.
+  static int64_t nextDueAfter(int64_t Next, int64_t Period,
+                              int64_t ReachedCycle);
 
 private:
   int64_t Period;

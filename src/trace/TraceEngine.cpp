@@ -148,5 +148,5 @@ TraceSpan::~TraceSpan() {
   // dropping the end event keeps the new generation balanced.
   if (Engine.Generation.load(std::memory_order_acquire) != Gen)
     return;
-  Engine.append(*Buf, 'E', Cat, Name, {});
+  Engine.append(*Buf, 'E', Cat, Name, std::move(EndArgs));
 }

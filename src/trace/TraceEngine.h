@@ -137,11 +137,16 @@ public:
   TraceSpan(const TraceSpan &) = delete;
   TraceSpan &operator=(const TraceSpan &) = delete;
 
+  /// Attach \p Args to the span's end event, for values only known once
+  /// the span's work is done (viewers merge them with the begin args).
+  void setEndArgs(TraceArgs Args) { EndArgs = std::move(Args); }
+
 private:
   TraceEngine::Buffer *Buf = nullptr;
   uint64_t Gen = 0;
   std::string Name;
   std::string Cat;
+  TraceArgs EndArgs;
 };
 
 // Instrumentation macros. NPRAL_TRACE defaults to 1; building with

@@ -3,11 +3,12 @@
 // The grid's contracts: a single-engine grid is the plain simulator (cycle
 // identical, zero interconnect traffic); allocating once per distinct bin
 // gives every engine exactly what allocating it on its own would, with the
-// traits step's analyses serving the allocation jobs; multi-engine runs
-// are deterministic; a credit window tighter than the interconnect round
-// trip surfaces as InterconnectStall cycles that keep the seven-bucket
-// identity intact; and dispatches racing a thread's halt bounce back as
-// credits instead of leaking.
+// traits step's analyses serving the allocation jobs; engines on their own
+// lanes run exactly as the global lockstep loop they replaced, telemetry
+// included; multi-engine runs are deterministic; a credit window tighter
+// than the interconnect round trip surfaces as InterconnectStall cycles
+// that keep the seven-bucket identity intact; and dispatches racing a
+// thread's halt bounce back as credits instead of leaking.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,12 +20,20 @@
 #include "harden/SpillFallback.h"
 #include "support/Status.h"
 #include "support/ThreadPool.h"
+#include "trace/CycleTrace.h"
+#include "trace/Telemetry.h"
 #include "workloads/Harness.h"
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <array>
+#include <map>
+#include <memory>
 #include <set>
+#include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 using namespace npral;
@@ -44,16 +53,10 @@ void expectBucketsAccount(const GridReport &Report) {
       EXPECT_EQ(TS.accountedCycles(), ER.Result.TotalCycles);
 }
 
-/// The reference grid: runKernelPoolGrid as it was before allocation went
-/// through the job path, renaming and allocating every engine's bin on its
-/// own (spill fallback engaged, no shared analyses), then simulating.
-/// Failures read "engine <E> allocation failed: <reason>".
-GridReport allocateEachEngine(const std::string &Name,
-                              const std::vector<std::string> &Pool,
-                              const GridOptions &Opts) {
-  GridReport Report;
-  Report.Name = Name;
-  Report.NumEngines = Opts.NumEngines;
+/// \p Pool placed under \p Opts, traits computed once per distinct kernel
+/// in first-appearance order (as runKernelPoolGrid does).
+PlacementResult placePool(const std::vector<std::string> &Pool,
+                          const GridOptions &Opts) {
   PlacementInput In;
   In.NumEngines = Opts.NumEngines;
   In.ThreadsPerEngine = 4;
@@ -69,7 +72,20 @@ GridReport allocateEachEngine(const std::string &Name,
     }
     In.Pool.push_back(TraitIdx);
   }
-  Report.Placement = placeThreads(In, Opts.Policy);
+  return placeThreads(In, Opts.Policy);
+}
+
+/// The reference grid: runKernelPoolGrid as it was before allocation went
+/// through the job path, renaming and allocating every engine's bin on its
+/// own (spill fallback engaged, no shared analyses), then simulating.
+/// Failures read "engine <E> allocation failed: <reason>".
+GridReport allocateEachEngine(const std::string &Name,
+                              const std::vector<std::string> &Pool,
+                              const GridOptions &Opts) {
+  GridReport Report;
+  Report.Name = Name;
+  Report.NumEngines = Opts.NumEngines;
+  Report.Placement = placePool(Pool, Opts);
 
   EngineGrid Grid(Opts.HopLatency, Opts.InitialCredits);
   for (int E = 0; E < Opts.NumEngines; ++E) {
@@ -111,6 +127,273 @@ GridReport allocateEachEngine(const std::string &Name,
   }
   Report.Success = Run.Completed;
   return Report;
+}
+
+/// One engine's simulation input: its physical program and the workloads
+/// that seed its memory and entry values.
+struct EngineInput {
+  MultiThreadProgram Physical;
+  std::vector<Workload> Workloads;
+};
+
+/// Every engine's input for \p Pool placed under \p Opts: each distinct
+/// bin renamed and allocated once (spill fallback engaged), then copied to
+/// every engine holding it. Empty when a bin does not allocate.
+std::vector<EngineInput> allocateEngines(const std::vector<std::string> &Pool,
+                                         const GridOptions &Opts) {
+  const PlacementResult Placement = placePool(Pool, Opts);
+  std::map<std::vector<std::string>, EngineInput> Bins;
+  std::vector<EngineInput> Inputs;
+  for (const std::vector<int> &Bin : Placement.Bins) {
+    std::vector<std::string> Kernels;
+    for (int PoolIdx : Bin)
+      Kernels.push_back(Pool[static_cast<size_t>(PoolIdx)]);
+    auto [It, Fresh] = Bins.try_emplace(Kernels);
+    if (Fresh) {
+      for (size_t Slot = 0; Slot < Kernels.size(); ++Slot)
+        It->second.Workloads.push_back(
+            buildWorkload(Kernels[Slot], static_cast<int>(Slot)).take());
+      MultiThreadProgram MTP = toMultiThreadProgram(It->second.Workloads, "bin");
+      for (Program &T : MTP.Threads)
+        T = renameLiveRanges(T);
+      SpillFallbackResult SF = allocateWithSpillFallback(
+          MTP, Opts.Nreg, {}, {}, /*Log=*/nullptr, InterAllocLimits());
+      if (!SF.Inter.Success)
+        return {};
+      It->second.Physical = std::move(SF.Inter.Physical);
+    }
+    Inputs.push_back(It->second);
+  }
+  return Inputs;
+}
+
+void loadEngine(MicroEngine &ME, const EngineInput &In) {
+  for (size_t T = 0; T < In.Workloads.size(); ++T) {
+    for (const Workload::MemRegion &Region : In.Workloads[T].InitMemory)
+      ME.sim().writeMemory(Region.Base, Region.Words);
+    ME.sim().setEntryValues(static_cast<int>(T), In.Workloads[T].EntryValues);
+  }
+}
+
+/// The engines of \p Inputs on their lanes: EngineGrid::run().
+GridRunResult runOnLanes(const std::vector<EngineInput> &Inputs,
+                         int HopLatency, int InitialCredits,
+                         const SimConfig &Sim, CycleTrace *Trace = nullptr,
+                         TelemetrySampler *Sampler = nullptr) {
+  EngineGrid Grid(HopLatency, InitialCredits);
+  for (const EngineInput &In : Inputs)
+    loadEngine(Grid.addEngine(In.Physical, Sim), In);
+  Grid.setTelemetry(Trace, Sampler);
+  return Grid.run();
+}
+
+/// The reference: the global lockstep loop EngineGrid ran before its
+/// engines got lanes, rebuilt from public pieces. One Interconnect carries
+/// every engine's traffic; at every multiple of the hop latency all due
+/// messages are delivered in (ArriveCycle, Seq) order, a sample is taken
+/// when due, and every engine is stepped one slice, in index order, until
+/// none is active; then the fabric drains at its arrival cycles.
+GridRunResult lockstepReference(const std::vector<EngineInput> &Inputs,
+                                int HopLatency, int InitialCredits,
+                                const SimConfig &Sim,
+                                CycleTrace *Trace = nullptr,
+                                TelemetrySampler *Sampler = nullptr) {
+  Interconnect Fabric(HopLatency);
+  Fabric.setCycleTrace(Trace);
+  std::vector<std::unique_ptr<MicroEngine>> Engines;
+  for (size_t E = 0; E < Inputs.size(); ++E) {
+    Engines.push_back(std::make_unique<MicroEngine>(
+        static_cast<int>(E), Inputs[E].Physical, Sim, InitialCredits));
+    MicroEngine &ME = *Engines.back();
+    loadEngine(ME, Inputs[E]);
+    ME.sim().setCycleTrace(Trace, static_cast<int64_t>(E) + 1);
+    ME.attach(&Fabric, /*IngressNode=*/0, /*NodeId=*/static_cast<int>(E) + 1);
+    ME.sim().beginRun();
+  }
+  GridRunResult Result;
+  Result.Traffic.resize(Engines.size());
+  auto DeliverBoundary = [&](int64_t At) {
+    for (const Message &M : Fabric.deliverUpTo(At)) {
+      GridRunResult::EngineTraffic &ET =
+          Result.Traffic[static_cast<size_t>(M.Engine)];
+      if (M.DstNode == 0) {
+        ++ET.MessagesSent;
+        if (M.Type == MsgType::Completion) {
+          Fabric.send(MsgType::WorkDispatch, /*SrcNode=*/0,
+                      /*DstNode=*/M.Engine + 1, M.Engine, M.Thread,
+                      M.ArriveCycle);
+        } else {
+          ++Result.CreditsReturned;
+          ++ET.CreditsReturned;
+        }
+        continue;
+      }
+      ++ET.MessagesReceived;
+      Engines[static_cast<size_t>(M.Engine)]->deliverWork(M.Thread,
+                                                          M.ArriveCycle);
+    }
+  };
+  for (int64_t Now = 0;; Now += HopLatency) {
+    DeliverBoundary(Now);
+    if (Sampler && Sampler->due(Now)) {
+      Sampler->beginSample(Sampler->nextDue());
+      for (size_t E = 0; E < Engines.size(); ++E) {
+        const std::string P = "grid.engine" + std::to_string(E) + ".";
+        const Simulator &S = Engines[E]->sim();
+        const int64_t Pid = static_cast<int64_t>(E) + 1;
+        Sampler->value(Pid, P + "occupancy", S.liveThreadCount());
+        Sampler->value(Pid, P + "ready", S.readyThreadCount());
+        Sampler->value(Pid, P + "credits", Engines[E]->creditsInHand());
+      }
+      Sampler->value(/*Pid=*/0, "fabric.in_flight", Fabric.inFlightCount());
+      Sampler->endSample(Now);
+    }
+    bool AnyActive = false;
+    for (std::unique_ptr<MicroEngine> &ME : Engines)
+      if (!ME->sim().runEnded())
+        AnyActive |= ME->sim().advanceUntil(Now + HopLatency);
+    if (!AnyActive)
+      break;
+  }
+  for (int64_t Next = Fabric.nextArrival(); Next >= 0;
+       Next = Fabric.nextArrival())
+    DeliverBoundary(Next);
+
+  Result.Completed = true;
+  for (size_t E = 0; E < Engines.size(); ++E) {
+    Result.Engines.push_back(Engines[E]->sim().takeResult());
+    const SimResult &R = Result.Engines.back();
+    if (!R.Completed && Result.Completed) {
+      Result.Completed = false;
+      Result.FailReason = "engine " + std::to_string(E) + ": " + R.FailReason;
+    }
+    Result.MaxEngineCycles = std::max(Result.MaxEngineCycles, R.TotalCycles);
+  }
+  Result.MessagesSent = Fabric.messagesSent();
+  Result.MessagesDelivered = Fabric.messagesDelivered();
+  return Result;
+}
+
+/// The first field in which \p A and \p B differ, or "" when every field
+/// of the two runs is equal.
+std::string firstDifference(const GridRunResult &A, const GridRunResult &B) {
+  std::ostringstream OS;
+  auto Field = [&OS](const std::string &Name, int64_t X, int64_t Y) {
+    if (X != Y && OS.tellp() == 0)
+      OS << Name << ": " << X << " vs " << Y;
+  };
+  Field("completed", A.Completed, B.Completed);
+  if (A.FailReason != B.FailReason && OS.tellp() == 0)
+    OS << "fail reason: " << A.FailReason << " vs " << B.FailReason;
+  Field("max cycles", A.MaxEngineCycles, B.MaxEngineCycles);
+  Field("messages sent", A.MessagesSent, B.MessagesSent);
+  Field("messages delivered", A.MessagesDelivered, B.MessagesDelivered);
+  Field("credits returned", A.CreditsReturned, B.CreditsReturned);
+  Field("traffic engines", static_cast<int64_t>(A.Traffic.size()),
+        static_cast<int64_t>(B.Traffic.size()));
+  for (size_t E = 0; E < std::min(A.Traffic.size(), B.Traffic.size()); ++E) {
+    const std::string P = "engine " + std::to_string(E) + " ";
+    Field(P + "sent", A.Traffic[E].MessagesSent, B.Traffic[E].MessagesSent);
+    Field(P + "received", A.Traffic[E].MessagesReceived,
+          B.Traffic[E].MessagesReceived);
+    Field(P + "credits", A.Traffic[E].CreditsReturned,
+          B.Traffic[E].CreditsReturned);
+  }
+  Field("engines", static_cast<int64_t>(A.Engines.size()),
+        static_cast<int64_t>(B.Engines.size()));
+  for (size_t E = 0; E < std::min(A.Engines.size(), B.Engines.size()); ++E) {
+    const SimResult &X = A.Engines[E];
+    const SimResult &Y = B.Engines[E];
+    const std::string P = "engine " + std::to_string(E) + " ";
+    Field(P + "completed", X.Completed, Y.Completed);
+    if (X.FailReason != Y.FailReason && OS.tellp() == 0)
+      OS << P << "fail reason: " << X.FailReason << " vs " << Y.FailReason;
+    Field(P + "cycles", X.TotalCycles, Y.TotalCycles);
+    Field(P + "idle", X.IdleCycles, Y.IdleCycles);
+    Field(P + "ctx trace length", static_cast<int64_t>(X.CtxTrace.size()),
+          static_cast<int64_t>(Y.CtxTrace.size()));
+    if (X.CtxTrace != Y.CtxTrace && OS.tellp() == 0)
+      OS << P << "ctx trace differs";
+    Field(P + "threads", static_cast<int64_t>(X.Threads.size()),
+          static_cast<int64_t>(Y.Threads.size()));
+    for (size_t T = 0; T < std::min(X.Threads.size(), Y.Threads.size()); ++T) {
+      const ThreadStats &S = X.Threads[T];
+      const ThreadStats &R = Y.Threads[T];
+      const std::string Q = P + "thread " + std::to_string(T) + " ";
+      Field(Q + "iterations", S.Iterations, R.Iterations);
+      Field(Q + "cycles at target", S.CyclesAtTarget, R.CyclesAtTarget);
+      Field(Q + "instructions", S.InstrsExecuted, R.InstrsExecuted);
+      Field(Q + "ctx events", S.CtxEvents, R.CtxEvents);
+      Field(Q + "mem ops", S.MemOps, R.MemOps);
+      Field(Q + "abs mem ops", S.AbsMemOps, R.AbsMemOps);
+      Field(Q + "halted", S.Halted, R.Halted);
+      Field(Q + "run", S.RunCycles, R.RunCycles);
+      Field(Q + "switch penalty", S.SwitchPenaltyCycles,
+            R.SwitchPenaltyCycles);
+      Field(Q + "mem stall", S.MemStallCycles, R.MemStallCycles);
+      Field(Q + "channel wait", S.ChannelWaitCycles, R.ChannelWaitCycles);
+      Field(Q + "interconnect stall", S.InterconnectStallCycles,
+            R.InterconnectStallCycles);
+      Field(Q + "ready wait", S.ReadyWaitCycles, R.ReadyWaitCycles);
+      Field(Q + "halted cycles", S.HaltedCycles, R.HaltedCycles);
+    }
+  }
+  return OS.str();
+}
+
+using TrackKey = std::pair<int64_t, int64_t>;
+
+/// Per (pid, tid), the track's 'X' slices as sorted (ts, dur, name).
+std::map<TrackKey, std::vector<std::tuple<int64_t, int64_t, std::string>>>
+trackContents(const CycleTrace &CT) {
+  std::map<TrackKey, std::vector<std::tuple<int64_t, int64_t, std::string>>>
+      Tracks;
+  for (const CycleEvent &E : CT.events())
+    if (E.Ph == 'X')
+      Tracks[{E.Pid, E.Tid}].emplace_back(E.Ts, E.Dur, E.Name);
+  for (auto &[Key, Slices] : Tracks)
+    std::sort(Slices.begin(), Slices.end());
+  return Tracks;
+}
+
+/// Per (pid, name), the counter series as (ts, value) in recording order.
+std::map<std::pair<int64_t, std::string>,
+         std::vector<std::pair<int64_t, int64_t>>>
+counterSeries(const CycleTrace &CT) {
+  std::map<std::pair<int64_t, std::string>,
+           std::vector<std::pair<int64_t, int64_t>>>
+      Series;
+  for (const CycleEvent &E : CT.events())
+    if (E.Ph == 'C')
+      Series[{E.Pid, E.Name}].emplace_back(E.Ts, E.Args.front().second);
+  return Series;
+}
+
+/// Every flow as (send ts, pid, tid, delivery ts, pid, tid), sorted; an id
+/// that does not pair exactly one start with one finish fails the test.
+std::vector<std::array<int64_t, 6>> flowPairs(const CycleTrace &CT) {
+  std::map<uint64_t, const CycleEvent *> Starts, Finishes;
+  for (const CycleEvent &E : CT.events()) {
+    if (E.Ph != 's' && E.Ph != 'f')
+      continue;
+    auto &Ends = E.Ph == 's' ? Starts : Finishes;
+    if (!Ends.emplace(E.FlowId, &E).second)
+      ADD_FAILURE() << "flow id " << E.FlowId << " has two '" << E.Ph
+                    << "' events";
+  }
+  EXPECT_EQ(Starts.size(), Finishes.size());
+  std::vector<std::array<int64_t, 6>> Pairs;
+  for (const auto &[Id, S] : Starts) {
+    auto It = Finishes.find(Id);
+    if (It == Finishes.end()) {
+      ADD_FAILURE() << "flow id " << Id << " never finishes";
+      continue;
+    }
+    const CycleEvent &F = *It->second;
+    Pairs.push_back({S->Ts, S->Pid, S->Tid, F.Ts, F.Pid, F.Tid});
+  }
+  std::sort(Pairs.begin(), Pairs.end());
+  return Pairs;
 }
 
 /// The engine a failed report names ("engine <E>" leads FailReason).
@@ -267,6 +550,171 @@ TEST(GridTest, SharedBinAllocationMatchesPerEngineAllocation) {
   }
   EXPECT_GT(SpilledEngines, 0);
   EXPECT_GT(Infeasible, 0);
+}
+
+TEST(GridTest, LanesMatchLockstepReference) {
+  // Engines on independent lanes must run exactly as under the global
+  // lockstep loop they replaced: every GridRunResult field, per-engine
+  // context-switch traces and seven buckets included. The matrix covers
+  // all four pools, three policies and three engine counts; hop latencies
+  // from 1 cycle to more than an iteration; tight and default credit
+  // windows; and HaltAtTarget runs whose late dispatches bounce back as
+  // credits.
+  struct Setup {
+    std::string Scenario;
+    PlacementPolicy Policy;
+    int Engines;
+    std::vector<EngineInput> Inputs;
+  };
+  std::vector<Setup> Setups;
+  for (const char *Scenario : {"s1", "s2", "s3", "mixed"})
+    for (PlacementPolicy Policy :
+         {PlacementPolicy::RoundRobin, PlacementPolicy::Bounds,
+          PlacementPolicy::Search})
+      for (int Engines : {2, 4, 16})
+        Setups.push_back({Scenario, Policy, Engines, {}});
+  struct Config {
+    size_t Setup;
+    int HopLatency;
+    int Credits;
+    bool HaltAtTarget;
+    GridRunResult Got;
+    std::string Diff;
+  };
+  std::vector<Config> Configs;
+  for (size_t S = 0; S < Setups.size(); ++S)
+    for (int HopLatency : {1, 4, 37, 3000})
+      for (int Credits : {1, 4})
+        for (bool HaltAtTarget : {false, true})
+          Configs.push_back({S, HopLatency, Credits, HaltAtTarget, {}, {}});
+  ASSERT_EQ(Configs.size(), 576u);
+
+  // Configs run side by side, each grid on its own nested lane pool.
+  ThreadPool Workers(4);
+  parallelFor(Workers, static_cast<int>(Setups.size()), [&](int I) {
+    Setup &S = Setups[static_cast<size_t>(I)];
+    GridOptions Opts;
+    Opts.NumEngines = S.Engines;
+    Opts.Policy = S.Policy;
+    std::vector<std::string> Pool;
+    if (buildGridPool(S.Scenario, S.Engines, Pool))
+      S.Inputs = allocateEngines(Pool, Opts);
+  });
+  for (const Setup &S : Setups)
+    ASSERT_EQ(S.Inputs.size(), static_cast<size_t>(S.Engines)) << S.Scenario;
+  parallelFor(Workers, static_cast<int>(Configs.size()), [&](int I) {
+    Config &C = Configs[static_cast<size_t>(I)];
+    SimConfig Sim =
+        C.HaltAtTarget ? equivalenceConfig() : defaultExperimentConfig();
+    Sim.TargetIterations = 3;
+    Sim.RecordCtxTrace = true;
+    const std::vector<EngineInput> &Inputs = Setups[C.Setup].Inputs;
+    C.Got = runOnLanes(Inputs, C.HopLatency, C.Credits, Sim);
+    C.Diff = firstDifference(
+        C.Got, lockstepReference(Inputs, C.HopLatency, C.Credits, Sim));
+  });
+
+  int Diverged = 0, Stalled = 0, Bounced = 0;
+  for (const Config &C : Configs) {
+    const Setup &S = Setups[C.Setup];
+    const std::string Name =
+        S.Scenario + " " + placementPolicyName(S.Policy) +
+        " engines=" + std::to_string(S.Engines) +
+        " hop=" + std::to_string(C.HopLatency) +
+        " credits=" + std::to_string(C.Credits) +
+        (C.HaltAtTarget ? " halt-at-target" : "");
+    EXPECT_TRUE(C.Got.Completed) << Name << ": " << C.Got.FailReason;
+    if (!C.Diff.empty() && ++Diverged <= 5)
+      ADD_FAILURE() << Name << ": lanes differ from lockstep in " << C.Diff;
+    bool AnyStall = false;
+    for (const SimResult &R : C.Got.Engines)
+      for (const ThreadStats &TS : R.Threads)
+        AnyStall = AnyStall || TS.InterconnectStallCycles > 0;
+    Stalled += AnyStall ? 1 : 0;
+    Bounced += C.Got.CreditsReturned > 0 ? 1 : 0;
+  }
+  EXPECT_EQ(Diverged, 0) << "of " << Configs.size() << " configurations";
+  // The matrix reaches the paths that matter: threads waiting on the
+  // round trip, and dispatches bouncing off halted threads.
+  EXPECT_GT(Stalled, 0);
+  EXPECT_GT(Bounced, 0);
+}
+
+TEST(GridTest, TracedLanesMatchLockstepTelemetry) {
+  // Traced and sampled, lanes record into their own traces and sample rows
+  // and merge after the run. Against the lockstep loop recording into one
+  // trace: equal results, ring samples, counter series, per-track slices
+  // and phase totals, and flows that pair one-to-one with equal send and
+  // delivery cycles (ids are renumbered). The configs cover periods off
+  // the boundary grid, longer and shorter than a hop, HaltAtTarget
+  // bounces and drains, and 16 stalled engines that end far apart, so
+  // ended lanes carry their final state.
+  struct Traced {
+    const char *Scenario;
+    PlacementPolicy Policy;
+    int Engines;
+    int HopLatency;
+    int Credits;
+    bool HaltAtTarget;
+    int64_t Period;
+  };
+  for (const Traced &C :
+       {Traced{"mixed", PlacementPolicy::Search, 4, 37, 1, false, 100},
+        Traced{"s3", PlacementPolicy::RoundRobin, 4, 37, 4, false, 16},
+        Traced{"s2", PlacementPolicy::Bounds, 2, 4, 4, true, 64},
+        Traced{"s1", PlacementPolicy::Bounds, 16, 3000, 1, false, 5000}}) {
+    SCOPED_TRACE(std::string(C.Scenario) + " engines=" +
+                 std::to_string(C.Engines));
+    GridOptions Opts;
+    Opts.NumEngines = C.Engines;
+    Opts.Policy = C.Policy;
+    std::vector<std::string> Pool;
+    ASSERT_TRUE(buildGridPool(C.Scenario, C.Engines, Pool));
+    const std::vector<EngineInput> Inputs = allocateEngines(Pool, Opts);
+    ASSERT_EQ(Inputs.size(), static_cast<size_t>(C.Engines));
+    SimConfig Sim =
+        C.HaltAtTarget ? equivalenceConfig() : defaultExperimentConfig();
+    Sim.TargetIterations = 3;
+    Sim.RecordCtxTrace = true;
+
+    constexpr size_t RingCapacity = 1 << 14;
+    CycleTrace RefTrace, LaneTrace;
+    TelemetryRing RefRing(RingCapacity), LaneRing(RingCapacity);
+    TelemetrySampler RefSampler(C.Period, &RefTrace, &RefRing);
+    TelemetrySampler LaneSampler(C.Period, &LaneTrace, &LaneRing);
+    const GridRunResult Ref = lockstepReference(
+        Inputs, C.HopLatency, C.Credits, Sim, &RefTrace, &RefSampler);
+    const GridRunResult Got = runOnLanes(Inputs, C.HopLatency, C.Credits,
+                                         Sim, &LaneTrace, &LaneSampler);
+    ASSERT_TRUE(Ref.Completed) << Ref.FailReason;
+    EXPECT_EQ(firstDifference(Got, Ref), "");
+
+    ASSERT_GT(RefRing.totalPushed(), 0);
+    ASSERT_LT(RefRing.totalPushed(), static_cast<int64_t>(RingCapacity));
+    ASSERT_EQ(LaneRing.totalPushed(), RefRing.totalPushed());
+    for (size_t I = 0; I < RefRing.size(); ++I) {
+      EXPECT_EQ(LaneRing.at(I).Cycle, RefRing.at(I).Cycle) << "sample " << I;
+      EXPECT_EQ(LaneRing.at(I).Values, RefRing.at(I).Values) << "sample "
+                                                             << I;
+    }
+    EXPECT_EQ(LaneSampler.nextDue(), RefSampler.nextDue());
+
+    EXPECT_EQ(LaneTrace.eventCount(), RefTrace.eventCount());
+    // Lanes stop at a subset of the lockstep boundaries, so they split
+    // fewer idle intervals: the tracing-guard count can only drop.
+    EXPECT_LE(LaneTrace.intervalCount(), RefTrace.intervalCount());
+    EXPECT_EQ(counterSeries(LaneTrace), counterSeries(RefTrace));
+    EXPECT_EQ(trackContents(LaneTrace), trackContents(RefTrace));
+    const std::vector<std::array<int64_t, 6>> Flows = flowPairs(RefTrace);
+    EXPECT_FALSE(Flows.empty());
+    EXPECT_EQ(flowPairs(LaneTrace), Flows);
+    for (int E = 0; E < C.Engines; ++E)
+      for (int T = 0; T < 4; ++T)
+        for (int P = 0; P < NumThreadPhases; ++P)
+          EXPECT_EQ(LaneTrace.phaseCycles(E + 1, T, ThreadPhase(P)),
+                    RefTrace.phaseCycles(E + 1, T, ThreadPhase(P)))
+              << "engine " << E << " thread " << T << " phase " << P;
+  }
 }
 
 TEST(GridTest, TraitAnalysesServeTheAllocationJobs) {

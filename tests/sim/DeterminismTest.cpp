@@ -13,10 +13,14 @@
 #include "driver/BatchPipeline.h"
 #include "grid/EngineGrid.h"
 #include "sim/Simulator.h"
+#include "support/ThreadPool.h"
+#include "trace/CycleTrace.h"
+#include "trace/Telemetry.h"
 #include "workloads/ProgramGenerator.h"
 
 #include "gtest/gtest.h"
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -137,25 +141,52 @@ TEST_P(SimDeterminismTest, BatchWorkerCountDoesNotPerturbSimulation) {
 
 namespace {
 
-/// One lockstep grid run over three generated-program engines: per-engine
-/// results plus the interconnect counters, everything a rerun must
-/// reproduce bit for bit.
-GridRunResult runGridOnce(uint64_t Seed) {
-  EngineGrid Grid(/*HopLatency=*/4, /*InitialCredits=*/2);
+/// A grid of three generated-program engines.
+void addEngines(EngineGrid &Grid, uint64_t Seed) {
   for (int E = 0; E < 3; ++E) {
     SimConfig Config;
     Config.RecordCtxTrace = true;
     Grid.addEngine(makeVirtualMTP(Seed * 3 + static_cast<uint64_t>(E)),
                    Config);
   }
+}
+
+/// One grid run: per-engine results plus the interconnect counters,
+/// everything a rerun must reproduce bit for bit.
+GridRunResult runGridOnce(uint64_t Seed) {
+  EngineGrid Grid(/*HopLatency=*/4, /*InitialCredits=*/2);
+  addEngines(Grid, Seed);
   return Grid.run();
+}
+
+/// One traced and sampled grid run, as bytes: the exported cycle trace
+/// followed by every ring sample.
+std::string runTracedGridOnce(uint64_t Seed) {
+  EngineGrid Grid(/*HopLatency=*/4, /*InitialCredits=*/2);
+  addEngines(Grid, Seed);
+  CycleTrace CT;
+  TelemetryRing Ring(1024);
+  TelemetrySampler Sampler(/*PeriodCycles=*/16, &CT, &Ring);
+  Grid.setTelemetry(&CT, &Sampler);
+  GridRunResult R = Grid.run();
+  EXPECT_TRUE(R.Completed) << R.FailReason;
+  std::ostringstream OS;
+  CT.exportJSON(OS);
+  for (const TelemetrySample &S : Ring.snapshot()) {
+    OS << S.Cycle;
+    for (const auto &[Name, V] : S.Values)
+      OS << ' ' << Name << '=' << V;
+    OS << '\n';
+  }
+  return OS.str();
 }
 
 } // namespace
 
-TEST_P(SimDeterminismTest, GridLockstepRunsAreBitIdentical) {
+TEST_P(SimDeterminismTest, GridRunsAreBitIdentical) {
   // The grid adds message delivery and credit flow on top of the
-  // simulator; none of it may introduce run-to-run variance.
+  // simulator, and runs its engines' lanes on a thread pool; none of it
+  // may introduce run-to-run variance.
   GridRunResult A = runGridOnce(GetParam());
   GridRunResult B = runGridOnce(GetParam());
   ASSERT_TRUE(A.Completed) << A.FailReason;
@@ -175,6 +206,25 @@ TEST_P(SimDeterminismTest, GridLockstepRunsAreBitIdentical) {
   // dispatches land on halted threads and flow back as credits.
   EXPECT_GT(A.MessagesSent, 0);
   EXPECT_GT(A.CreditsReturned, 0);
+}
+
+TEST_P(SimDeterminismTest, TracedGridRunsFromConcurrentHostThreadsAgree) {
+  // Every grid run owns its lane pool, so runs nested in another pool's
+  // tasks neither deadlock nor perturb one another: the same traced grid
+  // from four host threads at once exports the bytes of an inline run.
+  const std::string Reference = runTracedGridOnce(GetParam());
+  EXPECT_NE(Reference.find("\"ph\": \"C\""), std::string::npos);
+  EXPECT_NE(Reference.find("\"ph\": \"f\""), std::string::npos);
+  constexpr int Runs = 4;
+  std::vector<std::string> FromWorkers(Runs);
+  {
+    ThreadPool Pool(Runs);
+    parallelFor(Pool, Runs, [&](int I) {
+      FromWorkers[static_cast<size_t>(I)] = runTracedGridOnce(GetParam());
+    });
+  }
+  for (const std::string &S : FromWorkers)
+    EXPECT_EQ(S, Reference);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimDeterminismTest,

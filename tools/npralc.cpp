@@ -157,11 +157,11 @@ int usage() {
          "           [-iters K] [-memlat L] [--hoplat H] [--credits C]\n"
          "           [--json]\n"
          "      multi-micro-engine run: place the scenario's thread pool\n"
-         "      across N engines, allocate each engine independently, and\n"
-         "      simulate the grid in lockstep over the modeled\n"
-         "      interconnect (docs/grid.md). scenario is s1, s2, s3 (the\n"
-         "      Table-3 mixes, template replicated per engine) or 'mixed'\n"
-         "      (all three templates interleaved)\n"
+         "      across N engines, allocate each distinct engine bin once,\n"
+         "      and simulate every engine on its own lane to the ingress\n"
+         "      over the modeled interconnect (docs/grid.md). scenario is\n"
+         "      s1, s2, s3 (the Table-3 mixes, template replicated per\n"
+         "      engine) or 'mixed' (all three templates interleaved)\n"
          "        --engines N   micro-engines in the grid (default 4)\n"
          "        --placement P thread placement policy: roundrobin,\n"
          "                      bounds, or search (default bounds)\n"
