@@ -66,12 +66,14 @@ namespace {
 /// Completion fallback for the Fig. 8 loop: sweep the shared-window size.
 /// For each SGR, every thread takes the smallest PR with a feasible
 /// (PR, SGR) allocation; among fitting configurations the cheapest (by
-/// total moves, then registers) wins. Returns false when no SGR fits.
+/// total moves, then registers) wins. Returns false when no SGR fits, or
+/// when \p Limits' deadline passes, which it polls at every window.
 /// \p Bounds holds each thread's bounds, aligned with \p Intras.
 bool sweepSharedWindow(
     std::vector<std::unique_ptr<IntraThreadAllocator>> &Intras,
     const std::vector<const RegBounds *> &Bounds, int Nreg,
-    std::vector<int> &PR, std::vector<int> &SR) {
+    const InterAllocLimits &Limits, std::vector<int> &PR,
+    std::vector<int> &SR) {
   const int Nthd = static_cast<int>(Intras.size());
   int MaxSGR = 0;
   for (const auto &Intra : Intras)
@@ -82,6 +84,8 @@ bool sweepSharedWindow(
   int BestTotal = 0;
   std::vector<int> BestPR, BestSR;
   for (int SGR = 0; SGR <= MaxSGR; ++SGR) {
+    if (Limits.expired())
+      return false;
     // Every thread's PR starts at its floor below, so a window whose
     // Lemma-1 floor exceeds Nreg cannot fit whatever pricing finds.
     if (feasibilityFloorAt(Bounds, SGR) > Nreg)
@@ -138,9 +142,6 @@ InterThreadResult npral::allocateInterThread(
                         {"nreg", std::to_string(Nreg)});
   InterThreadResult Result;
   const int Nthd = MTP.getNumThreads();
-  auto cancelled = [&]() {
-    return Limits.Cancel && Limits.Cancel->load(std::memory_order_relaxed);
-  };
   auto fail = [&](std::string Reason, StatusCode Code) {
     Result.FailReason = std::move(Reason);
     Result.FailCode = Code;
@@ -150,8 +151,8 @@ InterThreadResult npral::allocateInterThread(
     }
     return Result;
   };
-  auto failCancelled = [&]() {
-    return fail("allocation cancelled (deadline exceeded)",
+  auto failExpired = [&]() {
+    return fail("deadline exceeded during allocation",
                 StatusCode::DeadlineExceeded);
   };
   auto failInfeasible = [&]() {
@@ -182,6 +183,7 @@ InterThreadResult npral::allocateInterThread(
           std::make_unique<IntraThreadAllocator>(P, std::move(CM)));
     if (Log)
       Intras.back()->setDecisionLog(Log, T);
+    Intras.back()->setLimits(Limits);
     const RegBounds &B = Intras.back()->getBounds();
     Bounds.push_back(&B);
     PR[static_cast<size_t>(T)] = B.MaxPR;
@@ -209,10 +211,10 @@ InterThreadResult npral::allocateInterThread(
 
   // Lemma 1 decides an infeasible budget exactly, before any pricing: the
   // loop and the sweep only visit configurations at or above the floor. A
-  // cancelled run still fails as cancelled.
+  // run past its deadline still fails as such.
   if (requirement() > Nreg) {
-    if (cancelled())
-      return failCancelled();
+    if (Limits.expired())
+      return failExpired();
     if (feasibilityFloor(Bounds) > Nreg)
       return failInfeasible();
   }
@@ -220,8 +222,6 @@ InterThreadResult npral::allocateInterThread(
   // Greedy reduction loop (Fig. 8 lines 5-16).
   int StepIndex = 0;
   while (requirement() > Nreg) {
-    if (cancelled())
-      return failCancelled();
     int BestKind = -1; // 0 = reduce PR of BestThread, 1 = reduce max SRs.
     int BestThread = -1;
     int64_t BestDelta = 0;
@@ -278,6 +278,10 @@ InterThreadResult npral::allocateInterThread(
       }
     }
 
+    // The deadline may have cut a greedy split short while pricing; no
+    // step is chosen from such a bid.
+    if (Limits.expired())
+      return failExpired();
     if (BestKind < 0) {
       // The pure-reduction loop is stuck: every single step either violates
       // a thread's MinR or fails. This happens when the optimum requires
@@ -288,7 +292,10 @@ InterThreadResult npral::allocateInterThread(
       // thread takes its smallest feasible PR, which is complete over the
       // per-thread feasibility frontier. Fig. 8 does not include this step;
       // see DESIGN.md ("extensions").
-      if (!sweepSharedWindow(Intras, Bounds, Nreg, PR, SR))
+      const bool Swept = sweepSharedWindow(Intras, Bounds, Nreg, Limits, PR, SR);
+      if (Limits.expired())
+        return failExpired();
+      if (!Swept)
         return failInfeasible();
       MetricsRegistry::global().counter("alloc.sweep_fallbacks").increment();
       if (Log) {
@@ -340,8 +347,6 @@ InterThreadResult npral::allocateInterThread(
     if (!CM.isUnit())
       AnyWeighted = true;
   while (AnyWeighted) {
-    if (cancelled())
-      return failCancelled();
     const bool HaveSlack = requirement() < Nreg;
     int BestKind = -1; // 0 = raise PR, 1 = widen SRs, 2 = exchange PR.
     int BestUp = -1, BestDown = -1;
@@ -407,6 +412,8 @@ InterThreadResult npral::allocateInterThread(
       }
     }
 
+    if (Limits.expired())
+      return failExpired();
     if (BestKind < 0)
       break;
     if (BestKind == 0) {

@@ -27,7 +27,6 @@
 #include "support/Status.h"
 #include "trace/DecisionLog.h"
 
-#include <atomic>
 #include <memory>
 #include <string>
 #include <vector>
@@ -48,22 +47,14 @@ struct ThreadAllocation {
   RegBounds Bounds;
 };
 
-/// External limits on one allocateInterThread call. All fields optional;
-/// the default imposes nothing.
-struct InterAllocLimits {
-  /// When non-null and set, the allocator abandons the run at the next loop
-  /// iteration and fails with StatusCode::DeadlineExceeded. The watchdog
-  /// of the batch pipeline flips this flag from another thread.
-  const std::atomic<bool> *Cancel = nullptr;
-};
-
 /// Outcome of the inter-thread allocator.
 struct InterThreadResult {
   bool Success = false;
   std::string FailReason;
   /// Classification of the failure (Ok on success): Infeasible when no
   /// configuration fits Nreg — the caller may degrade by spilling —
-  /// DeadlineExceeded when cancelled, InvalidIR for malformed input.
+  /// DeadlineExceeded once the deadline has passed, InvalidIR for
+  /// malformed input.
   StatusCode FailCode = StatusCode::Ok;
   std::vector<ThreadAllocation> Threads;
   /// Number of globally shared registers (max SRᵢ).
@@ -99,9 +90,11 @@ struct InterThreadResult {
 ///    priced), one RebalanceStep per applied PGO exchange, and the
 ///    intra-thread recolor/split events of every thread — the data behind
 ///    `npralc alloc --explain`. The allocation itself is unchanged.
-///  * \p Limits.Cancel is checked at every Fig. 8 iteration and every
-///    rebalance step; when it fires the call fails with
-///    StatusCode::DeadlineExceeded.
+///  * \p Limits.Deadline (IntraAllocator.h) is polled after pricing every
+///    Fig. 8 step and every rebalance step, at every SGR sweep window, and
+///    inside every greedy split; once it has passed the call fails with
+///    StatusCode::DeadlineExceeded, so no step is chosen from a split the
+///    deadline cut short.
 InterThreadResult allocateInterThread(
     const MultiThreadProgram &MTP, int Nreg,
     const std::vector<std::shared_ptr<const ThreadAnalysisBundle>> &Analyses =

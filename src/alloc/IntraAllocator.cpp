@@ -240,6 +240,11 @@ IntraThreadAllocator::allocateWithGreedySplitting(int PR, int SR,
   };
 
   for (int Iter = 0; Iter < MaxSplits; ++Iter) {
+    if (Limits.expired()) {
+      Result.Feasible = false;
+      Result.FailReason = "greedy splitting cut short by the deadline";
+      return Result;
+    }
     ThreadAnalysis WorkTA = analyzeThread(Work);
     ConstrainedColoringResult CCR = colorConstrained(WorkTA, PR, R);
     if (CCR.Success) {

@@ -33,9 +33,30 @@
 #include "ir/Program.h"
 #include "trace/DecisionLog.h"
 
+#include <chrono>
 #include <map>
 
 namespace npral {
+
+/// External limits on one allocation: the job's deadline, the only one in
+/// the tree. runSingleJob sets it once per job from BatchOptions and
+/// checks it between stages; allocateInterThread polls it at every Fig. 8
+/// step, every SGR sweep window and every rebalance step, the intra
+/// allocator at every greedy-split iteration, and the spill fallback
+/// before every attempt. An expired call fails with
+/// StatusCode::DeadlineExceeded. The default imposes nothing.
+struct InterAllocLimits {
+  using Clock = std::chrono::steady_clock;
+  /// Absolute deadline; Clock::time_point::max() (the default) sets none.
+  Clock::time_point Deadline = Clock::time_point::max();
+
+  /// True once \p Now is at or past the deadline.
+  bool expiredAt(Clock::time_point Now) const { return Now >= Deadline; }
+  /// True once the deadline has passed. Reads no clock when none is set.
+  bool expired() const {
+    return Deadline != Clock::time_point::max() && expiredAt(Clock::now());
+  }
+};
 
 /// Intra-thread allocation result: a ColorAllocation plus the strategy that
 /// produced it ("direct", "split", "fragment").
@@ -86,6 +107,11 @@ public:
     LogThread = Thread;
   }
 
+  /// Bound greedy splitting by \p L's deadline: once it passes, the split
+  /// stops and reports infeasible, so the caller must poll the same
+  /// deadline before using any result priced after it.
+  void setLimits(const InterAllocLimits &L) { Limits = L; }
+
   const RegBounds &getBounds() const { return Bounds; }
   int getMinPR() const { return Bounds.MinPR; }
   int getMinR() const { return Bounds.MinR; }
@@ -103,6 +129,7 @@ private:
   std::map<std::pair<int, int>, IntraResult> Cache;
   AllocationDecisionLog *Log = nullptr;
   int LogThread = -1;
+  InterAllocLimits Limits;
 
   IntraResult computeAllocation(int PR, int SR);
   /// Strategy 2; returns an infeasible result when it cannot converge, and

@@ -7,7 +7,6 @@
 #include "asmparse/AsmParser.h"
 #include "driver/AnalysisCache.h"
 #include "harden/SpillFallback.h"
-#include "harden/Watchdog.h"
 #include "ir/IRPrinter.h"
 #include "ir/IRVerifier.h"
 #include "lint/TranslationValidator.h"
@@ -26,9 +25,10 @@ using namespace npral;
 
 namespace {
 
-int64_t nowNs() {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now().time_since_epoch())
+using Clock = InterAllocLimits::Clock;
+
+int64_t nsBetween(Clock::time_point From, Clock::time_point To) {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(To - From)
       .count();
 }
 
@@ -37,22 +37,32 @@ int64_t nowNs() {
 /// \p ProfileHash is the content hash of Opts.Profile (0 when absent),
 /// computed once by runBatch and folded into every cache key.
 /// \p AllowSpill overrides Opts.AllowSpill so the degraded retry can
-/// re-run a strict job in spill-permitted mode. \p Log, when non-null,
-/// records the allocation's decisions (see runSingleJob).
+/// re-run a strict job in spill-permitted mode. \p Limits carries the
+/// job's deadline, polled after every stage on the clock read that timed
+/// it. \p Log, when non-null, records the allocation's decisions (see
+/// runSingleJob).
 BatchJobResult processOne(const BatchJob &In, const BatchOptions &Opts,
                           AnalysisCache *Cache, uint64_t ProfileHash,
-                          bool AllowSpill, AllocationDecisionLog *Log) {
+                          bool AllowSpill, const InterAllocLimits &Limits,
+                          AllocationDecisionLog *Log) {
   BatchJobResult R;
   R.Name = In.Name.empty() ? In.Path : In.Name;
   NPRAL_TRACE_SPAN_ARGS("batch", "job", {"name", R.Name});
 
   // Every early return below fills FailStage + FailCode so the failed[]
-  // report can say *where* and *why* without parsing the message.
-  auto fail = [&R](const char *Stage, StatusCode Code,
-                   std::string Reason) -> BatchJobResult & {
+  // report can say *where* and *why* without parsing the message. It also
+  // applies the one deadline rule: once the deadline has passed, the job
+  // fails with DeadlineExceeded whatever the stage concluded.
+  auto fail = [&](const char *Stage, StatusCode Code,
+                  std::string Reason) -> BatchJobResult & {
     R.FailStage = Stage;
     R.FailCode = Code;
     R.FailReason = std::move(Reason);
+    if (Code == StatusCode::DeadlineExceeded || Limits.expired()) {
+      R.FailCode = StatusCode::DeadlineExceeded;
+      R.FailReason =
+          "deadline of " + std::to_string(Opts.DeadlineMs) + " ms exceeded";
+    }
     return R;
   };
 
@@ -60,7 +70,7 @@ BatchJobResult processOne(const BatchJob &In, const BatchOptions &Opts,
   MultiThreadProgram MTP;
   {
     NPRAL_TRACE_SPAN_ARGS("batch", "parse", {"name", R.Name});
-    const int64_t T0 = nowNs();
+    const Clock::time_point T0 = Clock::now();
     if (Status F = Opts.Faults.check("parse", R.Name); !F.ok())
       return fail("parse", F.code(), F.str());
     if (!In.Path.empty()) {
@@ -72,21 +82,24 @@ BatchJobResult processOne(const BatchJob &In, const BatchOptions &Opts,
       Buf << Stream.rdbuf();
       ErrorOr<MultiThreadProgram> Parsed = parseAssembly(Buf.str());
       if (!Parsed.ok()) {
-        R.ParseNs = nowNs() - T0;
+        R.ParseNs = nsBetween(T0, Clock::now());
         return fail("parse", Parsed.status().code(), Parsed.status().str());
       }
       MTP = Parsed.take();
     } else if (!In.Text.empty()) {
       ErrorOr<MultiThreadProgram> Parsed = parseAssembly(In.Text);
       if (!Parsed.ok()) {
-        R.ParseNs = nowNs() - T0;
+        R.ParseNs = nsBetween(T0, Clock::now());
         return fail("parse", Parsed.status().code(), Parsed.status().str());
       }
       MTP = Parsed.take();
     } else {
       MTP = In.Program;
     }
-    R.ParseNs = nowNs() - T0;
+    const Clock::time_point T1 = Clock::now();
+    R.ParseNs = nsBetween(T0, T1);
+    if (Limits.expiredAt(T1))
+      return fail("parse", StatusCode::DeadlineExceeded, {});
   }
   R.NumThreads = MTP.getNumThreads();
   if (R.NumThreads == 0)
@@ -106,7 +119,7 @@ BatchJobResult processOne(const BatchJob &In, const BatchOptions &Opts,
                           {"thread", T.Name});
     if (Status S = verifyProgram(T); !S.ok())
       return fail("analysis", S.code(), "thread '" + T.Name + "': " + S.str());
-    const int64_t T0 = nowNs();
+    const Clock::time_point T0 = Clock::now();
     T = renameLiveRanges(T);
     // Cache keying runs on the flat binary encoding — no assembly print in
     // the hot path. Collected profiles are keyed by printed-text hash (the
@@ -129,57 +142,53 @@ BatchJobResult processOne(const BatchJob &In, const BatchOptions &Opts,
     Models.push_back(std::move(CM));
 
     std::shared_ptr<const ThreadAnalysisBundle> Bundle;
+    uint64_t Key = 0;
     if (Cache) {
       if (Status F = Opts.Faults.check("cache", R.Name); !F.ok())
         return fail("analysis", F.code(), F.str());
       // The bundle itself is weight-independent, but folding the profile
       // hash keeps the cache partitioned per (program, profile) pair so a
       // long-lived shared cache never crosses PGO configurations.
-      const uint64_t Key = analysisCacheKey(Text, ProfileHash);
+      Key = analysisCacheKey(Text, ProfileHash);
       Bundle = Cache->lookup(Key, Text);
-      if (Bundle) {
-        ++R.CacheHits;
-        R.AnalysisNs += nowNs() - T0;
-        NPRAL_TRACE_INSTANT("batch", "cache-hit", {{"thread", T.Name}});
-      } else {
-        ++R.CacheMisses;
-        NPRAL_TRACE_INSTANT("batch", "cache-miss", {{"thread", T.Name}});
-        auto Fresh = std::make_shared<ThreadAnalysisBundle>();
-        Fresh->TA = analyzeThread(T);
-        const int64_t T1 = nowNs();
-        R.AnalysisNs += T1 - T0;
-        Fresh->Bounds = estimateRegBounds(Fresh->TA);
-        R.BoundsNs += nowNs() - T1;
-        Bundle = Cache->insert(Key, Text, std::move(Fresh));
-      }
+      ++(Bundle ? R.CacheHits : R.CacheMisses);
+    }
+    Clock::time_point Done; // When this thread's analysis and bounds ended.
+    if (Bundle) {
+      Done = Clock::now();
+      R.AnalysisNs += nsBetween(T0, Done);
+      NPRAL_TRACE_INSTANT("batch", "cache-hit", {{"thread", T.Name}});
     } else {
+      if (Cache)
+        NPRAL_TRACE_INSTANT("batch", "cache-miss", {{"thread", T.Name}});
       auto Fresh = std::make_shared<ThreadAnalysisBundle>();
       Fresh->TA = analyzeThread(T);
-      const int64_t T1 = nowNs();
-      R.AnalysisNs += T1 - T0;
+      const Clock::time_point T1 = Clock::now();
+      R.AnalysisNs += nsBetween(T0, T1);
       Fresh->Bounds = estimateRegBounds(Fresh->TA);
-      R.BoundsNs += nowNs() - T1;
-      Bundle = std::move(Fresh);
+      Done = Clock::now();
+      R.BoundsNs += nsBetween(T1, Done);
+      Bundle = Cache ? Cache->insert(Key, Text, std::move(Fresh))
+                     : std::move(Fresh);
     }
     // Analysis precondition: no path may read an undefined register. The
     // bundle's liveness answers this without extra dataflow.
     if (Status S = checkNoUseOfUndef(T, Bundle->TA.Liveness); !S.ok())
       return fail("analysis", S.code(), "thread '" + T.Name + "': " + S.str());
+    if (Limits.expiredAt(Done))
+      return fail("analysis", StatusCode::DeadlineExceeded, {});
     Bundles.push_back(std::move(Bundle));
   }
 
-  // Stage 4: inter/intra allocation, under the per-job watchdog. The
-  // deadline cancels the Fig. 8 loop cooperatively; an expired job fails
-  // with DeadlineExceeded instead of wedging its worker.
+  // Stage 4: inter/intra allocation. The allocator polls the deadline in
+  // its own loops, so an expired job stops there instead of wedging its
+  // worker.
   InterThreadResult Alloc;
   {
     NPRAL_TRACE_SPAN_ARGS("batch", "alloc", {"name", R.Name});
     if (Status F = Opts.Faults.check("alloc", R.Name); !F.ok())
       return fail("alloc", F.code(), F.str());
-    const int64_t T0 = nowNs();
-    Watchdog Dog(Opts.DeadlineMs);
-    InterAllocLimits Limits;
-    Limits.Cancel = Dog.cancelFlag();
+    const Clock::time_point T0 = Clock::now();
     if (AllowSpill) {
       SpillFallbackOptions SpillOpts;
       SpillOpts.MaxSpills = Opts.MaxSpills;
@@ -195,8 +204,10 @@ BatchJobResult processOne(const BatchJob &In, const BatchOptions &Opts,
       Alloc = allocateInterThread(MTP, Opts.Nreg, Bundles, Models, Log,
                                   Limits);
     }
-    R.AllocNs = nowNs() - T0;
-    R.WatchdogFired = Dog.fired();
+    const Clock::time_point T1 = Clock::now();
+    R.AllocNs = nsBetween(T0, T1);
+    if (Limits.expiredAt(T1))
+      return fail("alloc", StatusCode::DeadlineExceeded, {});
   }
   if (!Alloc.Success)
     return fail("alloc",
@@ -211,9 +222,12 @@ BatchJobResult processOne(const BatchJob &In, const BatchOptions &Opts,
   // Stage 5: independent cross-thread safety verification.
   if (Opts.Verify) {
     NPRAL_TRACE_SPAN_ARGS("batch", "verify", {"name", R.Name});
-    const int64_t T0 = nowNs();
+    const Clock::time_point T0 = Clock::now();
     Status Safety = verifyAllocationSafety(Alloc.Physical);
-    R.VerifyNs = nowNs() - T0;
+    const Clock::time_point T1 = Clock::now();
+    R.VerifyNs = nsBetween(T0, T1);
+    if (Limits.expiredAt(T1))
+      return fail("verify", StatusCode::DeadlineExceeded, {});
     if (!Safety.ok())
       return fail("verify", StatusCode::Internal,
                   "unsafe allocation: " + Safety.str());
@@ -227,15 +241,18 @@ BatchJobResult processOne(const BatchJob &In, const BatchOptions &Opts,
   // result it explains.
   if (Opts.Validate) {
     NPRAL_TRACE_SPAN_ARGS("batch", "validate", {"name", R.Name});
-    const int64_t T0 = nowNs();
+    const Clock::time_point T0 = Clock::now();
     MetricsRegistry *Metrics = &MetricsRegistry::global();
     DiagnosticEngine &Diags = R.ValidateDiags;
     R.Validation = validateTranslation(MTP, Alloc.Physical, Diags, Metrics);
     const int LogMismatches =
         Log && !AllowSpill ? crossCheckDecisionLog(*Log, Alloc, Diags, Metrics)
                            : 0;
-    R.ValidateNs = nowNs() - T0;
+    const Clock::time_point T1 = Clock::now();
+    R.ValidateNs = nsBetween(T0, T1);
     Diags.sortByPosition();
+    if (Limits.expiredAt(T1))
+      return fail("validate", StatusCode::DeadlineExceeded, {});
     if (!R.Validation.Proved || LogMismatches > 0) {
       const Diagnostic *First = Diags.firstError();
       return fail("validate", StatusCode::Internal,
@@ -256,13 +273,18 @@ BatchJobResult processOne(const BatchJob &In, const BatchOptions &Opts,
 
 /// The fault-isolation wrapper both entry points share: processOne with an
 /// exception net and the bounded degraded retry. Whatever the job does
-/// lands in its returned result, never in the caller's control flow.
+/// lands in its returned result, never in the caller's control flow. The
+/// job's deadline is taken here, once, and also bounds the retry.
 BatchJobResult runIsolated(const BatchJob &In, const BatchOptions &Opts,
                            AnalysisCache *Cache, uint64_t ProfileHash,
                            AllocationDecisionLog *Log) {
+  InterAllocLimits Limits;
+  if (Opts.DeadlineMs > 0)
+    Limits.Deadline =
+        Clock::now() + std::chrono::milliseconds(Opts.DeadlineMs);
   try {
-    BatchJobResult R =
-        processOne(In, Opts, Cache, ProfileHash, Opts.AllowSpill, Log);
+    BatchJobResult R = processOne(In, Opts, Cache, ProfileHash,
+                                  Opts.AllowSpill, Limits, Log);
     if (!R.Success && !Opts.AllowSpill && Opts.RetryDegraded &&
         R.FailCode == StatusCode::Infeasible) {
       // One bounded retry in degraded mode: only for budget failures
@@ -270,7 +292,7 @@ BatchJobResult runIsolated(const BatchJob &In, const BatchOptions &Opts,
       if (Log)
         *Log = AllocationDecisionLog();
       BatchJobResult Retry = processOne(In, Opts, Cache, ProfileHash,
-                                        /*AllowSpill=*/true, Log);
+                                        /*AllowSpill=*/true, Limits, Log);
       Retry.Retried = true;
       return Retry;
     }
@@ -328,23 +350,24 @@ BatchResult npral::runBatch(const std::vector<BatchJob> &Inputs,
   // folds into the process-wide registry.
   MetricsRegistry RunMetrics;
 
-  const int64_t Wall0 = nowNs();
+  const Clock::time_point Wall0 = Clock::now();
   {
     ThreadPool Pool(Opts.Jobs);
     parallelFor(Pool, static_cast<int>(Inputs.size()), [&](int I) {
       const BatchJob &In = Inputs[static_cast<size_t>(I)];
       BatchJobResult &Slot = Out.Results[static_cast<size_t>(I)];
-      const int64_t Job0 = nowNs();
+      const Clock::time_point Job0 = Clock::now();
       // Fault isolation: whatever one item does — fail a stage, blow a
       // deadline, or throw — lands in its own result slot; the batch and
       // its siblings continue.
       Slot = runIsolated(In, Opts, Cache, ProfileHash, /*Log=*/nullptr);
-      RunMetrics.histogram("batch.job_wall_ns").observe(nowNs() - Job0);
+      RunMetrics.histogram("batch.job_wall_ns")
+          .observe(nsBetween(Job0, Clock::now()));
     });
   }
 
   PipelineStats &S = Out.Stats;
-  S.WallNs = nowNs() - Wall0;
+  S.WallNs = nsBetween(Wall0, Clock::now());
   S.Programs = static_cast<int>(Inputs.size());
   S.Jobs = std::max(1, Opts.Jobs);
   S.CacheEnabled = Cache != nullptr;
@@ -352,11 +375,13 @@ BatchResult npral::runBatch(const std::vector<BatchJob> &Inputs,
     ++(R.Success ? S.Succeeded : S.Failed);
     S.Degraded += R.UsedSpilling ? 1 : 0;
     S.Retried += R.Retried ? 1 : 0;
-    S.DeadlineExceeded +=
-        R.WatchdogFired || R.FailCode == StatusCode::DeadlineExceeded ? 1 : 0;
+    S.DeadlineExceeded += R.FailCode == StatusCode::DeadlineExceeded ? 1 : 0;
     S.FaultsInjected += R.FailCode == StatusCode::FaultInjected ? 1 : 0;
     S.Validated += R.Validated ? 1 : 0;
-    S.ValidateFailed += R.FailStage == "validate" ? 1 : 0;
+    // A job whose deadline passed in validate was not refuted.
+    const bool Refuted = R.FailStage == "validate" &&
+                         R.FailCode != StatusCode::DeadlineExceeded;
+    S.ValidateFailed += Refuted ? 1 : 0;
     S.CacheHits += R.CacheHits;
     S.CacheMisses += R.CacheMisses;
     S.ParseNs += R.ParseNs;

@@ -23,9 +23,9 @@
 /// deadline, injected fault, even a C++ exception escaping a stage — is
 /// captured in that item's BatchJobResult (stage, StatusCode, reason) and
 /// the remaining items run to completion; BatchResult::failed() is the
-/// resulting failed[] report. Optional per-job hardening: a watchdog
-/// deadline over the allocation stage, spill-based graceful degradation
-/// for infeasible budgets, and one bounded retry in degraded mode.
+/// resulting failed[] report. Optional per-job hardening: a deadline over
+/// the whole job, spill-based graceful degradation for infeasible
+/// budgets, and one bounded retry in degraded mode.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -97,9 +97,11 @@ struct BatchOptions {
   /// degraded (spill-permitted) mode. Meaningful when AllowSpill is off:
   /// the first attempt stays strict and only the retry may degrade.
   bool RetryDegraded = false;
-  /// Per-job allocation deadline in milliseconds; 0 disables the watchdog.
-  /// An expired deadline cancels the Fig. 8 loop cooperatively and fails
-  /// the job with StatusCode::DeadlineExceeded.
+  /// Per-job deadline in milliseconds, taken once at job entry and
+  /// covering every stage and the degraded retry; 0 sets none. It is
+  /// polled at stage boundaries and in the allocator's loops (no thread
+  /// is involved), and a job whose deadline has passed fails with
+  /// StatusCode::DeadlineExceeded, whatever its stages concluded.
   int DeadlineMs = 0;
   /// Deterministic fault injection (disabled by default). Probes fire at
   /// the parse/analysis/cache/alloc stage entries of each job; an injected
@@ -134,8 +136,6 @@ struct BatchJobResult {
   /// True when the job went through the bounded degraded retry (whether or
   /// not the retry then succeeded).
   bool Retried = false;
-  /// True when the allocation deadline expired for this job.
-  bool WatchdogFired = false;
   /// True when the job's allocation came from the spill fallback.
   bool UsedSpilling = false;
   /// True when translation validation ran and proved the job's output.
@@ -210,7 +210,7 @@ struct PipelineStats {
   /// the byte-stable golden outputs of plain runs are unchanged.
   int Degraded = 0;        ///< Jobs whose allocation used the spill fallback.
   int Retried = 0;         ///< Jobs sent through the degraded retry.
-  int DeadlineExceeded = 0; ///< Jobs cancelled by the watchdog.
+  int DeadlineExceeded = 0; ///< Jobs that failed with DeadlineExceeded.
   int FaultsInjected = 0;  ///< Jobs failed by an injected fault.
   /// Translation-validation counters; like the robustness counters they
   /// stay zero (and unrendered) unless BatchOptions::Validate was on.

@@ -120,9 +120,6 @@ SpillFallbackResult npral::allocateWithSpillFallback(
 
   MetricsRegistry::global().counter("harden.spill_fallbacks").increment();
 
-  auto cancelled = [&]() {
-    return Limits.Cancel && Limits.Cancel->load(std::memory_order_relaxed);
-  };
   auto modelOf = [&](int T) {
     return static_cast<size_t>(T) < Models.size()
                ? Models[static_cast<size_t>(T)]
@@ -164,9 +161,9 @@ SpillFallbackResult npral::allocateWithSpillFallback(
   };
 
   while (true) {
-    if (cancelled()) {
+    if (Limits.expired()) {
       R.Inter = InterThreadResult();
-      R.Inter.FailReason = "allocation cancelled (deadline exceeded)";
+      R.Inter.FailReason = "deadline exceeded during allocation";
       R.Inter.FailCode = StatusCode::DeadlineExceeded;
       return R;
     }

@@ -71,8 +71,8 @@ struct SpillFallbackResult {
 /// plain allocator reports Infeasible. \p Analyses / \p Models / \p Log /
 /// \p Limits are forwarded exactly as in allocateInterThread; the log is
 /// reset before each retry so it describes the final attempt only.
-/// Cancellation (Limits.Cancel) is honoured between attempts as well as
-/// inside each one. On failure Inter.FailCode distinguishes Infeasible
+/// The deadline (Limits.Deadline) is polled before every attempt as well
+/// as inside each one. On failure Inter.FailCode distinguishes Infeasible
 /// (budget unmeetable even spilled) from DeadlineExceeded.
 SpillFallbackResult allocateWithSpillFallback(
     const MultiThreadProgram &MTP, int Nreg,

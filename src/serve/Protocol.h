@@ -89,7 +89,8 @@ struct AllocRequest {
   bool AllowSpill = false;
   int MaxSpills = 64;
   bool Validate = false;
-  /// Per-request watchdog deadline in ms; 0 = the server's default.
+  /// Per-request deadline in ms (BatchOptions::DeadlineMs); 0 = the
+  /// server's default.
   int DeadlineMs = 0;
   /// Opaque cache-partition tag (a profile content hash); 0 = none.
   uint64_t ProfileHash = 0;

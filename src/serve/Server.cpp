@@ -263,7 +263,6 @@ void Server::workerLoop() {
 void Server::processRequest(Pending &P) {
   BatchOptions BO;
   BO.Nreg = P.Req.Nreg;
-  BO.Verify = Opts.Verify;
   BO.Validate = P.Req.Validate;
   BO.KeepPhysical = true;
   BO.AllowSpill = P.Req.AllowSpill;
@@ -284,7 +283,7 @@ void Server::processRequest(Pending &P) {
   bumpServeCounter("serve.cache_misses", Stats.CacheMisses, R.CacheMisses);
   if (!R.Success) {
     bumpServeCounter("serve.failed", Stats.Failed);
-    if (R.WatchdogFired || R.FailCode == StatusCode::DeadlineExceeded)
+    if (R.FailCode == StatusCode::DeadlineExceeded)
       bumpServeCounter("serve.deadline_exceeded", Stats.DeadlineExceeded);
     if (R.FailCode == StatusCode::FaultInjected)
       bumpServeCounter("serve.faults_injected", Stats.FaultsInjected);

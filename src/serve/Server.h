@@ -16,7 +16,8 @@
 ///    error, infeasible budget, injected fault, escaping exception)
 ///    returns a classified Error response; the process never dies for an
 ///    input.
-///  * Deadlines — every request runs under the harden watchdog; the
+///  * Deadlines — a request's deadline covers its whole job, from the
+///    moment a worker picks it up (queue wait does not count); the
 ///    default deadline is configurable and each request may set its own.
 ///  * Bounded memory — one shared byte-budgeted LRU AnalysisCache across
 ///    all requests (driver/AnalysisCache.h), so a hot kernel set stays
@@ -69,7 +70,8 @@ struct ServeOptions {
   /// Cap on request payload bytes; larger frames are rejected with a
   /// structured error before any allocation happens.
   uint32_t MaxRequestBytes = protocol::DefaultMaxRequestBytes;
-  /// Watchdog deadline for requests that do not set their own; 0 = none.
+  /// Deadline (BatchOptions::DeadlineMs) for requests that do not set
+  /// their own; 0 = none.
   int DefaultDeadlineMs = 0;
   /// Byte budget of the shared LRU AnalysisCache; 0 = unbounded (not
   /// recommended for a long-running process).
@@ -80,8 +82,6 @@ struct ServeOptions {
   /// a worker hostage past this bound; the response is then dropped and
   /// counted.
   int SendTimeoutMs = 10000;
-  /// Run the safety verifier over every successful allocation.
-  bool Verify = true;
   /// Deterministic fault injection, shared by every request (the CLI
   /// wires NPRAL_FAULT_INJECT / --fault-inject through here).
   FaultInjector Faults;

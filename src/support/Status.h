@@ -46,7 +46,7 @@ enum class StatusCode {
   Infeasible,
   /// A cached artifact whose integrity check failed.
   CacheCorrupt,
-  /// A stage exceeded its deadline and was cancelled by the watchdog.
+  /// The job's deadline passed before it returned.
   DeadlineExceeded,
   /// A deterministic test fault from the FaultInjector.
   FaultInjected,

@@ -11,9 +11,11 @@
 #define NPRAL_TESTS_COMMON_TESTUTILS_H
 
 #include "asmparse/AsmParser.h"
+#include "ir/IRPrinter.h"
 #include "ir/IRVerifier.h"
 #include "ir/Program.h"
 #include "sim/Simulator.h"
+#include "workloads/Harness.h"
 
 #include "gtest/gtest.h"
 
@@ -22,6 +24,17 @@
 
 namespace npral {
 namespace test {
+
+/// The assembly text of Table-3 scenario \p Index (0 = s1), every thread
+/// printed with one blank line after it: the text a serve client sends.
+inline std::string printedAraScenario(size_t Index) {
+  const Scenario &S = getAraScenarios()[Index];
+  std::string Text;
+  for (const Program &P :
+       toMultiThreadProgram(buildScenarioWorkloads(S), S.Name).Threads)
+    Text += programToString(P) + "\n";
+  return Text;
+}
 
 /// Assemble a single-thread program; fails the test on parse errors.
 inline Program parseOrDie(const std::string &Asm) {

@@ -11,6 +11,7 @@
 #include "ir/IRPrinter.h"
 #include "workloads/ProgramGenerator.h"
 
+#include "../common/TestUtils.h"
 #include "gtest/gtest.h"
 
 #include <sstream>
@@ -233,6 +234,43 @@ TEST(BatchPipelineTest, ValidateOffKeepsStatsOutputByteStable) {
   R.Stats.renderJSON(JSON);
   EXPECT_EQ(Text.str().find("validate"), std::string::npos) << Text.str();
   EXPECT_EQ(JSON.str().find("\"validate\""), std::string::npos) << JSON.str();
+}
+
+// batch.deadline_exceeded counts jobs that failed with DeadlineExceeded,
+// and nothing else. An infeasible job whose deadline never passes stays
+// infeasible and leaves the harden block out; the Table-3 s1 program on a
+// cold cache overruns a 1 ms deadline however fast the host is (each md5
+// thread spends at least 6 ms in bounds).
+TEST(BatchPipelineTest, CountsOnlyDeadlineFailuresAsDeadlineExceeded) {
+  BatchJob Infeasible;
+  Infeasible.Path = examplePath("two_threads.s");
+  BatchOptions Tight;
+  Tight.Nreg = 4;
+  Tight.DeadlineMs = 10000;
+  BatchResult A = runBatch({Infeasible}, Tight);
+  ASSERT_EQ(A.Results.size(), 1u);
+  EXPECT_EQ(A.Results[0].FailCode, StatusCode::Infeasible);
+  EXPECT_EQ(A.Stats.DeadlineExceeded, 0);
+  std::ostringstream AJSON;
+  A.Stats.renderJSON(AJSON);
+  EXPECT_EQ(AJSON.str().find("\"harden\""), std::string::npos) << AJSON.str();
+
+  BatchJob S1;
+  S1.Name = "s1";
+  S1.Text = test::printedAraScenario(0);
+  BatchOptions Short;
+  Short.DeadlineMs = 1;
+  BatchResult B = runBatch({S1}, Short);
+  ASSERT_EQ(B.Results.size(), 1u);
+  EXPECT_EQ(B.Results[0].FailCode, StatusCode::DeadlineExceeded)
+      << B.Results[0].failureSummary();
+  EXPECT_EQ(B.Stats.DeadlineExceeded, 1);
+  std::ostringstream BJSON;
+  B.Stats.renderJSON(BJSON);
+  EXPECT_NE(BJSON.str().find("\"harden\": {\"degraded\": 0, \"retried\": 0, "
+                             "\"deadline_exceeded\": 1, \"faults_injected\": 0}"),
+            std::string::npos)
+      << BJSON.str();
 }
 
 TEST(AnalysisCacheTest, HashDistinguishesPrograms) {

@@ -3,7 +3,7 @@
 // Tests for the hardening layer: spill-based graceful degradation on
 // infeasible budgets (verifier-clean, race-free, and simulator-correct),
 // bit-identical output for feasible inputs, deterministic fault injection
-// through the batch pipeline, watchdog deadlines, cache corruption
+// through the batch pipeline, deadline polling, cache corruption
 // recovery, and the FragmentAllocator's graceful handling of inputs that
 // skipped the structural checkers.
 //
@@ -21,7 +21,6 @@
 #include "driver/BatchPipeline.h"
 #include "harden/FaultInjector.h"
 #include "harden/SpillFallback.h"
-#include "harden/Watchdog.h"
 #include "ir/IRPrinter.h"
 #include "ir/IRVerifier.h"
 #include "support/StringUtils.h"
@@ -30,12 +29,9 @@
 #include "../common/TestUtils.h"
 #include "gtest/gtest.h"
 
-#include <atomic>
-#include <chrono>
 #include <fstream>
 #include <optional>
 #include <sstream>
-#include <thread>
 
 using namespace npral;
 using namespace npral::test;
@@ -393,44 +389,21 @@ TEST(DegradedBatchTest, RetryDegradedIsBoundedAndMarked) {
 }
 
 //===----------------------------------------------------------------------===//
-// Watchdog and cooperative cancellation.
+// Deadline polling inside the allocator.
 //===----------------------------------------------------------------------===//
-
-TEST(WatchdogTest, FiresAfterDeadline) {
-  Watchdog Dog(10);
-  const std::atomic<bool> *Flag = Dog.cancelFlag();
-  for (int I = 0; I < 500 && !Flag->load(); ++I)
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_TRUE(Dog.fired());
-  Dog.disarm();
-}
-
-TEST(WatchdogTest, DisarmBeforeDeadlineNeverFires) {
-  Watchdog Dog(60000);
-  Dog.disarm();
-  EXPECT_FALSE(Dog.fired());
-  Dog.disarm(); // idempotent
-}
-
-TEST(WatchdogTest, ZeroDeadlineIsDisabled) {
-  Watchdog Dog(0);
-  EXPECT_FALSE(Dog.fired());
-  Dog.disarm();
-}
 
 TEST(WatchdogTest, CancelledAllocationFailsWithDeadlineExceeded) {
   std::optional<MultiThreadProgram> MTP = loadExample("two_threads.s");
   ASSERT_TRUE(MTP);
-  std::atomic<bool> Cancel{true};
   InterAllocLimits Limits;
-  Limits.Cancel = &Cancel;
+  Limits.Deadline = InterAllocLimits::Clock::now();
   // Nreg=5 sits below Sigma MaxPR + max SR, forcing the Fig. 8 reduction
-  // loop to run — where the flag is polled.
+  // loop to run — where the deadline is polled.
   InterThreadResult R = allocateInterThread(*MTP, 5, {}, {}, nullptr, Limits);
   ASSERT_FALSE(R.Success);
   EXPECT_EQ(R.FailCode, StatusCode::DeadlineExceeded);
 
-  // The spill fallback honours cancellation too instead of degrading.
+  // The spill fallback honours the deadline too instead of degrading.
   SpillFallbackResult SF =
       allocateWithSpillFallback(*MTP, 4, {}, {}, nullptr, Limits);
   EXPECT_FALSE(SF.Inter.Success);

@@ -16,6 +16,9 @@
 //    finite move overhead (the partitioned allocation is one of its
 //    feasible points). Any divergence dumps both allocations.
 //
+// A last, unparameterised property runs the same corpus through the job
+// path under 1 ms and 5 ms deadlines (see AllocFuzzDeadlineTest below).
+//
 // Every assertion message carries the failing seed. Each test's gtest
 // parameter IS the seed, so a failure like "AllocFuzz/AllocFuzzTest.X/137"
 // reproduces with --gtest_filter='*AllocFuzzTest*/137'.
@@ -26,11 +29,15 @@
 
 #include "alloc/AllocationVerifier.h"
 #include "baseline/ChaitinAllocator.h"
+#include "driver/BatchPipeline.h"
 #include "lint/Lint.h"
 #include "lint/TranslationValidator.h"
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <chrono>
+#include <ctime>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -327,3 +334,144 @@ TEST_P(AllocFuzzTest, BitIdenticalToPreRewriteGoldens) {
 // --gtest_filter='*AllocFuzzTest*/<seed>'.
 INSTANTIATE_TEST_SUITE_P(AllocFuzz, AllocFuzzTest,
                          ::testing::Range<uint64_t>(0, 200));
+
+namespace {
+
+/// How long past its deadline a job may take to return. A job overruns
+/// by the longest stretch of work between two deadline polls: over this
+/// corpus that unit measured at most 0.64 ms in a Release build (one
+/// thread's analysis and bounds, a verify or validate pass, or one intra
+/// allocation's direct and fragment strategies), and overruns reached
+/// 4.3 ms under ASan+UBSan with a 16 MB quarantine and 8.3 ms under TSan
+/// on an idle 4-vCPU host. The rest is room for what no poll can bound: a
+/// default 256 MB ASan quarantine stalls a job for ~25 ms when it
+/// recycles, and on an oversubscribed host overruns reached 44 ms under
+/// ASan and 64 ms under TSan.
+constexpr int64_t DeadlineSlackMs = 100;
+
+constexpr int64_t NsPerMs = 1000000;
+
+/// One corpus case as a job: the plain seeds at their own budgets and spill
+/// seeds 0..11 squeezed below their floors with the spill fallback on (the
+/// corpus the goldens and bench/alloc_tail use), validate on, physical
+/// program kept.
+struct JobCase {
+  std::string Name;
+  BatchJob Job;
+  BatchOptions Opts;
+};
+
+std::vector<JobCase> jobCorpus() {
+  std::vector<JobCase> Corpus;
+  auto add = [&Corpus](std::string Name, FuzzCase C, int Nreg, bool Spill) {
+    JobCase K;
+    K.Name = std::move(Name);
+    K.Job.Name = K.Name;
+    K.Job.Program = std::move(C.Virtual);
+    K.Opts.Nreg = Nreg;
+    K.Opts.AllowSpill = Spill;
+    K.Opts.MaxSpills = 256;
+    K.Opts.Validate = true;
+    K.Opts.KeepPhysical = true;
+    Corpus.push_back(std::move(K));
+  };
+  for (uint64_t Seed = 0; Seed < 200; ++Seed) {
+    FuzzCase C = makeCase(Seed);
+    const int Nreg = C.Nreg;
+    add("plain seed " + std::to_string(Seed), std::move(C), Nreg, false);
+  }
+  for (uint64_t Seed = 0; Seed < 12; ++Seed) {
+    FuzzCase C = makeCase(Seed, /*SmallPrograms=*/true);
+    if (const int Tight = fuzzcase::squeezedBudget(C, Seed))
+      add("spill seed " + std::to_string(Seed), std::move(C), Tight, true);
+  }
+  return Corpus;
+}
+
+/// CPU time of the calling thread so far, in nanoseconds.
+int64_t threadCpuNs() {
+  timespec TS;
+  clock_gettime(CLOCK_THREAD_CPUTIME_ID, &TS);
+  return static_cast<int64_t>(TS.tv_sec) * 1000 * NsPerMs + TS.tv_nsec;
+}
+
+/// Wall and CPU time of one job, in nanoseconds.
+struct JobTime {
+  int64_t WallNs = 0;
+  int64_t CpuNs = 0;
+};
+
+/// Run \p K under a \p DeadlineMs deadline (0 = none) into \p R, timed
+/// around the call.
+JobTime timeJob(const JobCase &K, int DeadlineMs, BatchJobResult &R) {
+  BatchOptions Opts = K.Opts;
+  Opts.DeadlineMs = DeadlineMs;
+  const int64_t Cpu0 = threadCpuNs();
+  const auto T0 = std::chrono::steady_clock::now();
+  R = runSingleJob(K.Job, Opts);
+  JobTime T;
+  T.WallNs = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                 std::chrono::steady_clock::now() - T0)
+                 .count();
+  T.CpuNs = threadCpuNs() - Cpu0;
+  return T;
+}
+
+} // namespace
+
+// The deadline contract through the job path: a job fails with
+// DeadlineExceeded only once its deadline has passed, a case that needs
+// well over the deadline always fails so, a job that returns in time keeps
+// its verdict and its allocation, and no job returns later than
+// DeadlineSlackMs past its deadline. Plain seed 184 spends ~20 ms in one
+// long greedy split, polled at every iteration, so it fails at both
+// deadlines.
+TEST(AllocFuzzDeadlineTest, DeadlineBoundsEveryJob) {
+  const std::vector<JobCase> Corpus = jobCorpus();
+  ASSERT_EQ(Corpus.size(), 212u);
+
+  // Each case's verdict, and the fastest of three passes over the corpus
+  // without a deadline. Speed is thread CPU time, which a loaded runner's
+  // preemption cannot inflate the way it inflates wall time. A case under
+  // 2·1 + 1 ms, the lower threshold below, is not run again.
+  std::vector<BatchJobResult> Verdict(Corpus.size());
+  std::vector<int64_t> FastestNs(Corpus.size());
+  for (size_t I = 0; I < Corpus.size(); ++I)
+    FastestNs[I] = timeJob(Corpus[I], 0, Verdict[I]).CpuNs;
+  for (int Pass = 1; Pass < 3; ++Pass)
+    for (size_t I = 0; I < Corpus.size(); ++I)
+      if (FastestNs[I] >= 3 * NsPerMs) {
+        BatchJobResult R;
+        FastestNs[I] = std::min(FastestNs[I], timeJob(Corpus[I], 0, R).CpuNs);
+      }
+
+  for (const int64_t D : {1, 5}) {
+    for (size_t I = 0; I < Corpus.size(); ++I) {
+      const JobCase &K = Corpus[I];
+      BatchJobResult R;
+      const int64_t WallNs = timeJob(K, static_cast<int>(D), R).WallNs;
+      const bool Exceeded = R.FailCode == StatusCode::DeadlineExceeded;
+      const std::string Where = K.Name + " at " + std::to_string(D) +
+                                " ms: " + std::to_string(WallNs) + " ns, " +
+                                (R.Success ? "ok" : R.failureSummary());
+      if (Exceeded) {
+        EXPECT_GE(WallNs, D * NsPerMs) << Where;
+      } else {
+        EXPECT_EQ(R.Success, Verdict[I].Success) << Where;
+        EXPECT_EQ(R.failureSummary(), Verdict[I].failureSummary()) << Where;
+        EXPECT_EQ(fuzzcase::printPhysicalThreads(R.Physical),
+                  fuzzcase::printPhysicalThreads(Verdict[I].Physical))
+            << Where;
+      }
+      if (FastestNs[I] >= (2 * D + 1) * NsPerMs) {
+        EXPECT_TRUE(Exceeded)
+            << Where << "; fastest without a deadline " << FastestNs[I]
+            << " ns of CPU";
+      }
+      EXPECT_LE(WallNs, (D + DeadlineSlackMs) * NsPerMs) << Where;
+      if (K.Name == "plain seed 184") {
+        EXPECT_TRUE(Exceeded) << Where;
+      }
+    }
+  }
+}

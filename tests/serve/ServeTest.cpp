@@ -16,6 +16,7 @@
 #include "serve/Server.h"
 #include "trace/MetricsRegistry.h"
 
+#include "../common/TestUtils.h"
 #include "gtest/gtest.h"
 
 #include <atomic>
@@ -463,6 +464,55 @@ TEST(ServeTest, InfeasibleBudgetReturnsClassifiedErrorAndSpillDegrades) {
     EXPECT_GE(D->SpilledRanges + (D->Degraded ? 1 : 0), 0);
 
   EXPECT_GT(S->stats().Failed.load(), 0);
+  S->requestShutdown();
+  EXPECT_EQ(S->wait(), 0);
+}
+
+// serve.deadline_exceeded counts requests that failed with
+// DeadlineExceeded, and nothing else: an infeasible request whose deadline
+// never passes is an infeasible answer, not a deadline one.
+TEST(ServeTest, InfeasibleRequestWithDeadlineIsNotCountedAsExceeded) {
+  auto S = startServer(ServeOptions{});
+  ServeClient C = connectOrDie(*S);
+  const int64_t Before =
+      MetricsRegistry::global().counterValue("serve.deadline_exceeded");
+
+  AllocRequest Req;
+  Req.Assembly = readFileOrDie(examplePath("two_threads.s"));
+  Req.Nreg = 4;
+  Req.DeadlineMs = 10000;
+  ErrorOr<ServeResponse> R = C.alloc(Req);
+  ASSERT_TRUE(R.ok()) << R.status().str();
+  ASSERT_FALSE(R->Ok);
+  EXPECT_EQ(R->Code, "infeasible");
+  EXPECT_EQ(S->stats().DeadlineExceeded.load(), 0);
+  EXPECT_EQ(MetricsRegistry::global().counterValue("serve.deadline_exceeded"),
+            Before);
+
+  S->requestShutdown();
+  EXPECT_EQ(S->wait(), 0);
+}
+
+// The deadline covers the whole job, not just allocation. On a cold cache
+// each md5 thread of the Table-3 s1 program spends at least 6 ms in
+// bounds, so a 1 ms request overruns however fast the host is.
+TEST(ServeTest, OverrunRequestAnswersDeadlineExceededAndCountsOnce) {
+  auto S = startServer(ServeOptions{});
+  ServeClient C = connectOrDie(*S);
+  const int64_t Before =
+      MetricsRegistry::global().counterValue("serve.deadline_exceeded");
+
+  AllocRequest Req;
+  Req.Assembly = test::printedAraScenario(0);
+  Req.DeadlineMs = 1;
+  ErrorOr<ServeResponse> R = C.alloc(Req);
+  ASSERT_TRUE(R.ok()) << R.status().str();
+  ASSERT_FALSE(R->Ok);
+  EXPECT_EQ(R->Code, "deadline-exceeded") << R->Stage << ": " << R->Message;
+  EXPECT_EQ(S->stats().DeadlineExceeded.load(), 1);
+  EXPECT_EQ(MetricsRegistry::global().counterValue("serve.deadline_exceeded"),
+            Before + 1);
+
   S->requestShutdown();
   EXPECT_EQ(S->wait(), 0);
 }

@@ -239,8 +239,8 @@ int usage() {
          "        --retry-degraded  retry an infeasible job once in\n"
          "                      degraded (spill-permitted) mode; the first\n"
          "                      attempt stays strict\n"
-         "        --deadline-ms D  per-job allocation deadline; an expired\n"
-         "                      deadline fails only that job\n"
+         "        --deadline-ms D  per-job deadline over all stages; an\n"
+         "                      overrun fails only that job\n"
          "        --fault-inject <sites>@<rate>#<seed>\n"
          "                      deterministic fault injection at the named\n"
          "                      stage probes (parse,analysis,cache,alloc or\n"
@@ -261,7 +261,7 @@ int usage() {
          "           [--retry-after-ms M] [--fault-inject spec]\n"
          "      allocation-as-a-service daemon on a Unix socket\n"
          "      (docs/serve.md): bounded admission queue with load\n"
-         "      shedding, per-request watchdog deadlines and fault\n"
+         "      shedding, per-request deadlines and fault\n"
          "      isolation, a shared LRU-bounded analysis cache, and\n"
          "      graceful drain on SIGTERM/SIGINT (in-flight requests\n"
          "      finish, queued ones answer 'cancelled', exit 0)\n"
