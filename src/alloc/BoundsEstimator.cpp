@@ -59,8 +59,15 @@ RegBounds npral::estimateRegBounds(const ThreadAnalysis &TA) {
   };
   refreshBands();
 
+  // The scan resumes at the row (lower endpoint) of the conflict it last
+  // returned and still finds the lowest (A, B) pair: rows below it held no
+  // conflict, and resolving one creates none except at the PR growth below.
+  // Recoloring, directly or via a neighbor, only gives a node a color none
+  // of its neighbors holds, and growing R hands out R - 1, which no node
+  // holds.
+  int ScanFrom = 0;
   auto findConflictEdge = [&](int &OutA, int &OutB) -> bool {
-    for (int A = 0; A < N; ++A) {
+    for (int A = ScanFrom; A < N; ++A) {
       int CA = Colors[static_cast<size_t>(A)];
       if (CA == NoColor)
         continue;
@@ -70,6 +77,7 @@ RegBounds npral::estimateRegBounds(const ThreadAnalysis &TA) {
         if (B > A && Colors[static_cast<size_t>(B)] == CA) {
           OutA = A;
           OutB = B;
+          ScanFrom = A;
           return true;
         }
       }
@@ -119,6 +127,13 @@ RegBounds npral::estimateRegBounds(const ThreadAnalysis &TA) {
       ++PR;
       R = std::max(R, PR);
       Colors[static_cast<size_t>(First)] = PR - 1;
+      // PR - 1 may already sit on an internal neighbor of First: resume at
+      // the lowest row holding such a conflict (First itself is >= ScanFrom).
+      for (int Nb : GIG.neighbors(First))
+        if (Colors[static_cast<size_t>(Nb)] == PR - 1) {
+          ScanFrom = std::min(ScanFrom, Nb);
+          break;
+        }
     }
     refreshBands();
   }

@@ -297,6 +297,10 @@ GridRunResult EngineGrid::run() {
       Result.MaxEngineCycles = R.TotalCycles;
   }
 
+  int64_t MemPages = 0;
+  for (const std::unique_ptr<MicroEngine> &ME : Engines)
+    MemPages += ME->sim().memoryPages();
+  MR.counter("grid.mem_pages").add(MemPages);
   MR.counter("grid.runs").add(1);
   MR.counter("grid.messages_sent").add(Result.MessagesSent);
   MR.counter("grid.messages_delivered").add(Result.MessagesDelivered);

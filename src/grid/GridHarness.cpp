@@ -112,6 +112,7 @@ GridReport npral::runKernelPoolGrid(const std::string &Name,
       if (In.Traits[T].Name == Kernel)
         TraitIdx = static_cast<int>(T);
     if (TraitIdx < 0) {
+      NPRAL_TRACE_SPAN_ARGS("grid", "traits", {"kernel", Kernel});
       In.Traits.push_back(computeKernelTraits(Kernel, &Cache));
       TraitIdx = static_cast<int>(In.Traits.size()) - 1;
     }
@@ -169,6 +170,7 @@ GridReport npral::runKernelPoolGrid(const std::string &Name,
     ER.SpilledRanges = Bin.Job.SpilledRanges;
     Report.Engines.push_back(std::move(ER));
 
+    NPRAL_TRACE_SPAN_ARGS("grid", "setup", {"engine", std::to_string(E)});
     MultiThreadProgram Physical = Bin.Job.Physical;
     Physical.Name = EngineName;
     MicroEngine &ME = Grid.addEngine(std::move(Physical), Opts.Sim);

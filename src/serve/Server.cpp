@@ -97,6 +97,14 @@ void Server::installSignalHandlers() {
 void Server::requestShutdown() {
   if (ShutdownRequested.exchange(true))
     return;
+  // Start the drain before returning, so a request still queued now is
+  // answered Cancelled. The signal handler cannot take the lock; on that
+  // path the accept loop sets Draining once woken.
+  {
+    std::lock_guard<std::mutex> Lock(QueueMutex);
+    Draining = true;
+  }
+  QueueCV.notify_all();
   Wake.poke();
 }
 
@@ -106,8 +114,8 @@ int Server::wait() {
     return AcceptFailed.load() ? 1 : 0;
   if (AcceptThread.joinable())
     AcceptThread.join();
-  // The accept loop has set Draining; the pool workers answer what is left
-  // in the queue with Cancelled, finish in-flight requests, and return.
+  // Draining is set; the pool workers answer what is left in the queue
+  // with Cancelled, finish in-flight requests, and return.
   // The pool destructor then joins its threads.
   Pool.reset();
   sweepConnections(/*Force=*/true);
@@ -151,8 +159,9 @@ void Server::acceptLoop() {
     std::lock_guard<std::mutex> Lock(ConnMutex);
     Conns.push_back(Conn);
   }
-  // Refuse new connections (and unlink the socket path) before draining,
-  // so a restarting supervisor can bind the path while we finish.
+  // Refuse new connections (and unlink the socket path) before finishing
+  // the drain, so a restarting supervisor can bind the path while we
+  // finish. requestShutdown() has already set Draining; a signal has not.
   Listener.close();
   {
     std::lock_guard<std::mutex> Lock(QueueMutex);

@@ -130,8 +130,9 @@ public:
   void installSignalHandlers();
 
   /// Trigger the graceful drain: stop accepting, finish in-flight
-  /// requests, answer queued ones with Cancelled. Thread-safe and
-  /// idempotent; returns immediately (join through wait()).
+  /// requests, answer queued ones with Cancelled. The drain has started
+  /// when it returns: a request still queued then is cancelled, not run.
+  /// Thread-safe and idempotent; returns immediately (join through wait()).
   void requestShutdown();
 
   /// Block until the server has fully drained and every thread is joined.

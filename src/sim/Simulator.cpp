@@ -15,7 +15,8 @@ using namespace npral;
 
 Simulator::Simulator(const MultiThreadProgram &MTP, SimConfig Config)
     : MTP(MTP), Config(Config) {
-  Memory.assign(Config.MemWords, 0);
+  MemPages.resize((static_cast<size_t>(Config.MemWords) + MemPageWords - 1) /
+                  MemPageWords);
   Channels.assign(static_cast<size_t>(Config.NumChannels), 0);
   const int Nthd = MTP.getNumThreads();
   Stats.assign(static_cast<size_t>(Nthd), ThreadStats());
@@ -57,27 +58,41 @@ void Simulator::setEntryValues(int T, const std::vector<uint32_t> &Values) {
 }
 
 void Simulator::writeMemory(uint32_t Base, const std::vector<uint32_t> &Words) {
-  assert(static_cast<size_t>(Base) + Words.size() <= Memory.size() &&
+  assert(static_cast<size_t>(Base) + Words.size() <= Config.MemWords &&
          "memory initialisation out of range");
-  std::copy(Words.begin(), Words.end(), Memory.begin() + Base);
+  for (size_t I = 0; I < Words.size(); ++I)
+    storeWord(Base + static_cast<uint32_t>(I)) = Words[I];
 }
 
 uint32_t Simulator::readMemoryWord(uint32_t Address) const {
-  assert(Address < Memory.size() && "memory read out of range");
-  return Memory[Address];
+  assert(Address < Config.MemWords && "memory read out of range");
+  return loadWord(Address);
 }
 
 uint64_t Simulator::hashMemoryRange(uint32_t Base, uint32_t Len) const {
-  assert(static_cast<size_t>(Base) + Len <= Memory.size() && "range oob");
+  assert(static_cast<size_t>(Base) + Len <= Config.MemWords && "range oob");
   uint64_t Hash = 1469598103934665603ULL;
   for (uint32_t I = 0; I < Len; ++I) {
-    uint32_t W = Memory[Base + I];
+    uint32_t W = loadWord(Base + I);
     for (int Byte = 0; Byte < 4; ++Byte) {
       Hash ^= (W >> (8 * Byte)) & 0xFF;
       Hash *= 1099511628211ULL;
     }
   }
   return Hash;
+}
+
+int Simulator::memoryPages() const {
+  return static_cast<int>(std::count_if(
+      MemPages.begin(), MemPages.end(),
+      [](const std::unique_ptr<uint32_t[]> &Page) { return Page != nullptr; }));
+}
+
+uint32_t &Simulator::storeWord(uint32_t Address) {
+  std::unique_ptr<uint32_t[]> &Page = MemPages[Address / MemPageWords];
+  if (!Page)
+    Page = std::make_unique<uint32_t[]>(MemPageWords);
+  return Page[Address % MemPageWords];
 }
 
 bool Simulator::step(int T, int64_t &Clock, std::string &Error) {
@@ -206,11 +221,11 @@ bool Simulator::step(int T, int64_t &Clock, std::string &Error) {
               ? static_cast<uint64_t>(u32(I.Use1)) +
                     static_cast<uint64_t>(static_cast<int64_t>(I.Imm))
               : static_cast<uint64_t>(I.Imm);
-      if (Address >= Memory.size())
+      if (Address >= Config.MemWords)
         return oob(Address);
       TS.HasPendingWrite = true;
       TS.PendingReg = I.Def;
-      TS.PendingValue = Memory[static_cast<size_t>(Address)];
+      TS.PendingValue = loadWord(static_cast<uint32_t>(Address));
       ++Clock;
       ++TSt.MemOps;
       if (I.Op == Opcode::LoadA)
@@ -226,10 +241,10 @@ bool Simulator::step(int T, int64_t &Clock, std::string &Error) {
               ? static_cast<uint64_t>(u32(I.Use1)) +
                     static_cast<uint64_t>(static_cast<int64_t>(I.Imm))
               : static_cast<uint64_t>(I.Imm);
-      if (Address >= Memory.size())
+      if (Address >= Config.MemWords)
         return oob(Address);
       Reg Value = I.Op == Opcode::Store ? I.Use2 : I.Use1;
-      Memory[static_cast<size_t>(Address)] = u32(Value);
+      storeWord(static_cast<uint32_t>(Address)) = u32(Value);
       ++Clock;
       ++TSt.MemOps;
       if (I.Op == Opcode::StoreA)

@@ -30,6 +30,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -44,7 +45,8 @@ struct SimConfig {
   int MemLatency = 20;
   /// Extra cycles charged when the CPU switches to a different thread.
   int CtxSwitchPenalty = 1;
-  /// Size of the word-addressed memory.
+  /// Size of the word-addressed memory. Only the pages a run stores to are
+  /// allocated (Simulator::MemPageWords); the rest read as zero.
   uint32_t MemWords = 1u << 20;
   /// Abort the run after this many cycles.
   int64_t MaxCycles = 200'000'000;
@@ -263,9 +265,15 @@ public:
   /// returned false.
   SimResult takeResult();
 
+  /// Words per memory page: the unit in which engine memory is allocated.
+  static constexpr uint32_t MemPageWords = 1024;
+
   uint32_t readMemoryWord(uint32_t Address) const;
   /// FNV-1a hash of [Base, Base+Len) — used for output equivalence checks.
   uint64_t hashMemoryRange(uint32_t Base, uint32_t Len) const;
+  /// Memory pages allocated so far: those holding a stored or
+  /// writeMemory() word. Reads never allocate.
+  int memoryPages() const;
 
 private:
   struct ThreadState {
@@ -291,7 +299,10 @@ private:
 
   const MultiThreadProgram &MTP;
   SimConfig Config;
-  std::vector<uint32_t> Memory;
+  /// Memory as a directory of MemPageWords-word pages, one entry per page
+  /// of [0, MemWords). A page is allocated, zeroed, on its first store; a
+  /// null entry reads as zero.
+  std::vector<std::unique_ptr<uint32_t[]>> MemPages;
   std::vector<uint32_t> SharedRegs;
   std::vector<std::vector<uint32_t>> PrivateRegs;
   std::vector<ThreadState> Threads;
@@ -311,6 +322,14 @@ private:
   int RunLastThread = -1;
   bool Active = false;
   bool Ended = false;
+
+  /// The word at \p Address (< MemWords); zero on an absent page.
+  uint32_t loadWord(uint32_t Address) const {
+    const std::unique_ptr<uint32_t[]> &Page = MemPages[Address / MemPageWords];
+    return Page ? Page[Address % MemPageWords] : 0;
+  }
+  /// The word at \p Address (< MemWords), allocating its page if absent.
+  uint32_t &storeWord(uint32_t Address);
 
   /// Run thread \p T from \p Clock until it yields/halts; returns false on
   /// a simulation error (\p Error set).

@@ -5,8 +5,8 @@
 // crossing sets, Fig. 7 bounds, renamed programs — must be *equal*, not
 // just equivalent, between the frozen pre-rewrite reference implementation
 // (ReferenceAnalysis.cpp) and the production stack. Runs over every fixture
-// in examples/asm plus a few thousand generated programs spanning one-word
-// and multi-word register files.
+// in examples/asm, the 11 paper kernels, and a few thousand generated
+// programs spanning one-word and multi-word register files.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +21,7 @@
 #include "ir/IRPrinter.h"
 #include "ir/IRVerifier.h"
 #include "workloads/ProgramGenerator.h"
+#include "workloads/Workload.h"
 
 #include "gtest/gtest.h"
 
@@ -189,5 +190,17 @@ TEST(AnalysisDifferentialTest, GeneratedPrograms) {
         generateRandomProgram(0xD1FFu * static_cast<uint64_t>(Seed) + 17u,
                               Config);
     expectSamePipeline(P, "seed " + std::to_string(Seed));
+  }
+}
+
+TEST(AnalysisDifferentialTest, PaperKernels) {
+  // The Table 1 kernels, md5's 487-node Fig. 7 merge the largest of them:
+  // the production merge resumes its conflict scan where the reference
+  // rescans from node 0 after every resolved conflict.
+  for (const std::string &Name : getWorkloadNames()) {
+    ErrorOr<Workload> W = buildWorkload(Name, /*Slot=*/0);
+    ASSERT_TRUE(W.ok()) << Name << ": " << W.status().message();
+    ASSERT_TRUE(verifyProgram(W->Code).ok()) << Name;
+    expectSamePipeline(W->Code, "kernel " + Name);
   }
 }

@@ -240,7 +240,7 @@ TEST(BatchPipelineTest, ValidateOffKeepsStatsOutputByteStable) {
 // and nothing else. An infeasible job whose deadline never passes stays
 // infeasible and leaves the harden block out; the Table-3 s1 program on a
 // cold cache overruns a 1 ms deadline however fast the host is (each md5
-// thread spends at least 6 ms in bounds).
+// thread needs ~3 ms of rename, analysis and bounds).
 TEST(BatchPipelineTest, CountsOnlyDeadlineFailuresAsDeadlineExceeded) {
   BatchJob Infeasible;
   Infeasible.Path = examplePath("two_threads.s");

@@ -494,8 +494,8 @@ TEST(ServeTest, InfeasibleRequestWithDeadlineIsNotCountedAsExceeded) {
 }
 
 // The deadline covers the whole job, not just allocation. On a cold cache
-// each md5 thread of the Table-3 s1 program spends at least 6 ms in
-// bounds, so a 1 ms request overruns however fast the host is.
+// each md5 thread of the Table-3 s1 program needs ~3 ms of rename,
+// analysis and bounds, so a 1 ms request overruns however fast the host is.
 TEST(ServeTest, OverrunRequestAnswersDeadlineExceededAndCountsOnce) {
   auto S = startServer(ServeOptions{});
   ServeClient C = connectOrDie(*S);

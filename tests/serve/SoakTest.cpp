@@ -197,8 +197,9 @@ void runSoak(const SoakMix &Mix, SoakOutcome &Out) {
   Bad.Assembly = "this is not npral assembly\n";
   const Probe Malformed = probeFor(Bad);
   // The scenario's answer comes from in-process, so the server's cache
-  // stays cold for it: the first s1 request a worker takes spends at
-  // least 6 ms in bounds and must overrun a 1 ms deadline.
+  // stays cold for it: the first s1 request a worker takes spends ~3 ms
+  // per md5 thread in rename, analysis and bounds and must overrun a 1 ms
+  // deadline.
   Probe Scenario;
   if (Mix.WithScenario) {
     AllocRequest Req;

@@ -3,7 +3,12 @@
 #include "sim/Simulator.h"
 
 #include "../common/TestUtils.h"
+#include "workloads/Harness.h"
 #include "gtest/gtest.h"
+
+#include <algorithm>
+#include <cstdio>
+#include <utility>
 
 using namespace npral;
 using namespace npral::test;
@@ -558,4 +563,207 @@ loop:
   EXPECT_GT(R.Threads[0].HaltedCycles, 0)
       << "thread a halted first and must be billed halted cycles";
   EXPECT_GT(R.Threads[1].RunCycles, R.Threads[0].RunCycles);
+}
+
+//===--- Memory contract: sparse pages behave like one dense array -------===//
+
+namespace {
+
+/// FNV-1a over \p Words, the hash hashMemoryRange computes over memory.
+uint64_t denseHash(const std::vector<uint32_t> &Words, size_t Begin,
+                   size_t Len) {
+  uint64_t Hash = 1469598103934665603ULL;
+  for (size_t I = Begin; I < Begin + Len; ++I)
+    for (int Byte = 0; Byte < 4; ++Byte) {
+      Hash ^= (Words[I] >> (8 * Byte)) & 0xFF;
+      Hash *= 1099511628211ULL;
+    }
+  return Hash;
+}
+
+/// Stores 0x1234 at entry register `a`, loads it back and stores it plus
+/// one at the same address.
+const char *const RoundTripAsm = R"(
+.thread rt
+.entrylive a
+main:
+    imm  v, 0x1234
+    store [a+0], v
+    load w, [a+0]
+    addi w, w, 1
+    store [a+0], w
+    halt
+)";
+
+/// Loads from entry register `a`.
+const char *const LoadAsm = R"(
+.thread ld
+.entrylive a
+main:
+    load w, [a+0]
+    halt
+)";
+
+/// Stores to entry register `a`.
+const char *const StoreAsm = R"(
+.thread st
+.entrylive a
+main:
+    imm  v, 1
+    store [a+0], v
+    halt
+)";
+
+/// A run's result, its memory's last word and the pages it allocated.
+struct AddressRun {
+  SimResult Result;
+  uint32_t LastWord = 0;
+  int Pages = 0;
+};
+
+/// Runs \p Asm with entry register `a` = \p Address on a memory of
+/// \p MemWords words.
+AddressRun runAt(const char *Asm, uint32_t MemWords, uint32_t Address) {
+  MultiThreadProgram MTP = singleThread(parseOrDie(Asm));
+  SimConfig Config;
+  Config.MemWords = MemWords;
+  Simulator Sim(MTP, Config);
+  Sim.setEntryValues(0, {Address});
+  AddressRun Run;
+  Run.Result = Sim.run();
+  if (Run.Result.Completed)
+    Run.LastWord = Sim.readMemoryWord(MemWords - 1);
+  Run.Pages = Sim.memoryPages();
+  return Run;
+}
+
+/// The exact out-of-range failure for an access at \p Address.
+std::string oobReason(uint32_t Address) {
+  char Buf[64];
+  std::snprintf(Buf, sizeof(Buf),
+                "thread 0: memory access out of range (0x%x)", Address);
+  return Buf;
+}
+
+} // namespace
+
+TEST(SimulatorMemoryTest, UntouchedMemoryReadsZeroWithoutAllocating) {
+  Program P = parseOrDie(R"(
+.thread reader
+main:
+    imm  a, 0x4000
+    imm  b, 7
+    load b, [a+0]
+    addi c, b, 5
+    imm  o, 0x9000
+    store [o+0], c
+    halt
+)");
+  MultiThreadProgram MTP = singleThread(P);
+  Simulator Sim(MTP, SimConfig());
+  EXPECT_EQ(Sim.memoryPages(), 0) << "construction allocates no page";
+  EXPECT_EQ(Sim.readMemoryWord(0x4000), 0u);
+  EXPECT_EQ(Sim.readMemoryWord(SimConfig().MemWords - 1), 0u);
+  EXPECT_EQ(Sim.hashMemoryRange(0x3F00, 0x300),
+            denseHash(std::vector<uint32_t>(0x300, 0), 0, 0x300));
+  EXPECT_EQ(Sim.memoryPages(), 0) << "reads and hashes allocate nothing";
+
+  SimResult R = Sim.run();
+  ASSERT_TRUE(R.Completed) << R.FailReason;
+  // The load read 0 (b was 7 before it), and only the store's page exists.
+  EXPECT_EQ(Sim.readMemoryWord(0x9000), 5u);
+  EXPECT_EQ(Sim.memoryPages(), 1);
+}
+
+TEST(SimulatorMemoryTest, LastWordRoundTripsAndTheBoundFails) {
+  const uint32_t Words = SimConfig().MemWords;
+  AddressRun Last = runAt(RoundTripAsm, Words, Words - 1);
+  ASSERT_TRUE(Last.Result.Completed) << Last.Result.FailReason;
+  EXPECT_EQ(Last.LastWord, 0x1235u);
+  EXPECT_EQ(Last.Pages, 1);
+
+  for (const char *Asm : {LoadAsm, StoreAsm}) {
+    AddressRun Out = runAt(Asm, Words, Words);
+    EXPECT_FALSE(Out.Result.Completed);
+    EXPECT_EQ(Out.Result.FailReason, oobReason(Words));
+    EXPECT_EQ(Out.Pages, 0);
+  }
+}
+
+TEST(SimulatorMemoryTest, BoundHoldsExactlyForPartialLastPage) {
+  // 1500 words: the second page is only partly inside memory, and the
+  // words past 1500 stay out of range although the page could hold them.
+  constexpr uint32_t Words = 1500;
+  static_assert(Words % Simulator::MemPageWords != 0, "not a page multiple");
+  AddressRun Last = runAt(RoundTripAsm, Words, Words - 1);
+  ASSERT_TRUE(Last.Result.Completed) << Last.Result.FailReason;
+  EXPECT_EQ(Last.LastWord, 0x1235u);
+  EXPECT_EQ(Last.Pages, 1);
+
+  for (const char *Asm : {LoadAsm, StoreAsm})
+    for (uint32_t Address : {Words, 2 * Simulator::MemPageWords - 1}) {
+      AddressRun Out = runAt(Asm, Words, Address);
+      EXPECT_FALSE(Out.Result.Completed) << Address;
+      EXPECT_EQ(Out.Result.FailReason, oobReason(Address));
+      EXPECT_EQ(Out.Pages, 0);
+    }
+}
+
+TEST(SimulatorMemoryTest, WritesAndHashesMatchDenseReference) {
+  // Pages 4..8 of memory, mirrored by a dense vector: page 5 and 6 get one
+  // write across their boundary, page 8 one word; pages 4 and 7 stay
+  // absent.
+  constexpr uint32_t PW = Simulator::MemPageWords;
+  const uint32_t Base = 4 * PW;
+  std::vector<uint32_t> Dense(5 * PW, 0);
+  MultiThreadProgram MTP = singleThread(makeTinyProgram());
+  Simulator Sim(MTP, SimConfig());
+  auto write = [&](uint32_t Address, const std::vector<uint32_t> &Words) {
+    Sim.writeMemory(Address, Words);
+    std::copy(Words.begin(), Words.end(), Dense.begin() + (Address - Base));
+  };
+  write(6 * PW - 3, {1, 2, 3, 4, 5, 6});
+  write(8 * PW + 10, {0xDEADBEEF});
+  write(5 * PW, {0}); // a zero word still allocates its page (page 5)
+  EXPECT_EQ(Sim.memoryPages(), 3);
+
+  for (uint32_t I = 0; I < Dense.size(); ++I)
+    ASSERT_EQ(Sim.readMemoryWord(Base + I), Dense[I]) << "word " << Base + I;
+  const std::pair<uint32_t, uint32_t> Ranges[] = {
+      {Base, 5 * PW},             // all five pages
+      {6 * PW - 5, PW + 20},      // present -> present
+      {7 * PW - 2, PW + 50},      // present -> absent -> present
+      {4 * PW + 7, PW},           // absent -> present
+      {7 * PW + 1, 3},            // inside an absent page
+      {8 * PW + 10, 1}};          // one present word
+  for (auto [Begin, Len] : Ranges)
+    EXPECT_EQ(Sim.hashMemoryRange(Begin, Len),
+              denseHash(Dense, Begin - Base, Len))
+        << "range [" << Begin << ", " << Begin + Len << ")";
+  EXPECT_EQ(Sim.memoryPages(), 3) << "reads and hashes allocate nothing";
+}
+
+TEST(SimulatorMemoryTest, AraBinTouchesTwelvePages) {
+  // The s1 engine bin of a grid with bounds placement: md5 in slots 0-1,
+  // fir2dim in slots 2-3, each slot with its own 64K-word window.
+  std::vector<Workload> Workloads;
+  for (const char *Kernel : {"md5", "md5", "fir2dim", "fir2dim"}) {
+    ErrorOr<Workload> W =
+        buildWorkload(Kernel, static_cast<int>(Workloads.size()));
+    ASSERT_TRUE(W.ok()) << W.status().str();
+    Workloads.push_back(W.take());
+  }
+  MultiThreadProgram MTP = toMultiThreadProgram(Workloads, "s1_bin");
+  SimConfig Config;
+  Config.TargetIterations = 50;
+  Simulator Sim(MTP, Config);
+  for (size_t T = 0; T < Workloads.size(); ++T) {
+    for (const Workload::MemRegion &Region : Workloads[T].InitMemory)
+      Sim.writeMemory(Region.Base, Region.Words);
+    Sim.setEntryValues(static_cast<int>(T), Workloads[T].EntryValues);
+  }
+  SimResult R = Sim.run();
+  ASSERT_TRUE(R.Completed) << R.FailReason;
+  EXPECT_EQ(Sim.memoryPages(), 12) << "of " << Config.MemWords /
+                                                  Simulator::MemPageWords;
 }
