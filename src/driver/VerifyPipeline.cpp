@@ -187,21 +187,8 @@ void VerifyResult::renderJSON(std::ostream &OS) const {
     OS << ", \"degraded\": " << (F.UsedSpilling ? "true" : "false");
     OS << ", \"diagnostics\": [";
     for (size_t J = 0; J < F.Diags.size(); ++J) {
-      const Diagnostic &D = F.Diags[J];
-      OS << (J ? ", {" : "{");
-      OS << "\"severity\": ";
-      writeJSONString(OS, getSeverityName(D.Sev));
-      OS << ", \"check\": ";
-      writeJSONString(OS, D.Check);
-      OS << ", \"thread\": ";
-      writeJSONString(OS, D.Thread);
-      OS << ", \"block\": " << D.Block;
-      OS << ", \"instr\": " << D.Instr;
-      OS << ", \"message\": ";
-      writeJSONString(OS, D.Message);
-      OS << ", \"witness\": ";
-      writeJSONString(OS, D.Witness);
-      OS << "}";
+      OS << (J ? ", " : "");
+      writeDiagnosticJSON(OS, F.Diags[J]);
     }
     OS << "]}";
   }

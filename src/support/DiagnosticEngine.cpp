@@ -2,10 +2,11 @@
 
 #include "support/DiagnosticEngine.h"
 
+#include "support/JSONReader.h"
 #include "support/StringUtils.h"
 
 #include <algorithm>
-#include <cctype>
+#include <limits>
 
 using namespace npral;
 
@@ -112,26 +113,29 @@ void DiagnosticEngine::renderText(std::ostream &OS) const {
 
 // JSON rendering ------------------------------------------------------------
 
+void npral::writeDiagnosticJSON(std::ostream &OS, const Diagnostic &D) {
+  OS << "{\"severity\": ";
+  writeJSONString(OS, getSeverityName(D.Sev));
+  OS << ", \"check\": ";
+  writeJSONString(OS, D.Check);
+  OS << ", \"thread\": ";
+  writeJSONString(OS, D.Thread);
+  OS << ", \"block\": " << D.Block;
+  OS << ", \"instr\": " << D.Instr;
+  OS << ", \"line\": " << D.Loc.Line;
+  OS << ", \"column\": " << D.Loc.Column;
+  OS << ", \"message\": ";
+  writeJSONString(OS, D.Message);
+  OS << ", \"witness\": ";
+  writeJSONString(OS, D.Witness);
+  OS << "}";
+}
+
 void DiagnosticEngine::renderJSON(std::ostream &OS) const {
   OS << "{\n  \"diagnostics\": [";
   for (size_t I = 0; I < Diags.size(); ++I) {
-    const Diagnostic &D = Diags[I];
-    OS << (I ? ",\n    {" : "\n    {");
-    OS << "\"severity\": ";
-    writeJSONString(OS, getSeverityName(D.Sev));
-    OS << ", \"check\": ";
-    writeJSONString(OS, D.Check);
-    OS << ", \"thread\": ";
-    writeJSONString(OS, D.Thread);
-    OS << ", \"block\": " << D.Block;
-    OS << ", \"instr\": " << D.Instr;
-    OS << ", \"line\": " << D.Loc.Line;
-    OS << ", \"column\": " << D.Loc.Column;
-    OS << ", \"message\": ";
-    writeJSONString(OS, D.Message);
-    OS << ", \"witness\": ";
-    writeJSONString(OS, D.Witness);
-    OS << "}";
+    OS << (I ? ",\n    " : "\n    ");
+    writeDiagnosticJSON(OS, Diags[I]);
   }
   OS << (Diags.empty() ? "]" : "\n  ]");
   OS << ",\n  \"errors\": " << errorCount()
@@ -139,239 +143,66 @@ void DiagnosticEngine::renderJSON(std::ostream &OS) const {
      << ",\n  \"notes\": " << noteCount() << "\n}\n";
 }
 
-// JSON parsing --------------------------------------------------------------
-//
-// A minimal recursive-descent parser for the subset renderJSON emits:
-// objects, arrays, strings with the escapes above, and integers. Kept here
-// (not a general JSON library) so the round trip is self-contained.
+// JSON parsing: a schema walk over the one JSON reader.
 
 namespace {
 
-class JSONParser {
-public:
-  explicit JSONParser(std::string_view Text) : Text(Text) {}
-
-  Status parseDiagnostics(std::vector<Diagnostic> &Out) {
-    skipSpace();
-    if (!consume('{'))
-      return fail("expected '{'");
-    bool SawDiagnostics = false;
-    while (true) {
-      skipSpace();
-      std::string Key;
-      if (Status S = parseString(Key); !S.ok())
-        return S;
-      skipSpace();
-      if (!consume(':'))
-        return fail("expected ':'");
-      if (Key == "diagnostics") {
-        SawDiagnostics = true;
-        if (Status S = parseDiagnosticArray(Out); !S.ok())
-          return S;
-      } else {
-        // Count fields: integers we validate syntactically and discard.
-        int64_t Ignored;
-        if (Status S = parseInt(Ignored); !S.ok())
-          return S;
-      }
-      skipSpace();
-      if (consume(','))
-        continue;
-      if (consume('}'))
-        break;
-      return fail("expected ',' or '}'");
+Status readDiagnostic(JSONReader &R, Diagnostic &D) {
+  return R.readObject([&](const std::string &Key) -> Status {
+    std::string *Text = Key == "check"     ? &D.Check
+                        : Key == "thread"  ? &D.Thread
+                        : Key == "message" ? &D.Message
+                        : Key == "witness" ? &D.Witness
+                                           : nullptr;
+    if (Text)
+      return R.readString(*Text);
+    int *Int = Key == "block"    ? &D.Block
+               : Key == "instr"  ? &D.Instr
+               : Key == "line"   ? &D.Loc.Line
+               : Key == "column" ? &D.Loc.Column
+                                 : nullptr;
+    if (Int) {
+      int64_t V = 0;
+      Status S = R.readInteger(V, std::numeric_limits<int>::min(),
+                               std::numeric_limits<int>::max());
+      *Int = static_cast<int>(V);
+      return S;
     }
-    skipSpace();
-    if (Pos != Text.size())
-      return fail("trailing characters after document");
-    if (!SawDiagnostics)
-      return fail("missing 'diagnostics' array");
+    if (Key != "severity")
+      return R.fail("unknown diagnostic field '" + Key + "'");
+    std::string Name;
+    if (Status S = R.readString(Name); !S.ok())
+      return S;
+    if (!parseSeverityName(Name, D.Sev))
+      return R.fail("unknown severity '" + Name + "'");
     return Status::success();
-  }
-
-private:
-  std::string_view Text;
-  size_t Pos = 0;
-
-  Status fail(const std::string &What) const {
-    return Status::error("diagnostics JSON: " + What + " at offset " +
-                         std::to_string(Pos));
-  }
-
-  void skipSpace() {
-    while (Pos < Text.size() &&
-           std::isspace(static_cast<unsigned char>(Text[Pos])))
-      ++Pos;
-  }
-
-  bool consume(char C) {
-    if (Pos < Text.size() && Text[Pos] == C) {
-      ++Pos;
-      return true;
-    }
-    return false;
-  }
-
-  Status parseString(std::string &Out) {
-    if (!consume('"'))
-      return fail("expected string");
-    Out.clear();
-    while (Pos < Text.size()) {
-      char C = Text[Pos++];
-      if (C == '"')
-        return Status::success();
-      if (C != '\\') {
-        Out += C;
-        continue;
-      }
-      if (Pos >= Text.size())
-        break;
-      char E = Text[Pos++];
-      switch (E) {
-      case '"':
-        Out += '"';
-        break;
-      case '\\':
-        Out += '\\';
-        break;
-      case 'n':
-        Out += '\n';
-        break;
-      case 't':
-        Out += '\t';
-        break;
-      case 'r':
-        Out += '\r';
-        break;
-      case 'u': {
-        if (Pos + 4 > Text.size())
-          return fail("truncated \\u escape");
-        int Value = 0;
-        for (int I = 0; I < 4; ++I) {
-          char H = Text[Pos++];
-          Value *= 16;
-          if (H >= '0' && H <= '9')
-            Value += H - '0';
-          else if (H >= 'a' && H <= 'f')
-            Value += H - 'a' + 10;
-          else if (H >= 'A' && H <= 'F')
-            Value += H - 'A' + 10;
-          else
-            return fail("bad \\u escape digit");
-        }
-        if (Value > 0xFF)
-          return fail("unsupported \\u escape beyond latin-1");
-        Out += static_cast<char>(Value);
-        break;
-      }
-      default:
-        return fail("unknown escape");
-      }
-    }
-    return fail("unterminated string");
-  }
-
-  Status parseInt(int64_t &Out) {
-    skipSpace();
-    bool Negative = consume('-');
-    if (Pos >= Text.size() ||
-        !std::isdigit(static_cast<unsigned char>(Text[Pos])))
-      return fail("expected integer");
-    Out = 0;
-    while (Pos < Text.size() &&
-           std::isdigit(static_cast<unsigned char>(Text[Pos])))
-      Out = Out * 10 + (Text[Pos++] - '0');
-    if (Negative)
-      Out = -Out;
-    return Status::success();
-  }
-
-  Status parseDiagnosticArray(std::vector<Diagnostic> &Out) {
-    skipSpace();
-    if (!consume('['))
-      return fail("expected '['");
-    skipSpace();
-    if (consume(']'))
-      return Status::success();
-    while (true) {
-      Diagnostic D;
-      if (Status S = parseDiagnostic(D); !S.ok())
-        return S;
-      Out.push_back(std::move(D));
-      skipSpace();
-      if (consume(','))
-        continue;
-      if (consume(']'))
-        return Status::success();
-      return fail("expected ',' or ']'");
-    }
-  }
-
-  Status parseDiagnostic(Diagnostic &D) {
-    skipSpace();
-    if (!consume('{'))
-      return fail("expected '{'");
-    while (true) {
-      skipSpace();
-      std::string Key;
-      if (Status S = parseString(Key); !S.ok())
-        return S;
-      skipSpace();
-      if (!consume(':'))
-        return fail("expected ':'");
-      skipSpace();
-      if (Key == "severity") {
-        std::string Name;
-        if (Status S = parseString(Name); !S.ok())
-          return S;
-        if (!parseSeverityName(Name, D.Sev))
-          return fail("unknown severity '" + Name + "'");
-      } else if (Key == "check" || Key == "thread" || Key == "message" ||
-                 Key == "witness") {
-        std::string Value;
-        if (Status S = parseString(Value); !S.ok())
-          return S;
-        if (Key == "check")
-          D.Check = std::move(Value);
-        else if (Key == "thread")
-          D.Thread = std::move(Value);
-        else if (Key == "message")
-          D.Message = std::move(Value);
-        else
-          D.Witness = std::move(Value);
-      } else if (Key == "block" || Key == "instr" || Key == "line" ||
-                 Key == "column") {
-        int64_t Value;
-        if (Status S = parseInt(Value); !S.ok())
-          return S;
-        if (Key == "block")
-          D.Block = static_cast<int>(Value);
-        else if (Key == "instr")
-          D.Instr = static_cast<int>(Value);
-        else if (Key == "line")
-          D.Loc.Line = static_cast<int>(Value);
-        else
-          D.Loc.Column = static_cast<int>(Value);
-      } else {
-        return fail("unknown diagnostic field '" + Key + "'");
-      }
-      skipSpace();
-      if (consume(','))
-        continue;
-      if (consume('}'))
-        return Status::success();
-      return fail("expected ',' or '}'");
-    }
-  }
-};
+  });
+}
 
 } // namespace
 
 ErrorOr<std::vector<Diagnostic>>
 npral::parseDiagnosticsJSON(std::string_view JSON) {
+  JSONReader R(JSON, "diagnostics JSON");
   std::vector<Diagnostic> Out;
-  JSONParser Parser(JSON);
-  if (Status S = Parser.parseDiagnostics(Out); !S.ok())
+  bool SawDiagnostics = false;
+  Status S = R.readObject([&](const std::string &Key) -> Status {
+    if (Key != "diagnostics") {
+      // The summary counts: integers, checked and dropped.
+      int64_t Count = 0;
+      return R.readInteger(Count);
+    }
+    SawDiagnostics = true;
+    return R.readArray([&] {
+      Out.emplace_back();
+      return readDiagnostic(R, Out.back());
+    });
+  });
+  if (S.ok() && !SawDiagnostics)
+    S = R.fail("missing 'diagnostics' array");
+  if (S.ok())
+    S = R.finish();
+  if (!S.ok())
     return S;
   return Out;
 }

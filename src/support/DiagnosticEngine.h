@@ -105,6 +105,10 @@ private:
 /// Render a single diagnostic as one line of text (no trailing newline).
 std::string formatDiagnostic(const Diagnostic &D);
 
+/// Write a single diagnostic as one JSON object, every field included; the
+/// one diagnostic shape in every JSON render (lint, verify).
+void writeDiagnosticJSON(std::ostream &OS, const Diagnostic &D);
+
 /// Parse the output of DiagnosticEngine::renderJSON back into diagnostics.
 ErrorOr<std::vector<Diagnostic>> parseDiagnosticsJSON(std::string_view JSON);
 

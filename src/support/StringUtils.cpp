@@ -6,6 +6,7 @@
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
+#include <fstream>
 #include <limits>
 #include <ostream>
 
@@ -154,4 +155,16 @@ void npral::writeJSONString(std::ostream &OS, std::string_view S) {
     }
   }
   OS << '"';
+}
+
+Status npral::writeFile(const std::string &Path,
+                        const std::function<void(std::ostream &)> &Write) {
+  std::ofstream OS(Path, std::ios::binary);
+  if (!OS)
+    return Status::error(StatusCode::IOError, "cannot open '" + Path + "'");
+  Write(OS);
+  OS.flush();
+  if (!OS)
+    return Status::error(StatusCode::IOError, "failed writing '" + Path + "'");
+  return Status::success();
 }

@@ -1,15 +1,20 @@
 //===- StringUtils.h - Small string helpers ---------------------*- C++ -*-===//
 ///
 /// \file
-/// String helpers used by the assembler front end and the printers.
+/// String helpers used by the assembler front end and the printers, and
+/// the one checked file writer.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef NPRAL_SUPPORT_STRINGUTILS_H
 #define NPRAL_SUPPORT_STRINGUTILS_H
 
+#include "support/Status.h"
+
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -38,6 +43,11 @@ std::string formatString(const char *Fmt, ...)
 /// string encoding used across the codebase (diagnostics, metrics, traces),
 /// so every exporter and round-trip parser agrees byte for byte.
 void writeJSONString(std::ostream &OS, std::string_view S);
+
+/// Write the file \p Path through \p Write. Fails unless every byte
+/// reached the file: the stream is checked after flushing.
+Status writeFile(const std::string &Path,
+                 const std::function<void(std::ostream &)> &Write);
 
 /// 64-bit FNV-1a over \p Data. The one content hash used across the
 /// codebase (analysis cache keys, profile code hashes, memory digests).

@@ -2,10 +2,7 @@
 
 #include "trace/CycleTrace.h"
 
-#include "support/StringUtils.h"
-
 #include <cassert>
-#include <fstream>
 
 using namespace npral;
 
@@ -31,17 +28,9 @@ const char *npral::threadPhaseName(ThreadPhase P) {
 
 void CycleTrace::flushSlice(const std::pair<int64_t, int64_t> &Track,
                             const OpenSlice &S) {
-  if (S.End <= S.Begin)
-    return;
-  CycleEvent E;
-  E.Ph = 'X';
-  E.Ts = S.Begin;
-  E.Dur = S.End - S.Begin;
-  E.Pid = Track.first;
-  E.Tid = Track.second;
-  E.Name = threadPhaseName(S.Phase);
-  E.Cat = "sim";
-  Events.push_back(std::move(E));
+  if (S.End > S.Begin)
+    completeSlice(Track.first, Track.second, threadPhaseName(S.Phase), "sim",
+                  S.Begin, S.End - S.Begin);
 }
 
 void CycleTrace::extendPhase(int64_t Pid, int64_t Tid, ThreadPhase P,
@@ -73,54 +62,27 @@ void CycleTrace::closeTrack(int64_t Pid) {
 
 void CycleTrace::completeSlice(int64_t Pid, int64_t Tid, std::string Name,
                                std::string Cat, int64_t Ts, int64_t Dur) {
-  CycleEvent E;
-  E.Ph = 'X';
-  E.Ts = Ts;
-  E.Dur = Dur;
-  E.Pid = Pid;
-  E.Tid = Tid;
-  E.Name = std::move(Name);
-  E.Cat = std::move(Cat);
-  Events.push_back(std::move(E));
+  Events.push_back({.Ph = 'X', .Name = std::move(Name), .Cat = std::move(Cat),
+                    .Ts = Ts, .Dur = Dur, .Pid = Pid, .Tid = Tid});
 }
 
 void CycleTrace::counter(int64_t Pid, std::string Name, int64_t Cycle,
                          int64_t V) {
-  CycleEvent E;
-  E.Ph = 'C';
-  E.Ts = Cycle;
-  E.Pid = Pid;
-  E.Tid = 0;
-  E.Name = std::move(Name);
-  E.Cat = "telemetry";
-  E.Args.emplace_back("value", V);
-  Events.push_back(std::move(E));
+  Events.push_back({.Ph = 'C', .Name = std::move(Name), .Cat = "telemetry",
+                    .Ts = Cycle, .Pid = Pid,
+                    .Args = {{"value", std::to_string(V), /*Raw=*/true}}});
 }
 
 void CycleTrace::flowStart(uint64_t Id, int64_t Pid, int64_t Tid,
                            std::string Name, int64_t Cycle) {
-  CycleEvent E;
-  E.Ph = 's';
-  E.Ts = Cycle;
-  E.Pid = Pid;
-  E.Tid = Tid;
-  E.FlowId = Id;
-  E.Name = std::move(Name);
-  E.Cat = "flow";
-  Events.push_back(std::move(E));
+  Events.push_back({.Ph = 's', .Name = std::move(Name), .Cat = "flow",
+                    .Ts = Cycle, .Pid = Pid, .Tid = Tid, .Id = Id});
 }
 
 void CycleTrace::flowFinish(uint64_t Id, int64_t Pid, int64_t Tid,
                             std::string Name, int64_t Cycle) {
-  CycleEvent E;
-  E.Ph = 'f';
-  E.Ts = Cycle;
-  E.Pid = Pid;
-  E.Tid = Tid;
-  E.FlowId = Id;
-  E.Name = std::move(Name);
-  E.Cat = "flow";
-  Events.push_back(std::move(E));
+  Events.push_back({.Ph = 'f', .Name = std::move(Name), .Cat = "flow",
+                    .Ts = Cycle, .Pid = Pid, .Tid = Tid, .Id = Id});
 }
 
 int64_t CycleTrace::phaseCycles(int64_t Pid, int64_t Tid,
@@ -133,9 +95,9 @@ void CycleTrace::append(CycleTrace &&Other, uint64_t FlowIdBase) {
   assert(Other.Open.empty() && "append a trace with open thread-state "
                                "slices; closeTrack() every pid first");
   Events.reserve(Events.size() + Other.Events.size());
-  for (CycleEvent &E : Other.Events) {
+  for (TraceEvent &E : Other.Events) {
     if (E.Ph == 's' || E.Ph == 'f')
-      E.FlowId += FlowIdBase;
+      E.Id += FlowIdBase;
     Events.push_back(std::move(E));
   }
   Intervals += Other.Intervals;
@@ -150,55 +112,4 @@ void CycleTrace::clear() {
   Intervals = 0;
   Open.clear();
   PhaseTotals.clear();
-}
-
-void CycleTrace::exportJSON(std::ostream &OS) const {
-  assert(Open.empty() && "export with open thread-state slices; "
-                         "closeTrack() every pid first");
-  OS << "{\"displayTimeUnit\": \"ms\", \"virtualClock\": \"cycles\", "
-        "\"traceEvents\": [";
-  bool First = true;
-  for (const CycleEvent &E : Events) {
-    OS << (First ? "\n" : ",\n") << "{\"ph\": \"" << E.Ph << "\", \"name\": ";
-    First = false;
-    writeJSONString(OS, E.Name);
-    if (!E.Cat.empty()) {
-      OS << ", \"cat\": ";
-      writeJSONString(OS, E.Cat);
-    }
-    OS << ", \"ts\": " << E.Ts;
-    if (E.Ph == 'X')
-      OS << ", \"dur\": " << E.Dur;
-    OS << ", \"pid\": " << E.Pid << ", \"tid\": " << E.Tid;
-    if (E.Ph == 's' || E.Ph == 'f') {
-      OS << ", \"id\": " << E.FlowId;
-      if (E.Ph == 'f')
-        OS << ", \"bp\": \"e\"";
-    }
-    if (!E.Args.empty()) {
-      OS << ", \"args\": {";
-      bool FirstArg = true;
-      for (const auto &[K, V] : E.Args) {
-        if (!FirstArg)
-          OS << ", ";
-        FirstArg = false;
-        writeJSONString(OS, K);
-        OS << ": " << V;
-      }
-      OS << "}";
-    }
-    OS << "}";
-  }
-  OS << "\n]}\n";
-}
-
-Status CycleTrace::writeFile(const std::string &Path) const {
-  std::ofstream OS(Path, std::ios::binary);
-  if (!OS)
-    return Status::error("cannot open trace output file: " + Path);
-  exportJSON(OS);
-  OS.flush();
-  if (!OS)
-    return Status::error("failed writing trace output file: " + Path);
-  return Status::success();
 }

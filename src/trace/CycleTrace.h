@@ -9,7 +9,9 @@
 /// byte-identical traces regardless of worker count or engine interleaving
 /// (pinned by tests/trace/CycleTraceTest).
 ///
-/// Three event families, all loadable in Perfetto alongside wall traces:
+/// It records the same TraceEvent as TraceEngine (trace/TraceFormat.h), in
+/// the Cycles clock. Three event families, all loadable in Perfetto
+/// alongside wall traces:
 ///
 ///  * Thread-state slices — one 'X' slice per contiguous interval of a
 ///    thread's state machine (Run / SwitchPenalty / MemStall / ChannelWait /
@@ -41,12 +43,12 @@
 #ifndef NPRAL_TRACE_CYCLETRACE_H
 #define NPRAL_TRACE_CYCLETRACE_H
 
-#include "support/Status.h"
+#include "trace/TraceFormat.h"
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <map>
-#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -68,23 +70,6 @@ enum class ThreadPhase {
 constexpr int NumThreadPhases = 7;
 
 const char *threadPhaseName(ThreadPhase P);
-
-/// One recorded cycle-domain event. `Ph` is 'X' (complete slice), 'C'
-/// (counter), 's' (flow start) or 'f' (flow finish); `Ts`/`Dur` are cycles.
-struct CycleEvent {
-  char Ph = 'X';
-  int64_t Ts = 0;
-  /// 'X' only.
-  int64_t Dur = 0;
-  int64_t Pid = 0;
-  int64_t Tid = 0;
-  /// 's'/'f' only: the flow id pairing start with finish.
-  uint64_t FlowId = 0;
-  std::string Name;
-  std::string Cat;
-  /// 'C' only: numeric counter args (always exactly one, key "value").
-  std::vector<std::pair<std::string, int64_t>> Args;
-};
 
 class CycleTrace {
 public:
@@ -117,7 +102,14 @@ public:
                   int64_t Cycle);
 
   int64_t eventCount() const { return static_cast<int64_t>(Events.size()); }
-  const std::vector<CycleEvent> &events() const { return Events; }
+  /// Every event recorded, in recording order: 'X' slices, 'C' counters
+  /// and 's'/'f' flows, ts/dur in cycles. Deterministic for a
+  /// deterministic recording order.
+  const std::vector<TraceEvent> &events() const {
+    assert(Open.empty() && "read events with open thread-state slices; "
+                           "closeTrack() every pid first");
+    return Events;
+  }
 
   /// extendPhase invocations recorded (pre-coalescing) — a proxy for the
   /// number of times the simulator's accounting reached its tracing guard,
@@ -139,14 +131,6 @@ public:
   /// Drop everything recorded.
   void clear();
 
-  /// Export as a Chrome trace-event JSON document (same envelope as
-  /// TraceEngine). `ts`/`dur` are integer cycles; deterministic byte for
-  /// byte for a deterministic recording order.
-  void exportJSON(std::ostream &OS) const;
-
-  /// exportJSON to a file.
-  Status writeFile(const std::string &Path) const;
-
 private:
   /// Open coalesced slice per (pid, tid).
   struct OpenSlice {
@@ -158,7 +142,7 @@ private:
   void flushSlice(const std::pair<int64_t, int64_t> &Track,
                   const OpenSlice &S);
 
-  std::vector<CycleEvent> Events;
+  std::vector<TraceEvent> Events;
   int64_t Intervals = 0;
   std::map<std::pair<int64_t, int64_t>, OpenSlice> Open;
   /// Accumulated per-phase cycles per (pid, tid), kept exact even while a

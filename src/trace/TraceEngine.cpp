@@ -2,10 +2,7 @@
 
 #include "trace/TraceEngine.h"
 
-#include "support/StringUtils.h"
-
 #include <chrono>
-#include <fstream>
 
 using namespace npral;
 
@@ -42,7 +39,7 @@ TraceEngine::Buffer &TraceEngine::localBuffer() {
     return *Local.Buf;
   std::lock_guard<std::mutex> Lock(Mutex);
   auto Owned = std::make_unique<Buffer>();
-  Owned->Tid = static_cast<int>(Buffers.size());
+  Owned->Tid = static_cast<int64_t>(Buffers.size());
   Buffers.push_back(std::move(Owned));
   Local.Gen = Gen;
   Local.Buf = Buffers.back().get();
@@ -51,13 +48,9 @@ TraceEngine::Buffer &TraceEngine::localBuffer() {
 
 void TraceEngine::append(Buffer &B, char Ph, std::string_view Cat,
                          std::string_view Name, TraceArgs Args) {
-  TraceEvent E;
-  E.Ph = Ph;
-  E.TsNs = now();
-  E.Name = std::string(Name);
-  E.Cat = std::string(Cat);
-  E.Args = std::move(Args);
-  B.Events.push_back(std::move(E));
+  B.Events.push_back({.Ph = Ph, .Name = std::string(Name),
+                      .Cat = std::string(Cat), .Ts = now(), .Pid = 1,
+                      .Tid = B.Tid, .Args = std::move(Args)});
 }
 
 void TraceEngine::instant(std::string_view Cat, std::string_view Name,
@@ -82,50 +75,12 @@ void TraceEngine::clear() {
   EpochNs = steadyNowNs();
 }
 
-void TraceEngine::exportJSON(std::ostream &OS) const {
+std::vector<TraceEvent> TraceEngine::events() const {
   std::lock_guard<std::mutex> Lock(Mutex);
-  OS << "{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [";
-  bool First = true;
-  for (const std::unique_ptr<Buffer> &B : Buffers) {
-    for (const TraceEvent &E : B->Events) {
-      OS << (First ? "\n    {" : ",\n    {");
-      First = false;
-      OS << "\"ph\": \"" << E.Ph << "\", ";
-      // Chrome's ts unit is microseconds; keep the nanosecond precision in
-      // the fraction.
-      OS << formatString("\"ts\": %lld.%03d, ",
-                         static_cast<long long>(E.TsNs / 1000),
-                         static_cast<int>(E.TsNs % 1000));
-      OS << "\"pid\": 1, \"tid\": " << B->Tid << ", ";
-      OS << "\"name\": ";
-      writeJSONString(OS, E.Name);
-      OS << ", \"cat\": ";
-      writeJSONString(OS, E.Cat);
-      if (E.Ph == 'i')
-        OS << ", \"s\": \"t\"";
-      if (!E.Args.empty()) {
-        OS << ", \"args\": {";
-        for (size_t I = 0; I < E.Args.size(); ++I) {
-          if (I)
-            OS << ", ";
-          writeJSONString(OS, E.Args[I].first);
-          OS << ": ";
-          writeJSONString(OS, E.Args[I].second);
-        }
-        OS << "}";
-      }
-      OS << "}";
-    }
-  }
-  OS << (First ? "]" : "\n  ]") << "\n}\n";
-}
-
-Status TraceEngine::writeFile(const std::string &Path) const {
-  std::ofstream Out(Path);
-  if (!Out)
-    return Status::error("cannot write trace file '" + Path + "'");
-  exportJSON(Out);
-  return Status::success();
+  std::vector<TraceEvent> All;
+  for (const std::unique_ptr<Buffer> &B : Buffers)
+    All.insert(All.end(), B->Events.begin(), B->Events.end());
+  return All;
 }
 
 TraceSpan::TraceSpan(std::string_view Cat, std::string_view Name,

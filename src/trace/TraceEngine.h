@@ -3,8 +3,9 @@
 /// \file
 /// The tracing half of the observability layer: a process-wide TraceEngine
 /// that records begin/end spans and instant events into per-thread buffers
-/// and exports the batch as Chrome trace-event JSON (loadable in Perfetto
-/// or chrome://tracing).
+/// as wall-clock TraceEvents (trace/TraceFormat.h), which writeChromeTrace
+/// exports as Chrome trace-event JSON (loadable in Perfetto or
+/// chrome://tracing).
 ///
 /// Design constraints, in order:
 ///
@@ -25,43 +26,26 @@
 ///     `tid` vary run to run. The determinism test compares the event
 ///     multiset of --jobs 1 against --jobs N.
 ///
-/// Export requires quiescence: every thread that traced must have finished
-/// (the batch pipeline joins its pool before the driver exports) and no
-/// span may still be open.
+/// Reading the events requires quiescence: every thread that traced must
+/// have finished (the batch pipeline joins its pool before the driver
+/// exports) and no span may still be open.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef NPRAL_TRACE_TRACEENGINE_H
 #define NPRAL_TRACE_TRACEENGINE_H
 
-#include "support/Status.h"
+#include "trace/TraceFormat.h"
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <ostream>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace npral {
-
-/// Key/value annotations attached to an event. Values are stored verbatim
-/// and exported as JSON strings; keep them short and deterministic.
-using TraceArgs = std::vector<std::pair<std::string, std::string>>;
-
-/// One recorded event. `Ph` follows the Chrome trace-event phase codes:
-/// 'B' span begin, 'E' span end, 'i' instant.
-struct TraceEvent {
-  char Ph = 'i';
-  /// Nanoseconds since the engine epoch (exported as microseconds).
-  int64_t TsNs = 0;
-  std::string Name;
-  std::string Cat;
-  TraceArgs Args;
-};
 
 class TraceEngine {
 public:
@@ -85,19 +69,17 @@ public:
   /// quiescence as export.
   void clear();
 
-  /// Export everything recorded as a Chrome trace-event JSON document:
-  /// one track per recording thread, events in per-track append order
-  /// (which is per-track time order).
-  void exportJSON(std::ostream &OS) const;
-
-  /// exportJSON to a file.
-  Status writeFile(const std::string &Path) const;
+  /// Everything recorded, as wall-clock events ('B', 'E', 'i'; ts in
+  /// nanoseconds since the engine epoch): pid 1, one tid per recording
+  /// thread, tracks in registration order and each track in append order
+  /// (which is its time order). Requires the same quiescence as clear().
+  std::vector<TraceEvent> events() const;
 
   /// Per-thread append-only event sink. Owned by the engine, written only
   /// by the registering thread. Public so the thread-local handle in the
   /// implementation can name it; not part of the recording API.
   struct Buffer {
-    int Tid = 0;
+    int64_t Tid = 0;
     std::vector<TraceEvent> Events;
   };
 

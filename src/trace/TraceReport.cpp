@@ -96,10 +96,13 @@ void htmlEscape(std::ostream &OS, const std::string &S) {
   }
 }
 
-/// Display name for a track following the cycle-trace pid convention:
-/// pid 0 is the interconnect fabric, pid E+1 is engine E (a plain
-/// single-simulator run is pid 1 == "engine 0").
-std::string trackLabel(int64_t Pid, int64_t Tid) {
+/// Display name for a track. A wall trace has one track per recording
+/// thread. A cycle trace follows its pid convention: pid 0 is the
+/// interconnect fabric, pid E+1 is engine E (a plain single-simulator run
+/// is pid 1 == "engine 0").
+std::string trackLabel(TraceClock Clock, int64_t Pid, int64_t Tid) {
+  if (Clock == TraceClock::Wall)
+    return formatString("thread %lld", static_cast<long long>(Tid));
   if (Pid == 0)
     return formatString("fabric lane %lld", static_cast<long long>(Tid));
   return formatString("engine %lld thread %lld",
@@ -112,18 +115,26 @@ std::string trackLabel(int64_t Pid, int64_t Tid) {
 double SliceBucket::p(double Q) const { return nearestRank(Durations, Q); }
 double FlowReport::p(double Q) const { return nearestRank(Latencies, Q); }
 
-TraceReport TraceReport::build(const std::vector<ParsedTraceEvent> &Events) {
+TraceReport TraceReport::build(const std::vector<TraceEvent> &Events,
+                               TraceClock Clock) {
   TraceReport R;
+  R.Clock = Clock;
   R.NumEvents = static_cast<int64_t>(Events.size());
+  // Ticks per report unit: cycles, or nanoseconds per microsecond.
+  const double TicksPerUnit = Clock == TraceClock::Cycles ? 1.0 : 1000.0;
 
   std::map<std::pair<int64_t, int64_t>, TrackReport> Tracks;
-  // Open B events per track, for wall-clock traces that use B/E pairs.
-  std::map<std::pair<int64_t, int64_t>,
-           std::vector<std::pair<std::string, double>>>
-      OpenBegins;
+  // Open B events per track, for wall-clock traces that use B/E pairs, with
+  // the summed durations of each span's finished children.
+  struct OpenSpan {
+    std::string Name;
+    int64_t Ts = 0;
+    int64_t ChildTicks = 0;
+  };
+  std::map<std::pair<int64_t, int64_t>, std::vector<OpenSpan>> OpenBegins;
   std::map<std::pair<int64_t, std::string>, CounterReport> Counters;
   // Flow id -> (name, start ts).
-  std::map<uint64_t, std::pair<std::string, double>> OpenFlows;
+  std::map<uint64_t, std::pair<std::string, int64_t>> OpenFlows;
   std::map<std::string, FlowReport> Flows;
 
   auto AddSlice = [&](int64_t Pid, int64_t Tid, const std::string &Name,
@@ -138,20 +149,25 @@ TraceReport TraceReport::build(const std::vector<ParsedTraceEvent> &Events) {
     T.TotalDur += Dur;
   };
 
-  for (const ParsedTraceEvent &E : Events) {
+  for (const TraceEvent &E : Events) {
     switch (E.Ph) {
     case 'X':
-      AddSlice(E.Pid, E.Tid, E.Name, E.Dur);
+      AddSlice(E.Pid, E.Tid, E.Name, static_cast<double>(E.Dur) / TicksPerUnit);
       break;
     case 'B':
-      OpenBegins[{E.Pid, E.Tid}].emplace_back(E.Name, E.Ts);
+      OpenBegins[{E.Pid, E.Tid}].push_back({E.Name, E.Ts, 0});
       break;
     case 'E': {
       auto &Stack = OpenBegins[{E.Pid, E.Tid}];
-      if (!Stack.empty()) {
-        AddSlice(E.Pid, E.Tid, Stack.back().first, E.Ts - Stack.back().second);
-        Stack.pop_back();
-      }
+      if (Stack.empty())
+        break;
+      const OpenSpan Span = std::move(Stack.back());
+      Stack.pop_back();
+      const int64_t Ticks = E.Ts - Span.Ts;
+      if (!Stack.empty())
+        Stack.back().ChildTicks += Ticks;
+      AddSlice(E.Pid, E.Tid, Span.Name,
+               static_cast<double>(Ticks - Span.ChildTicks) / TicksPerUnit);
       break;
     }
     case 'C': {
@@ -162,20 +178,18 @@ TraceReport TraceReport::build(const std::vector<ParsedTraceEvent> &Events) {
       C.Name = E.Name;
       // The first numeric arg is the counter value (the validator already
       // required one).
-      C.Values.push_back(std::strtod(E.Args.front().second.c_str(), nullptr));
+      C.Values.push_back(std::strtod(E.Args.front().Value.c_str(), nullptr));
       break;
     }
     case 's':
-      if (E.HasId)
-        OpenFlows[E.Id] = {E.Name, E.Ts};
+      OpenFlows[E.Id] = {E.Name, E.Ts};
       break;
     case 'f': {
-      if (!E.HasId)
-        break;
       auto It = OpenFlows.find(E.Id);
       if (It == OpenFlows.end())
         break;
-      Flows[It->second.first].Latencies.push_back(E.Ts - It->second.second);
+      Flows[It->second.first].Latencies.push_back(
+          static_cast<double>(E.Ts - It->second.second) / TicksPerUnit);
       OpenFlows.erase(It);
       break;
     }
@@ -210,8 +224,9 @@ void TraceReport::renderText(std::ostream &OS) const {
      << " timeline track(s), " << Counters.size() << " counter series, "
      << Flows.size() << " flow name(s)\n";
   for (const TrackReport &T : Tracks) {
-    OS << "\n[" << trackLabel(T.Pid, T.Tid) << "] total "
-       << fmtNum(T.TotalDur) << "\n";
+    OS << "\n[" << trackLabel(Clock, T.Pid, T.Tid) << "] total "
+       << fmtNum(T.TotalDur) << (Clock == TraceClock::Wall ? " us" : "")
+       << "\n";
     for (const auto &[Name, B] : T.ByName) {
       const double Frac = T.TotalDur > 0 ? B.TotalDur / T.TotalDur : 0;
       OS << formatString("  %-18s %6.1f%% |%s| ", Name.c_str(), Frac * 100.0,
@@ -258,10 +273,10 @@ void TraceReport::renderHTML(std::ostream &OS) const {
      << " counter series &middot; " << Flows.size() << " flow name(s)</p>\n";
   for (const TrackReport &T : Tracks) {
     OS << "<h2>";
-    htmlEscape(OS, trackLabel(T.Pid, T.Tid));
-    OS << "</h2>\n<table><tr><th>state</th><th>share</th><th></th>"
-          "<th>cycles</th><th>slices</th><th>p50</th><th>p95</th>"
-          "<th>p99</th></tr>\n";
+    htmlEscape(OS, trackLabel(Clock, T.Pid, T.Tid));
+    OS << "</h2>\n<table><tr><th>state</th><th>share</th><th></th><th>"
+       << (Clock == TraceClock::Cycles ? "cycles" : "us")
+       << "</th><th>slices</th><th>p50</th><th>p95</th><th>p99</th></tr>\n";
     for (const auto &[Name, B] : T.ByName) {
       const double Frac = T.TotalDur > 0 ? B.TotalDur / T.TotalDur : 0;
       OS << "<tr><td>";

@@ -1,11 +1,15 @@
 //===- TraceReport.h - Offline trace summarisation --------------*- C++ -*-===//
 ///
 /// \file
-/// Turns a parsed Chrome trace (TraceValidator's ParsedTraceEvent stream)
-/// into a human-readable summary: per-track slice breakdowns rendered as
-/// bars, counter tracks rendered as sparklines, and flow-event latency
-/// percentiles. This is the analysis half of `npralc report` — the CLI
-/// loads a trace file, validates it, and hands the events here.
+/// Turns a parsed Chrome trace (parseChromeTrace's TraceEvent stream and
+/// its clock) into a human-readable summary: per-track slice breakdowns
+/// rendered as bars, counter tracks rendered as sparklines, and flow-event
+/// latency percentiles. This is the analysis half of `npralc report` — the
+/// CLI loads a trace file, validates it, and hands the events here.
+///
+/// Durations are cycles in a cycle trace and microseconds in a wall trace.
+/// A wall span ('B'/'E') counts by its self time — its duration minus its
+/// children's — so nested spans do not count twice.
 ///
 /// The report is computed once (build) and rendered on demand as plain
 /// text or as a single self-contained HTML page (inline CSS, no external
@@ -20,7 +24,7 @@
 #ifndef NPRAL_TRACE_TRACEREPORT_H
 #define NPRAL_TRACE_TRACEREPORT_H
 
-#include "trace/TraceValidator.h"
+#include "trace/TraceFormat.h"
 
 #include <cstdint>
 #include <map>
@@ -41,7 +45,7 @@ struct SliceBucket {
 };
 
 /// One (pid, tid) timeline track: every 'X' slice plus balanced 'B'/'E'
-/// pairs, grouped by slice name.
+/// pairs (by self time), grouped by slice name.
 struct TrackReport {
   int64_t Pid = 0;
   int64_t Tid = 0;
@@ -71,7 +75,8 @@ class TraceReport {
 public:
   /// Aggregate \p Events (document order; assumed already validated —
   /// unmatched B/E or flow events are skipped, not diagnosed).
-  static TraceReport build(const std::vector<ParsedTraceEvent> &Events);
+  static TraceReport build(const std::vector<TraceEvent> &Events,
+                           TraceClock Clock);
 
   const std::vector<TrackReport> &tracks() const { return Tracks; }
   const std::vector<CounterReport> &counters() const { return Counters; }
@@ -86,6 +91,7 @@ public:
   void renderHTML(std::ostream &OS) const;
 
 private:
+  TraceClock Clock = TraceClock::Wall;
   std::vector<TrackReport> Tracks;
   std::vector<CounterReport> Counters;
   std::vector<FlowReport> Flows;

@@ -8,7 +8,9 @@
 #    a register before it may be defined) the same use-of-undef verdict;
 #  * grid classifies an allocation failure like the other front ends do
 #    ("engine <E>: [alloc/infeasible] ...") and degrades a tight budget by
-#    spilling instead of failing.
+#    spilling instead of failing;
+#  * a trace that cannot be written, or one that cannot be read, fails
+#    with exit 1 and an error (never a success note or an abort).
 #
 # usage: npralc_usage_test.sh <path/to/npralc> <examples/asm directory>
 set -u
@@ -73,6 +75,22 @@ expect 1 grid s1 --engines 2 -nreg 64
 grep -q -F '[alloc/infeasible]' "$TMP/err" ||
   fail "npralc grid s1 -nreg 64: no [alloc/infeasible] verdict"
 expect 0 grid s1 --engines 4 -nreg 96 --json
+
+# A full disk fails a wall trace as it fails a cycle trace.
+if [ -w /dev/full ]; then
+  expect 1 batch "$F" --trace-out /dev/full
+  grep -q '^error: failed writing' "$TMP/err" ||
+    fail "npralc batch --trace-out /dev/full: no write error"
+  expect 1 run "$F" --trace-cycles /dev/full
+fi
+# A timestamp that overflows a double is a classified error, not an abort.
+printf '[{"ph": "i", "name": "a", "ts": 1e999, "pid": 0, "tid": 0}]' \
+  >"$TMP/inf.json"
+for Cmd in trace-validate report; do
+  expect 1 $Cmd "$TMP/inf.json"
+  grep -q 'number out of range at line 1, offset' "$TMP/err" ||
+    fail "npralc $Cmd ts 1e999: no classified error"
+done
 
 # One verdict for lint_buggy.s from every front end that allocates.
 for Cmd in alloc run verify batch; do

@@ -142,3 +142,21 @@ TEST(VerifyPipelineTest, ReportIsByteIdenticalAcrossWorkerCounts) {
   const std::string PB = renderJSON(runVerify(Pair, Parallel));
   EXPECT_EQ(PA, PB);
 }
+
+TEST(VerifyPipelineTest, JSONWritesEachDiagnosticInTheLintShape) {
+  // verify --json and lint --json write a Diagnostic through one writer,
+  // line and column included.
+  VerifyOptions Opts;
+  Opts.Paired = true;
+  VerifyResult R = runVerify({examplePath("bad_swap.s")}, Opts);
+  ASSERT_EQ(R.Rejected, 1);
+  ASSERT_FALSE(R.Files[0].Diags.empty());
+  const std::string JSON = renderJSON(R);
+  EXPECT_NE(JSON.find("\"line\": "), std::string::npos) << JSON;
+  EXPECT_NE(JSON.find("\"column\": "), std::string::npos) << JSON;
+  for (const Diagnostic &D : R.Files[0].Diags) {
+    std::ostringstream One;
+    writeDiagnosticJSON(One, D);
+    EXPECT_NE(JSON.find(One.str()), std::string::npos) << One.str();
+  }
+}

@@ -348,7 +348,7 @@ std::map<TrackKey, std::vector<std::tuple<int64_t, int64_t, std::string>>>
 trackContents(const CycleTrace &CT) {
   std::map<TrackKey, std::vector<std::tuple<int64_t, int64_t, std::string>>>
       Tracks;
-  for (const CycleEvent &E : CT.events())
+  for (const TraceEvent &E : CT.events())
     if (E.Ph == 'X')
       Tracks[{E.Pid, E.Tid}].emplace_back(E.Ts, E.Dur, E.Name);
   for (auto &[Key, Slices] : Tracks)
@@ -363,22 +363,23 @@ counterSeries(const CycleTrace &CT) {
   std::map<std::pair<int64_t, std::string>,
            std::vector<std::pair<int64_t, int64_t>>>
       Series;
-  for (const CycleEvent &E : CT.events())
+  for (const TraceEvent &E : CT.events())
     if (E.Ph == 'C')
-      Series[{E.Pid, E.Name}].emplace_back(E.Ts, E.Args.front().second);
+      Series[{E.Pid, E.Name}].emplace_back(E.Ts,
+                                           std::stoll(E.Args.front().Value));
   return Series;
 }
 
 /// Every flow as (send ts, pid, tid, delivery ts, pid, tid), sorted; an id
 /// that does not pair exactly one start with one finish fails the test.
 std::vector<std::array<int64_t, 6>> flowPairs(const CycleTrace &CT) {
-  std::map<uint64_t, const CycleEvent *> Starts, Finishes;
-  for (const CycleEvent &E : CT.events()) {
+  std::map<uint64_t, const TraceEvent *> Starts, Finishes;
+  for (const TraceEvent &E : CT.events()) {
     if (E.Ph != 's' && E.Ph != 'f')
       continue;
     auto &Ends = E.Ph == 's' ? Starts : Finishes;
-    if (!Ends.emplace(E.FlowId, &E).second)
-      ADD_FAILURE() << "flow id " << E.FlowId << " has two '" << E.Ph
+    if (!Ends.emplace(E.Id, &E).second)
+      ADD_FAILURE() << "flow id " << E.Id << " has two '" << E.Ph
                     << "' events";
   }
   EXPECT_EQ(Starts.size(), Finishes.size());
@@ -389,7 +390,7 @@ std::vector<std::array<int64_t, 6>> flowPairs(const CycleTrace &CT) {
       ADD_FAILURE() << "flow id " << Id << " never finishes";
       continue;
     }
-    const CycleEvent &F = *It->second;
+    const TraceEvent &F = *It->second;
     Pairs.push_back({S->Ts, S->Pid, S->Tid, F.Ts, F.Pid, F.Tid});
   }
   std::sort(Pairs.begin(), Pairs.end());

@@ -171,7 +171,7 @@ std::string runTracedGridOnce(uint64_t Seed) {
   GridRunResult R = Grid.run();
   EXPECT_TRUE(R.Completed) << R.FailReason;
   std::ostringstream OS;
-  CT.exportJSON(OS);
+  writeChromeTrace(OS, TraceClock::Cycles, CT.events());
   for (const TelemetrySample &S : Ring.snapshot()) {
     OS << S.Cycle;
     for (const auto &[Name, V] : S.Values)

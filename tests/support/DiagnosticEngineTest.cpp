@@ -203,4 +203,19 @@ TEST(DiagnosticEngineTest, JSONParserRejectsMalformedInput) {
   EXPECT_FALSE(parseDiagnosticsJSON(OS.str() + "x").ok());
 }
 
+TEST(DiagnosticEngineTest, JSONParserRejectsIntegersOutOfRange) {
+  for (const char *Value : {"99999999999999999999", "2147483648"}) {
+    const std::string JSON =
+        std::string("{\"diagnostics\": [{\"severity\": \"note\", "
+                    "\"block\": ") +
+        Value + "}]}";
+    ErrorOr<std::vector<Diagnostic>> Parsed = parseDiagnosticsJSON(JSON);
+    ASSERT_FALSE(Parsed.ok()) << "accepted: " << JSON;
+    const std::string Msg = Parsed.status().str();
+    EXPECT_NE(Msg.find("integer out of range"), std::string::npos) << Msg;
+    EXPECT_NE(Msg.find("line 1, offset "), std::string::npos) << Msg;
+    EXPECT_NE(Msg.find("\"block\""), std::string::npos) << Msg;
+  }
+}
+
 } // namespace

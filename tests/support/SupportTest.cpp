@@ -1,5 +1,6 @@
 //===- SupportTest.cpp - Diagnostics, Rng, strings, tables ----------------===//
 
+#include "support/JSONReader.h"
 #include "support/Random.h"
 #include "support/Status.h"
 #include "support/StringUtils.h"
@@ -162,4 +163,34 @@ TEST(TableFormatterTest, PercentCell) {
   std::ostringstream OS;
   T.printCsv(OS);
   EXPECT_EQ(OS.str(), "P\n+18.3%\n");
+}
+
+namespace {
+
+/// Read \p JSON as one value; on success \p Out holds readValue's text.
+Status readOne(const std::string &JSON, std::string &Out) {
+  JSONReader R(JSON, "test JSON");
+  bool IsString = false;
+  Status S = R.readValue(Out, IsString);
+  return S.ok() ? R.finish() : S;
+}
+
+} // namespace
+
+TEST(JSONReaderTest, DecodesEscapesAndKeepsOtherValuesAsText) {
+  std::string Out;
+  ASSERT_TRUE(readOne(R"("q\" b\\ s\/ \b\f\n\r\t \u0041\u001f")", Out).ok());
+  EXPECT_EQ(Out, "q\" b\\ s/ \b\f\n\r\t A\x1f");
+  ASSERT_TRUE(
+      readOne(R"( {"a": [1, -2.5e3, true, null], "b": {}} )", Out).ok());
+  EXPECT_EQ(Out, R"({"a": [1, -2.5e3, true, null], "b": {}})");
+}
+
+TEST(JSONReaderTest, RejectsWhatRFC8259Rejects) {
+  std::string Out;
+  for (const char *Bad :
+       {"", "\"raw\ttab\"", "\"bad \\x escape\"", "\"\\u0100\"", "01", "1.",
+        "1e", "-", "[1,]", "{\"a\": 1,}", "{\"a\" 1}", "[1 2]", "nul",
+        "{\"a\": 1, \"a\": 2}", "{\"o\": {\"k\": 1, \"k\": 1}}", "1 2"})
+    EXPECT_FALSE(readOne(Bad, Out).ok()) << "accepted: " << Bad;
 }

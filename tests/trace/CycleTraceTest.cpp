@@ -17,8 +17,8 @@
 #include "sim/Simulator.h"
 #include "support/ThreadPool.h"
 #include "trace/Telemetry.h"
+#include "trace/TraceFormat.h"
 #include "trace/TraceReport.h"
-#include "trace/TraceValidator.h"
 
 #include "../common/TestUtils.h"
 #include "gtest/gtest.h"
@@ -35,7 +35,7 @@ namespace {
 
 std::string exportToString(const CycleTrace &CT) {
   std::ostringstream OS;
-  CT.exportJSON(OS);
+  writeChromeTrace(OS, TraceClock::Cycles, CT.events());
   return OS.str();
 }
 
@@ -122,7 +122,7 @@ TEST(CycleTraceTest, SlicesCoalesceAndTotalsAccumulate) {
   EXPECT_EQ(CT.eventCount(), 3);
   EXPECT_EQ(CT.phaseCycles(1, 0, ThreadPhase::Run), 11);
   EXPECT_EQ(CT.phaseCycles(1, 0, ThreadPhase::MemStall), 11);
-  const std::vector<CycleEvent> &E = CT.events();
+  const std::vector<TraceEvent> &E = CT.events();
   EXPECT_EQ(E[0].Name, "Run");
   EXPECT_EQ(E[0].Ts, 0);
   EXPECT_EQ(E[0].Dur, 9);
@@ -182,7 +182,7 @@ TEST(CycleTraceTest, ExportIsByteIdenticalAcrossHostThreads) {
     EXPECT_EQ(S, Reference);
 
   // And the trace passes the strict validator.
-  EXPECT_TRUE(validateChromeTrace(Reference).ok());
+  EXPECT_TRUE(parseChromeTrace(Reference).ok());
 }
 
 TEST(CycleTraceTest, GridTraceValidatesAndIsDeterministicPerEngineCount) {
@@ -191,7 +191,7 @@ TEST(CycleTraceTest, GridTraceValidatesAndIsDeterministicPerEngineCount) {
     const std::string A = runTracedGrid(Engines);
     const std::string B = runTracedGrid(Engines);
     EXPECT_EQ(A, B) << "engine count " << Engines;
-    Status V = validateChromeTrace(A);
+    Status V = parseChromeTrace(A).status();
     EXPECT_TRUE(V.ok()) << "engines=" << Engines << ": " << V.str();
     // More engines change the trace (different placement, real fabric).
     EXPECT_NE(A, Previous);
@@ -201,11 +201,11 @@ TEST(CycleTraceTest, GridTraceValidatesAndIsDeterministicPerEngineCount) {
 
 TEST(CycleTraceTest, MultiEngineGridEmitsCountersAndMatchedFlows) {
   const std::string JSON = runTracedGrid(4);
-  ErrorOr<std::vector<ParsedTraceEvent>> Events = parseChromeTrace(JSON);
+  ErrorOr<std::vector<TraceEvent>> Events = parseChromeTrace(JSON);
   ASSERT_TRUE(Events.ok()) << Events.status().str();
   int Counters = 0, Starts = 0, Finishes = 0, Slices = 0;
   bool SawFabric = false, SawOccupancy = false, SawInFlight = false;
-  for (const ParsedTraceEvent &E : *Events) {
+  for (const TraceEvent &E : *Events) {
     switch (E.Ph) {
     case 'C':
       ++Counters;
@@ -240,7 +240,7 @@ TEST(CycleTraceTest, MultiEngineGridEmitsCountersAndMatchedFlows) {
 
   // The report layer digests the same events: the flow latencies it
   // aggregates are exactly the matched pairs.
-  TraceReport Report = TraceReport::build(*Events);
+  TraceReport Report = TraceReport::build(*Events, TraceClock::Cycles);
   ASSERT_EQ(Report.flows().size(), 1u);
   EXPECT_EQ(Report.flows()[0].Name, "work-dispatch");
   EXPECT_EQ(static_cast<int>(Report.flows()[0].Latencies.size()), Finishes);
@@ -279,7 +279,7 @@ TEST(CycleTraceTest, SamplerFiresOnPeriodGridIntoTraceAndRing) {
   ASSERT_EQ(CT.eventCount(), 2);
   EXPECT_EQ(CT.events()[0].Ph, 'C');
   EXPECT_EQ(CT.events()[0].Ts, 10);
-  EXPECT_EQ(CT.events()[0].Args.front().second, 3);
+  EXPECT_EQ(CT.events()[0].Args.front().Value, "3");
 }
 
 TEST(CycleTraceTest, RingBufferWrapsOldestFirst) {
@@ -335,18 +335,18 @@ TEST(CycleTraceValidatorTest, AcceptsCounterAndFlowPhases) {
       "\"tid\": 0, \"args\": {\"value\": 2}},\n"
       " {\"ph\": \"f\", \"name\": \"w\", \"ts\": 16, \"pid\": 2, "
       "\"tid\": 0, \"id\": 7, \"bp\": \"e\"}]";
-  Status S = validateChromeTrace(Good);
+  Status S = parseChromeTrace(Good).status();
   EXPECT_TRUE(S.ok()) << S.str();
 }
 
 TEST(CycleTraceValidatorTest, RejectsMalformedCountersAndFlows) {
   // Counter without a value arg.
-  EXPECT_FALSE(validateChromeTrace("[{\"ph\": \"C\", \"name\": \"c\", "
-                                   "\"ts\": 1, \"pid\": 1, \"tid\": 0}]")
+  EXPECT_FALSE(parseChromeTrace("[{\"ph\": \"C\", \"name\": \"c\", "
+                                "\"ts\": 1, \"pid\": 1, \"tid\": 0}]")
                    .ok());
   // Counter series going backwards in time.
   EXPECT_FALSE(
-      validateChromeTrace(
+      parseChromeTrace(
           "[{\"ph\": \"C\", \"name\": \"c\", \"ts\": 5, \"pid\": 1, "
           "\"tid\": 0, \"args\": {\"value\": 1}},\n"
           " {\"ph\": \"C\", \"name\": \"c\", \"ts\": 4, \"pid\": 1, "
@@ -354,45 +354,46 @@ TEST(CycleTraceValidatorTest, RejectsMalformedCountersAndFlows) {
           .ok());
   // Duplicate flow start.
   EXPECT_FALSE(
-      validateChromeTrace(
+      parseChromeTrace(
           "[{\"ph\": \"s\", \"name\": \"w\", \"ts\": 1, \"pid\": 0, "
           "\"tid\": 0, \"id\": 3},\n"
           " {\"ph\": \"s\", \"name\": \"w\", \"ts\": 2, \"pid\": 0, "
           "\"tid\": 0, \"id\": 3}]")
           .ok());
   // Finish with no start.
-  EXPECT_FALSE(validateChromeTrace("[{\"ph\": \"f\", \"name\": \"w\", "
-                                   "\"ts\": 2, \"pid\": 0, \"tid\": 0, "
-                                   "\"id\": 9}]")
+  EXPECT_FALSE(parseChromeTrace("[{\"ph\": \"f\", \"name\": \"w\", "
+                                "\"ts\": 2, \"pid\": 0, \"tid\": 0, "
+                                "\"id\": 9}]")
                    .ok());
   // Finish before its start.
   EXPECT_FALSE(
-      validateChromeTrace(
+      parseChromeTrace(
           "[{\"ph\": \"s\", \"name\": \"w\", \"ts\": 10, \"pid\": 0, "
           "\"tid\": 0, \"id\": 3},\n"
           " {\"ph\": \"f\", \"name\": \"w\", \"ts\": 6, \"pid\": 0, "
           "\"tid\": 0, \"id\": 3}]")
           .ok());
   // Unclosed flow at end of document.
-  Status Unclosed = validateChromeTrace(
+  Status Unclosed = parseChromeTrace(
       "[{\"ph\": \"s\", \"name\": \"w\", \"ts\": 1, \"pid\": 0, "
-      "\"tid\": 0, \"id\": 3}]");
+      "\"tid\": 0, \"id\": 3}]").status();
   EXPECT_FALSE(Unclosed.ok());
   EXPECT_NE(Unclosed.str().find("never finishes"), std::string::npos);
   // Flow events must carry an id.
-  EXPECT_FALSE(validateChromeTrace("[{\"ph\": \"s\", \"name\": \"w\", "
-                                   "\"ts\": 1, \"pid\": 0, \"tid\": 0}]")
+  EXPECT_FALSE(parseChromeTrace("[{\"ph\": \"s\", \"name\": \"w\", "
+                                "\"ts\": 1, \"pid\": 0, \"tid\": 0}]")
                    .ok());
   // Unknown phases are still a hard failure.
-  EXPECT_FALSE(validateChromeTrace("[{\"ph\": \"q\", \"name\": \"w\", "
-                                   "\"ts\": 1, \"pid\": 0, \"tid\": 0}]")
+  EXPECT_FALSE(parseChromeTrace("[{\"ph\": \"q\", \"name\": \"w\", "
+                                "\"ts\": 1, \"pid\": 0, \"tid\": 0}]")
                    .ok());
 }
 
 TEST(CycleTraceValidatorTest, ErrorsCarryLineOffsetAndKey) {
   // The broken value sits on line 2, under the "ts" key.
-  Status S = validateChromeTrace("[{\"ph\": \"i\", \"name\": \"a\",\n"
-                                 "  \"ts\": oops, \"pid\": 0, \"tid\": 0}]");
+  Status S = parseChromeTrace("[{\"ph\": \"i\", \"name\": \"a\",\n"
+                              "  \"ts\": oops, \"pid\": 0, \"tid\": 0}]")
+                 .status();
   ASSERT_FALSE(S.ok());
   const std::string Msg = S.str();
   EXPECT_NE(Msg.find("line 2"), std::string::npos) << Msg;
@@ -402,9 +403,9 @@ TEST(CycleTraceValidatorTest, ErrorsCarryLineOffsetAndKey) {
 
 TEST(TraceReportTest, NearestRankPercentilesAndSparklines) {
   // Hand-built events: one track with two states, one counter series.
-  std::vector<ParsedTraceEvent> Events;
+  std::vector<TraceEvent> Events;
   for (int I = 0; I < 10; ++I) {
-    ParsedTraceEvent E;
+    TraceEvent E;
     E.Ph = 'X';
     E.Name = I < 7 ? "Run" : "MemStall";
     E.Ts = I * 10;
@@ -414,15 +415,15 @@ TEST(TraceReportTest, NearestRankPercentilesAndSparklines) {
     Events.push_back(E);
   }
   for (int I = 0; I < 5; ++I) {
-    ParsedTraceEvent E;
+    TraceEvent E;
     E.Ph = 'C';
     E.Name = "sim.occupancy";
     E.Ts = I * 16;
     E.Pid = 1;
-    E.Args.emplace_back("value", std::to_string(I));
+    E.Args.push_back({"value", std::to_string(I), /*Raw=*/true});
     Events.push_back(E);
   }
-  TraceReport R = TraceReport::build(Events);
+  TraceReport R = TraceReport::build(Events, TraceClock::Cycles);
   ASSERT_EQ(R.tracks().size(), 1u);
   const TrackReport &T = R.tracks()[0];
   EXPECT_EQ(T.TotalDur, 7 * 8 + 3 * 2);
@@ -439,4 +440,41 @@ TEST(TraceReportTest, NearestRankPercentilesAndSparklines) {
   EXPECT_NE(Text.find("Run"), std::string::npos);
   EXPECT_NE(Text.find("sim.occupancy"), std::string::npos);
   EXPECT_NE(Text.find("90.3%"), std::string::npos);
+}
+
+TEST(TraceReportTest, WallSpansCountSelfTimeOnThreadTracks) {
+  // A 400 us job: parse takes 300 us, alloc 50 us, and allocation's own
+  // span 20 us of that. Each span counts only its self time, so the track
+  // adds up to the job's wall time once.
+  auto Span = [](char Ph, const char *Name, int64_t Us) {
+    return TraceEvent{.Ph = Ph, .Name = Name, .Cat = "batch",
+                      .Ts = Us * 1000, .Pid = 1, .Tid = 3};
+  };
+  const std::vector<TraceEvent> Events = {
+      Span('B', "job", 0),
+      Span('B', "parse", 10),
+      Span('E', "parse", 310),
+      Span('B', "alloc", 320),
+      Span('B', "allocateInterThread", 330),
+      Span('E', "allocateInterThread", 350),
+      Span('E', "alloc", 370),
+      Span('E', "job", 400),
+  };
+  TraceReport R = TraceReport::build(Events, TraceClock::Wall);
+  ASSERT_EQ(R.tracks().size(), 1u);
+  const TrackReport &T = R.tracks()[0];
+  EXPECT_EQ(T.TotalDur, 400);
+  EXPECT_EQ(T.ByName.at("job").TotalDur, 50);
+  EXPECT_EQ(T.ByName.at("parse").TotalDur, 300);
+  EXPECT_EQ(T.ByName.at("alloc").TotalDur, 30);
+  EXPECT_EQ(T.ByName.at("allocateInterThread").TotalDur, 20);
+  std::ostringstream Text, Html;
+  R.renderText(Text);
+  R.renderHTML(Html);
+  EXPECT_NE(Text.str().find("[thread 3] total 400 us"), std::string::npos)
+      << Text.str();
+  EXPECT_NE(Text.str().find("job                  12.5%"), std::string::npos)
+      << Text.str();
+  EXPECT_NE(Html.str().find("<h2>thread 3</h2>"), std::string::npos);
+  EXPECT_NE(Html.str().find("<th>us</th>"), std::string::npos);
 }

@@ -10,7 +10,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "trace/TraceEngine.h"
-#include "trace/TraceValidator.h"
+#include "trace/TraceFormat.h"
 
 #include "driver/BatchPipeline.h"
 
@@ -58,17 +58,17 @@ std::map<std::string, int> tracedRun(int Jobs) {
 
   TE.setEnabled(false);
   std::ostringstream OS;
-  TE.exportJSON(OS);
+  writeChromeTrace(OS, TraceClock::Wall, TE.events());
   const std::string JSON = OS.str();
   TE.clear();
 
-  Status Valid = validateChromeTrace(JSON);
+  Status Valid = parseChromeTrace(JSON).status();
   EXPECT_TRUE(Valid.ok()) << Valid.str();
-  ErrorOr<std::vector<ParsedTraceEvent>> Events = parseChromeTrace(JSON);
+  ErrorOr<std::vector<TraceEvent>> Events = parseChromeTrace(JSON);
   EXPECT_TRUE(Events.ok()) << Events.status().str();
   std::map<std::string, int> Multiset;
   if (Events.ok())
-    for (const ParsedTraceEvent &E : *Events)
+    for (const TraceEvent &E : *Events)
       if (E.Name != "runBatch")
         ++Multiset[E.contentKey()];
   return Multiset;

@@ -1,7 +1,7 @@
 //===- TraceEngineTest.cpp - Tracing, export, and strict validation -------===//
 
 #include "trace/TraceEngine.h"
-#include "trace/TraceValidator.h"
+#include "trace/TraceFormat.h"
 
 #include "gtest/gtest.h"
 
@@ -29,7 +29,7 @@ protected:
 
   static std::string exportAll() {
     std::ostringstream OS;
-    TraceEngine::global().exportJSON(OS);
+    writeChromeTrace(OS, TraceClock::Wall, TraceEngine::global().events());
     return OS.str();
   }
 };
@@ -44,7 +44,7 @@ TEST_F(TraceEngineTest, DisabledRecordsNothing) {
   }
   EXPECT_EQ(TraceEngine::global().eventCount(), 0);
   // The empty export is still a valid (empty) trace document.
-  EXPECT_TRUE(validateChromeTrace(exportAll()).ok());
+  EXPECT_TRUE(parseChromeTrace(exportAll()).ok());
 }
 
 TEST_F(TraceEngineTest, SpanAndInstantRoundTrip) {
@@ -57,10 +57,10 @@ TEST_F(TraceEngineTest, SpanAndInstantRoundTrip) {
   EXPECT_EQ(TraceEngine::global().eventCount(), 3);
 
   const std::string JSON = exportAll();
-  ASSERT_TRUE(validateChromeTrace(JSON).ok())
-      << validateChromeTrace(JSON).str() << "\n"
+  ASSERT_TRUE(parseChromeTrace(JSON).ok())
+      << parseChromeTrace(JSON).status().str() << "\n"
       << JSON;
-  ErrorOr<std::vector<ParsedTraceEvent>> Events = parseChromeTrace(JSON);
+  ErrorOr<std::vector<TraceEvent>> Events = parseChromeTrace(JSON);
   ASSERT_TRUE(Events.ok()) << Events.status().str();
   ASSERT_EQ(Events->size(), 3u);
 
@@ -69,8 +69,8 @@ TEST_F(TraceEngineTest, SpanAndInstantRoundTrip) {
   EXPECT_EQ((*Events)[0].Name, "work");
   EXPECT_EQ((*Events)[0].Cat, "alloc");
   ASSERT_EQ((*Events)[0].Args.size(), 1u);
-  EXPECT_EQ((*Events)[0].Args[0].first, "key");
-  EXPECT_EQ((*Events)[0].Args[0].second, "value");
+  EXPECT_EQ((*Events)[0].Args[0].Key, "key");
+  EXPECT_EQ((*Events)[0].Args[0].Value, "value");
   EXPECT_EQ((*Events)[1].Ph, 'i');
   EXPECT_EQ((*Events)[1].Name, "tick");
   EXPECT_EQ((*Events)[2].Ph, 'E');
@@ -105,7 +105,7 @@ TEST_F(TraceEngineTest, ClearStartsANewGeneration) {
   EXPECT_EQ(TraceEngine::global().eventCount(), 0);
   NPRAL_TRACE_INSTANT("cat", "after");
   EXPECT_EQ(TraceEngine::global().eventCount(), 1);
-  ErrorOr<std::vector<ParsedTraceEvent>> Events =
+  ErrorOr<std::vector<TraceEvent>> Events =
       parseChromeTrace(exportAll());
   ASSERT_TRUE(Events.ok());
   ASSERT_EQ(Events->size(), 1u);
@@ -122,9 +122,9 @@ TEST_F(TraceEngineTest, SpanOpenAcrossClearDropsItsEnd) {
     NPRAL_TRACE_INSTANT("cat", "fresh");
   }
   const std::string JSON = exportAll();
-  EXPECT_TRUE(validateChromeTrace(JSON).ok())
-      << validateChromeTrace(JSON).str();
-  ErrorOr<std::vector<ParsedTraceEvent>> Events = parseChromeTrace(JSON);
+  EXPECT_TRUE(parseChromeTrace(JSON).ok())
+      << parseChromeTrace(JSON).status().str();
+  ErrorOr<std::vector<TraceEvent>> Events = parseChromeTrace(JSON);
   ASSERT_TRUE(Events.ok());
   ASSERT_EQ(Events->size(), 1u);
   EXPECT_EQ((*Events)[0].Name, "fresh");
@@ -151,19 +151,19 @@ TEST_F(TraceEngineTest, ConcurrentThreadsStayBalanced) {
   EXPECT_EQ(TraceEngine::global().eventCount(),
             static_cast<int64_t>(NumThreads) * SpansPerThread * 3);
   const std::string JSON = exportAll();
-  Status S = validateChromeTrace(JSON);
+  Status S = parseChromeTrace(JSON).status();
   EXPECT_TRUE(S.ok()) << S.str();
 }
 
 TEST_F(TraceEngineTest, ContentKeyIgnoresTimestampAndTrack) {
-  ParsedTraceEvent A, B;
+  TraceEvent A, B;
   A.Ph = B.Ph = 'i';
   A.Name = B.Name = "tick";
   A.Cat = B.Cat = "cat";
   A.Args = {{"b", "2"}, {"a", "1"}};
   B.Args = {{"a", "1"}, {"b", "2"}}; // sorted inside contentKey
-  A.Ts = 1.0;
-  B.Ts = 99.0;
+  A.Ts = 1;
+  B.Ts = 99;
   A.Tid = 1;
   B.Tid = 7;
   EXPECT_EQ(A.contentKey(), B.contentKey());
@@ -176,19 +176,19 @@ TEST_F(TraceEngineTest, ContentKeyIgnoresTimestampAndTrack) {
 //===----------------------------------------------------------------------===//
 
 TEST(TraceValidatorTest, AcceptsMinimalForms) {
-  EXPECT_TRUE(validateChromeTrace("[]").ok());
-  EXPECT_TRUE(validateChromeTrace("{\"traceEvents\": []}").ok());
-  EXPECT_TRUE(validateChromeTrace(
+  EXPECT_TRUE(parseChromeTrace("[]").ok());
+  EXPECT_TRUE(parseChromeTrace("{\"traceEvents\": []}").ok());
+  EXPECT_TRUE(parseChromeTrace(
                   "{\"displayTimeUnit\": \"ms\", \"traceEvents\": ["
                   "{\"ph\": \"i\", \"name\": \"a\", \"ts\": 1.5, "
                   "\"pid\": 1, \"tid\": 2}]}")
                   .ok());
   // Balanced B/E pair with an X event on another track.
-  Status S = validateChromeTrace(
+  Status S = parseChromeTrace(
       "[{\"ph\": \"B\", \"name\": \"s\", \"ts\": 0, \"pid\": 1, \"tid\": 1},"
       " {\"ph\": \"E\", \"name\": \"s\", \"ts\": 2, \"pid\": 1, \"tid\": 1},"
       " {\"ph\": \"X\", \"name\": \"x\", \"ts\": 0, \"dur\": 5, \"pid\": 1, "
-      "\"tid\": 2}]");
+      "\"tid\": 2}]").status();
   EXPECT_TRUE(S.ok()) << S.str();
 }
 
@@ -199,7 +199,7 @@ TEST(TraceValidatorTest, AcceptsMinimalForms) {
 namespace {
 
 void expectInvalid(const std::string &JSON) {
-  EXPECT_FALSE(validateChromeTrace(JSON).ok()) << "accepted: " << JSON;
+  EXPECT_FALSE(parseChromeTrace(JSON).ok()) << "accepted: " << JSON;
 }
 
 } // namespace
@@ -232,6 +232,58 @@ TEST(TraceValidatorTest, RejectsMissingOrBadFields) {
                 "\"tid\": 1}]");
 }
 
+/// \p JSON fails to parse with an error that names a line and an offset.
+void expectRejectedAt(const std::string &JSON, const std::string &Why) {
+  ErrorOr<std::vector<TraceEvent>> Events = parseChromeTrace(JSON);
+  ASSERT_FALSE(Events.ok()) << "accepted: " << JSON;
+  const std::string Msg = Events.status().str();
+  EXPECT_NE(Msg.find(Why), std::string::npos) << Msg;
+  EXPECT_NE(Msg.find(" at line "), std::string::npos) << Msg;
+  EXPECT_NE(Msg.find(", offset "), std::string::npos) << Msg;
+}
+
+TEST(TraceValidatorTest, RejectsNumbersThatOverflowADouble) {
+  expectRejectedAt("[{\"ph\": \"i\", \"name\": \"a\", \"ts\": 1e999, "
+                   "\"pid\": 0, \"tid\": 0}]",
+                   "number out of range");
+}
+
+TEST(TraceValidatorTest, RejectsIntegersOutOfRange) {
+  expectRejectedAt("[{\"ph\": \"i\", \"name\": \"a\", \"ts\": 0, "
+                   "\"pid\": 99999999999999999999999, \"tid\": 0}]",
+                   "integer out of range");
+  expectRejectedAt("{\"virtualClock\": \"cycles\", \"traceEvents\": ["
+                   "{\"ph\": \"i\", \"name\": \"a\", \"ts\": 0, \"pid\": 0, "
+                   "\"tid\": 0, \"args\": {}, \"dur\": 1e30}]}",
+                   "expected an integer");
+  expectRejectedAt("[{\"ph\": \"s\", \"name\": \"w\", \"ts\": 0, "
+                   "\"pid\": 0, \"tid\": 0, \"id\": -1}]",
+                   "integer out of range");
+}
+
+TEST(TraceValidatorTest, RejectsDuplicateKeys) {
+  expectRejectedAt("[{\"ph\": \"i\", \"name\": \"a\", \"name\": \"b\", "
+                   "\"ts\": 0, \"pid\": 0, \"tid\": 0}]",
+                   "duplicate key \"name\"");
+  expectRejectedAt("[{\"ph\": \"i\", \"name\": \"a\", \"ts\": 0, \"pid\": 0, "
+                   "\"tid\": 0, \"args\": {\"k\": \"1\", \"k\": \"2\"}}]",
+                   "duplicate key \"k\"");
+}
+
+TEST(TraceValidatorTest, RejectsDeepNestingWithoutExhaustingTheStack) {
+  const std::string Deep = "[{\"ph\": \"i\", \"name\": \"a\", \"ts\": 0, "
+                           "\"pid\": 0, \"tid\": 0, \"args\": {\"k\": " +
+                           std::string(100000, '[');
+  expectRejectedAt(Deep, "nesting deeper than");
+}
+
+TEST(TraceValidatorTest, SemanticErrorsNameTheEventsLine) {
+  expectRejectedAt(
+      "[{\"ph\": \"i\", \"name\": \"a\", \"ts\": 5, \"pid\": 1, \"tid\": 1},\n"
+      " {\"ph\": \"i\", \"name\": \"b\", \"ts\": 4, \"pid\": 1, \"tid\": 1}]",
+      "event 'b': ts goes backwards on its track at line 2");
+}
+
 TEST(TraceValidatorTest, RejectsUnbalancedSpans) {
   // E without a matching B.
   expectInvalid(
@@ -255,7 +307,7 @@ TEST(TraceValidatorTest, RejectsBackwardsTimestamps) {
       " {\"ph\": \"i\", \"name\": \"b\", \"ts\": 4, \"pid\": 1, \"tid\": 1}]");
   // Different tracks have independent clocks — this one is fine.
   EXPECT_TRUE(
-      validateChromeTrace(
+      parseChromeTrace(
           "[{\"ph\": \"i\", \"name\": \"a\", \"ts\": 5, \"pid\": 1, "
           "\"tid\": 1},"
           " {\"ph\": \"i\", \"name\": \"b\", \"ts\": 4, \"pid\": 1, "

@@ -80,8 +80,8 @@
 #include "trace/MetricsRegistry.h"
 #include "trace/Telemetry.h"
 #include "trace/TraceEngine.h"
+#include "trace/TraceFormat.h"
 #include "trace/TraceReport.h"
-#include "trace/TraceValidator.h"
 
 #include <algorithm>
 #include <charconv>
@@ -405,6 +405,22 @@ int reportFailure(const BatchJobResult &R) {
   return 1;
 }
 
+/// Write a trace file and note it on stderr; false (reported) on failure.
+bool writeTrace(const std::string &Path, TraceClock Clock,
+                const std::vector<TraceEvent> &Events) {
+  if (Status S = writeFile(Path, [&](std::ostream &OS) {
+        writeChromeTrace(OS, Clock, Events);
+      });
+      !S.ok()) {
+    std::cerr << "error: " << S.str() << "\n";
+    return false;
+  }
+  std::cerr << "wrote " << Path << " (" << Events.size()
+            << (Clock == TraceClock::Cycles ? " cycle-domain events)\n"
+                                            : " trace events)\n");
+  return true;
+}
+
 int cmdAnalyze(const MultiThreadProgram &MTP) {
   TableFormatter Table({"Thread", "#Instr", "#CTX", "#LiveRanges", "#NSR",
                         "RegPmax", "RegPCSBmax", "MaxR", "MaxPR"});
@@ -585,14 +601,9 @@ int cmdRun(const std::string &Path, BatchOptions Opts,
         T, std::vector<uint32_t>(P.EntryLiveRegs.size(), 0));
   }
   SimResult Run = Sim.run();
-  if (!TraceCycles.empty()) {
-    if (Status S = CT.writeFile(TraceCycles); !S.ok()) {
-      std::cerr << "error: " << S.str() << "\n";
-      return 1;
-    }
-    std::cerr << "wrote " << TraceCycles << " (" << CT.eventCount()
-              << " cycle-domain events)\n";
-  }
+  if (!TraceCycles.empty() &&
+      !writeTrace(TraceCycles, TraceClock::Cycles, CT.events()))
+    return 1;
   if (!Run.Completed) {
     std::cerr << "simulation failed: " << Run.FailReason << "\n";
     return 1;
@@ -904,14 +915,9 @@ int cmdGrid(const std::string &ScenarioName, GridOptions Opts,
     return usage();
   }
   GridReport Report = runKernelPoolGrid(ScenarioName, Pool, Opts);
-  if (!TraceCycles.empty() && Report.Success) {
-    if (Status S = CT.writeFile(TraceCycles); !S.ok()) {
-      std::cerr << "error: " << S.str() << "\n";
-      return 1;
-    }
-    std::cerr << "wrote " << TraceCycles << " (" << CT.eventCount()
-              << " cycle-domain events)\n";
-  }
+  if (!TraceCycles.empty() && Report.Success &&
+      !writeTrace(TraceCycles, TraceClock::Cycles, CT.events()))
+    return 1;
   if (!Report.Success) {
     std::cerr << "grid run failed: " << Report.FailReason << "\n";
     return 1;
@@ -984,58 +990,50 @@ int cmdGrid(const std::string &ScenarioName, GridOptions Opts,
   return 0;
 }
 
-int cmdTraceValidate(const std::string &Path) {
+/// Read and strictly parse the trace at \p Path, reporting a failure on
+/// stderr. The report trusts its input's structure, so a malformed trace
+/// is a hard error, not a partial summary.
+std::optional<std::vector<TraceEvent>> loadTrace(const std::string &Path,
+                                                 TraceClock &Clock) {
   std::ifstream In(Path);
   if (!In) {
     std::cerr << "error: cannot open '" << Path << "'\n";
-    return 1;
+    return std::nullopt;
   }
   std::ostringstream Buf;
   Buf << In.rdbuf();
-  const std::string Text = Buf.str();
-  ErrorOr<std::vector<ParsedTraceEvent>> Events = parseChromeTrace(Text);
+  ErrorOr<std::vector<TraceEvent>> Events = parseChromeTrace(Buf.str(), &Clock);
   if (!Events.ok()) {
     std::cerr << Path << ": " << Events.status().str() << "\n";
-    return 1;
+    return std::nullopt;
   }
-  if (Status S = validateChromeTrace(Text); !S.ok()) {
-    std::cerr << Path << ": " << S.str() << "\n";
+  return Events.take();
+}
+
+int cmdTraceValidate(const std::string &Path) {
+  TraceClock Clock = TraceClock::Wall;
+  std::optional<std::vector<TraceEvent>> Events = loadTrace(Path, Clock);
+  if (!Events)
     return 1;
-  }
   std::cout << Path << ": valid chrome trace, " << Events->size()
             << " events\n";
   return 0;
 }
 
 int cmdReport(const std::string &Path, const std::string &HtmlOut) {
-  std::ifstream In(Path);
-  if (!In) {
-    std::cerr << "error: cannot open '" << Path << "'\n";
+  TraceClock Clock = TraceClock::Wall;
+  std::optional<std::vector<TraceEvent>> Events = loadTrace(Path, Clock);
+  if (!Events)
     return 1;
-  }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  // The report trusts its input's structure, so run the strict validator
-  // first — a malformed trace is a hard error, not a partial summary.
-  ErrorOr<std::vector<ParsedTraceEvent>> Events = parseChromeTrace(Buf.str());
-  if (!Events.ok()) {
-    std::cerr << Path << ": " << Events.status().str() << "\n";
-    return 1;
-  }
-  const TraceReport Report = TraceReport::build(*Events);
+  const TraceReport Report = TraceReport::build(*Events, Clock);
   if (HtmlOut.empty()) {
     Report.renderText(std::cout);
     return 0;
   }
-  std::ofstream Out(HtmlOut, std::ios::binary);
-  if (!Out) {
-    std::cerr << "error: cannot write '" << HtmlOut << "'\n";
-    return 1;
-  }
-  Report.renderHTML(Out);
-  Out.flush();
-  if (!Out) {
-    std::cerr << "error: failed writing '" << HtmlOut << "'\n";
+  if (Status S = writeFile(
+          HtmlOut, [&](std::ostream &OS) { Report.renderHTML(OS); });
+      !S.ok()) {
+    std::cerr << "error: " << S.str() << "\n";
     return 1;
   }
   std::cerr << "wrote " << HtmlOut << "\n";
@@ -1239,15 +1237,9 @@ int main(int argc, char **argv) {
   int Ret = dispatch(static_cast<int>(Args.size()), Args.data());
 
   if (!TraceOut.empty()) {
-    TraceEngine &TE = TraceEngine::global();
-    TE.setEnabled(false);
-    if (Status S = TE.writeFile(TraceOut); !S.ok()) {
-      std::cerr << "error: " << S.str() << "\n";
+    TraceEngine::global().setEnabled(false);
+    if (!writeTrace(TraceOut, TraceClock::Wall, TraceEngine::global().events()))
       Ret = Ret ? Ret : 1;
-    } else {
-      std::cerr << "wrote " << TraceOut << " (" << TE.eventCount()
-                << " trace events)\n";
-    }
   }
   if (Metrics)
     MetricsRegistry::global().renderText(std::cerr);
