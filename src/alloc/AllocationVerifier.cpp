@@ -2,7 +2,7 @@
 
 #include "alloc/AllocationVerifier.h"
 
-#include "analysis/InterferenceGraph.h"
+#include "analysis/NSR.h"
 #include "ir/IRPrinter.h"
 #include "ir/IRVerifier.h"
 
@@ -74,11 +74,11 @@ void npral::collectAllocationSafety(const MultiThreadProgram &Physical,
                                     BitVector(NumRegs));
   std::vector<BitVector> LiveAcrossCSB(static_cast<size_t>(Nthd),
                                        BitVector(NumRegs));
-  std::vector<NSRInfo> ThreadNSRs(static_cast<size_t>(Nthd));
+  std::vector<LivenessInfo> ThreadLiveness(static_cast<size_t>(Nthd));
   for (int T = 0; T < Nthd; ++T) {
     const Program &P = Physical.Threads[static_cast<size_t>(T)];
     Status S = verifyProgram(P);
-    LivenessInfo LI;
+    LivenessInfo &LI = ThreadLiveness[static_cast<size_t>(T)];
     if (S.ok()) {
       LI = computeLiveness(P);
       S = checkNoUseOfUndef(P, LI);
@@ -102,9 +102,9 @@ void npral::collectAllocationSafety(const MultiThreadProgram &Physical,
     for (Reg R : P.EntryLiveRegs)
       Referenced[static_cast<size_t>(T)].set(R);
 
-    ThreadNSRs[static_cast<size_t>(T)] = computeNSRs(P, LI);
-    for (const CSB &Boundary : ThreadNSRs[static_cast<size_t>(T)].getCSBs())
-      LiveAcrossCSB[static_cast<size_t>(T)].unionWith(Boundary.LiveAcross);
+    forEachCSB(P, LI, [&](int, int, const BitVector &Across) {
+      LiveAcrossCSB[static_cast<size_t>(T)].unionWith(Across);
+    });
   }
 
   // Safety: a register live across thread T's context switches must not be
@@ -123,15 +123,18 @@ void npral::collectAllocationSafety(const MultiThreadProgram &Physical,
       Clash.intersectWith(Referenced[static_cast<size_t>(Other)]);
       Clash.forEach([&](int Bad) {
         // Locate the witnessing CSB and count how many carry the register.
-        const CSB *Witness = nullptr;
+        int WitnessBlock = -1, WitnessInstr = -1;
         int NumCarrying = 0;
-        for (const CSB &Boundary :
-             ThreadNSRs[static_cast<size_t>(T)].getCSBs())
-          if (Boundary.LiveAcross.test(Bad)) {
-            if (!Witness)
-              Witness = &Boundary;
-            ++NumCarrying;
-          }
+        forEachCSB(P, ThreadLiveness[static_cast<size_t>(T)],
+                   [&](int B, int I, const BitVector &Across) {
+                     if (!Across.test(Bad))
+                       return;
+                     if (WitnessBlock < 0) {
+                       WitnessBlock = B;
+                       WitnessInstr = I;
+                     }
+                     ++NumCarrying;
+                   });
 
         Diagnostic &D = Engine.report(
             Severity::Error, RaceCheck,
@@ -139,12 +142,11 @@ void npral::collectAllocationSafety(const MultiThreadProgram &Physical,
                 std::to_string(NumCarrying) + " CSB(s) of thread '" + P.Name +
                 "' but referenced by thread '" + OtherP.Name + "'");
         D.Thread = P.Name;
-        if (Witness) {
-          D.Block = Witness->Block;
-          D.Instr = Witness->InstrIndex;
+        if (WitnessBlock >= 0) {
+          D.Block = WitnessBlock;
+          D.Instr = WitnessInstr;
           const Instruction &CSBInst =
-              P.block(Witness->Block)
-                  .Instrs[static_cast<size_t>(Witness->InstrIndex)];
+              P.block(WitnessBlock).Instrs[static_cast<size_t>(WitnessInstr)];
           D.Witness = "CSB '" + formatInstruction(P, CSBInst) + "'";
         }
         int RefBlock = -1, RefInstr = -1;

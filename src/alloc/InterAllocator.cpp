@@ -38,10 +38,12 @@ MultiThreadProgram npral::materializePhysical(
     Phys.NumRegs = Nreg;
     Phys.IsPhysical = true;
     Phys.EntryBlock = CP.EntryBlock;
+    Phys.Blocks.reserve(CP.Blocks.size());
     for (int B = 0; B < CP.getNumBlocks(); ++B) {
       const BasicBlock &BB = CP.block(B);
       int NewB = Phys.addBlock(CP.blockName(BB.Id));
       Phys.block(NewB).FallThrough = BB.FallThrough;
+      Phys.block(NewB).Instrs.reserve(BB.Instrs.size());
       for (const Instruction &I : BB.Instrs) {
         Instruction NewI = I;
         if (I.Def != NoReg)
@@ -177,7 +179,7 @@ InterThreadResult npral::allocateInterThread(
     if (static_cast<size_t>(T) < Analyses.size() &&
         Analyses[static_cast<size_t>(T)])
       Intras.push_back(std::make_unique<IntraThreadAllocator>(
-          P, *Analyses[static_cast<size_t>(T)], std::move(CM)));
+          P, Analyses[static_cast<size_t>(T)], std::move(CM)));
     else
       Intras.push_back(
           std::make_unique<IntraThreadAllocator>(P, std::move(CM)));

@@ -36,10 +36,12 @@ Program npral::rewriteToColors(const Program &P, const Coloring &Colors,
     assert(C >= 0 && C < NumColors && "referenced register left uncolored");
     return C;
   };
+  Out.Blocks.reserve(P.Blocks.size());
   for (int B = 0; B < P.getNumBlocks(); ++B) {
     const BasicBlock &BB = P.block(B);
     int NewB = Out.addBlock(P.blockName(BB.Id));
     Out.block(NewB).FallThrough = BB.FallThrough;
+    Out.block(NewB).Instrs.reserve(BB.Instrs.size());
     for (const Instruction &I : BB.Instrs) {
       Instruction NewI = I;
       if (I.Def != NoReg)
@@ -69,13 +71,17 @@ ThreadAnalysisBundle npral::computeThreadAnalysisBundle(
 }
 
 IntraThreadAllocator::IntraThreadAllocator(const Program &P, CostModel CM)
-    : Original(renameLiveRanges(P)), TA(analyzeThread(Original)),
-      Bounds(estimateRegBounds(TA)), CM(std::move(CM)) {}
+    : Owned(std::make_unique<const Program>(renameLiveRanges(P))),
+      Original(*Owned),
+      Bundle(std::make_shared<const ThreadAnalysisBundle>(
+          computeThreadAnalysisBundle(Original))),
+      TA(Bundle->TA), Bounds(Bundle->Bounds), CM(std::move(CM)) {}
 
-IntraThreadAllocator::IntraThreadAllocator(const Program &RenamedP,
-                                           const ThreadAnalysisBundle &Pre,
-                                           CostModel CM)
-    : Original(RenamedP), TA(Pre.TA), Bounds(Pre.Bounds), CM(std::move(CM)) {}
+IntraThreadAllocator::IntraThreadAllocator(
+    const Program &RenamedP, std::shared_ptr<const ThreadAnalysisBundle> Pre,
+    CostModel CM)
+    : Original(RenamedP), Bundle(std::move(Pre)), TA(Bundle->TA),
+      Bounds(Bundle->Bounds), CM(std::move(CM)) {}
 
 const IntraResult &IntraThreadAllocator::allocate(int PR, int SR) {
   auto Key = std::make_pair(PR, SR);

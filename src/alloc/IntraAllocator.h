@@ -35,6 +35,7 @@
 
 #include <chrono>
 #include <map>
+#include <memory>
 
 namespace npral {
 
@@ -81,9 +82,10 @@ ThreadAnalysisBundle computeThreadAnalysisBundle(const Program &RenamedP);
 
 class IntraThreadAllocator {
 public:
-  /// \p CM prices inserted moves by block frequency; the default unit
-  /// model reproduces the unweighted allocator exactly. Weights must refer
-  /// to \p P's block IDs.
+  /// Rename \p P and analyze it; the allocator owns both results. \p CM
+  /// prices inserted moves by block frequency; the default unit model
+  /// reproduces the unweighted allocator exactly. Weights must refer to
+  /// \p P's block IDs.
   explicit IntraThreadAllocator(const Program &P, CostModel CM = CostModel());
 
   /// Reuse a precomputed analysis instead of recomputing it. \p RenamedP
@@ -91,8 +93,12 @@ public:
   /// from exactly this program (the batch driver guarantees both via its
   /// content-hash cache). The analysis bundle is weight-independent, so
   /// any \p CM may be combined with a cached bundle.
+  ///
+  /// The allocator borrows both: it keeps a reference to \p RenamedP and
+  /// shares \p Pre, copying neither, so \p RenamedP must outlive it. Inside
+  /// allocateInterThread that is the MultiThreadProgram the call was given.
   IntraThreadAllocator(const Program &RenamedP,
-                       const ThreadAnalysisBundle &Pre,
+                       std::shared_ptr<const ThreadAnalysisBundle> Pre,
                        CostModel CM = CostModel());
 
   /// Allocate with \p PR private and \p SR shared colors; memoised.
@@ -122,9 +128,13 @@ public:
   const CostModel &getCostModel() const { return CM; }
 
 private:
-  Program Original;
-  ThreadAnalysis TA;
-  RegBounds Bounds;
+  /// The renamed program, when the allocator made it itself (the
+  /// standalone constructor); null when it borrows the caller's.
+  std::unique_ptr<const Program> Owned;
+  const Program &Original;
+  std::shared_ptr<const ThreadAnalysisBundle> Bundle;
+  const ThreadAnalysis &TA;
+  const RegBounds &Bounds;
   CostModel CM;
   std::map<std::pair<int, int>, IntraResult> Cache;
   AllocationDecisionLog *Log = nullptr;

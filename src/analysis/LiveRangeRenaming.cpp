@@ -1,13 +1,13 @@
 //===- LiveRangeRenaming.cpp ----------------------------------------------===//
 //
-// Web discovery runs word-parallel: one flat union-find over
-// (register, program point) pairs, with unions driven by AND-ing the live
-// sets of adjacent points and uniting only the co-live bits. Register
-// assignment then replays per-register reference events in the exact order
-// the original per-register implementation visited them (entry component
-// first, uses before defs within an instruction, dead defs last), so fresh
-// register numbering and the ".w<k>"/".dead" names are bit-identical to the
-// pre-rewrite pass.
+// Web discovery runs word-parallel: one flat union-find over the live
+// (register, program point) pairs, with unions driven by walking the live
+// sets of adjacent points together and uniting only the co-live bits.
+// Register assignment then replays per-register reference events in the
+// exact order the original per-register implementation visited them
+// (entry component first, uses before defs within an instruction, dead
+// defs last), so fresh register numbering and the ".w<k>"/".dead" names
+// are bit-identical to the pre-rewrite pass.
 //
 //===----------------------------------------------------------------------===//
 
@@ -17,8 +17,8 @@
 
 #include <cassert>
 #include <cstdint>
-#include <numeric>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace npral;
@@ -31,14 +31,39 @@ struct RefEvent {
   uint8_t IsDef; ///< 0 = use slot(s), 1 = definition.
 };
 
+/// A register the replay created: web \p Web of \p Orig (".w<Web>"), or,
+/// with Web < 0, one of its dead definitions (".dead").
+struct FreshReg {
+  Reg Orig;
+  int32_t Web;
+};
+
+/// Walk the registers live in set \p A or set \p B (\p W words each) in
+/// ascending order, calling \p Fn(RankA, RankB) with each one's rank among
+/// the registers of A and of B (-1 where it is not in that set).
+template <typename FnT>
+void forEachLiveUnion(const uint64_t *A, const uint64_t *B, int W, FnT Fn) {
+  int32_t RankA = 0, RankB = 0;
+  for (int WI = 0; WI < W; ++WI) {
+    uint64_t Word = A[WI] | B[WI];
+    while (Word) {
+      const uint64_t Bit = Word & -Word;
+      Word &= Word - 1;
+      const bool InA = A[WI] & Bit, InB = B[WI] & Bit;
+      Fn(InA ? RankA : -1, InB ? RankB : -1);
+      RankA += InA;
+      RankB += InB;
+    }
+  }
+}
+
 } // namespace
 
-Program npral::renameLiveRanges(const Program &P) {
-  Program Out = P;
+Program npral::renameLiveRanges(Program Out) {
   LivenessInfo LI = computeLiveness(Out);
 
   const int NumBlocks = Out.getNumBlocks();
-  const int OrigRegs = P.NumRegs;
+  const int OrigRegs = Out.NumRegs;
   const int W = (OrigRegs + 63) / 64;
 
   // Program points: block b contributes size(b)+1 points; point (b, i) is
@@ -63,11 +88,33 @@ Program npral::renameLiveRanges(const Program &P) {
     return (pointWords(B, I)[static_cast<size_t>(R) / 64] >> (R % 64)) & 1;
   };
 
-  // Flat union-find over (register, point): register R's row occupies ids
-  // [R*TotalPoints, (R+1)*TotalPoints).
-  std::vector<int32_t> Parent(static_cast<size_t>(OrigRegs) *
-                              static_cast<size_t>(TotalPoints));
-  std::iota(Parent.begin(), Parent.end(), 0);
+  // Only live (register, point) pairs are ever united or looked up: a use
+  // reads the value live before it, a def names a web only when live after
+  // it, and the entry component is live at entry. So the union-find holds
+  // just those pairs: point Pt's live registers take the ids
+  // [LiveBase[Pt], LiveBase[Pt + 1]) in ascending register order.
+  std::vector<int32_t> LiveBase(static_cast<size_t>(TotalPoints) + 1, 0);
+  for (int B = 0; B < NumBlocks; ++B)
+    for (int I = 0, N = static_cast<int>(Out.block(B).Instrs.size()); I <= N;
+         ++I) {
+      const uint64_t *L = pointWords(B, I);
+      int32_t Count = 0;
+      for (int WI = 0; WI < W; ++WI)
+        Count += __builtin_popcountll(L[WI]);
+      const size_t Pt = static_cast<size_t>(pointId(B, I));
+      LiveBase[Pt + 1] = LiveBase[Pt] + Count;
+    }
+  auto pairId = [&](Reg R, int B, int I) {
+    const uint64_t *L = pointWords(B, I);
+    int32_t Rank = 0;
+    for (int WI = 0; WI < R / 64; ++WI)
+      Rank += __builtin_popcountll(L[WI]);
+    Rank += __builtin_popcountll(L[R / 64] & ((uint64_t(1) << (R % 64)) - 1));
+    return LiveBase[static_cast<size_t>(pointId(B, I))] + Rank;
+  };
+
+  std::vector<int32_t> Parent(
+      static_cast<size_t>(LiveBase[static_cast<size_t>(TotalPoints)]));
   auto find = [&](int32_t X) {
     while (Parent[static_cast<size_t>(X)] != X) {
       Parent[static_cast<size_t>(X)] =
@@ -76,36 +123,47 @@ Program npral::renameLiveRanges(const Program &P) {
     }
     return X;
   };
-  auto unite = [&](int32_t A, int32_t B) {
-    A = find(A);
-    B = find(B);
-    if (A != B)
-      Parent[static_cast<size_t>(A)] = B;
-  };
 
-  // Union adjacent points for every register live across the pair, one
-  // word-parallel intersection per pair instead of a per-register bit test.
-  auto uniteCoLive = [&](const uint64_t *LA, const uint64_t *LB, int PA,
-                         int PB) {
-    const int32_t BaseA = PA, BaseB = PB;
-    for (int WI = 0; WI < W; ++WI) {
-      uint64_t Word = LA[WI] & LB[WI];
-      while (Word) {
-        int R = WI * 64 + __builtin_ctzll(Word);
-        Word &= Word - 1;
-        unite(R * TotalPoints + BaseA, R * TotalPoints + BaseB);
-      }
-    }
-  };
+  // Within a block, a register live at consecutive points forms a run.
+  // Walking each block forward, every pair joins the run of its
+  // predecessor point by pointing straight at the run's first pair, which
+  // stays a root until the CFG edges below are united.
   for (int B = 0; B < NumBlocks; ++B) {
-    const BasicBlock &BB = Out.block(B);
-    const int N = static_cast<int>(BB.Instrs.size());
-    for (int I = 0; I < N; ++I)
-      uniteCoLive(pointWords(B, I), pointWords(B, I + 1), pointId(B, I),
-                  pointId(B, I + 1));
-    for (int S : Out.successors(B))
-      uniteCoLive(pointWords(B, N), pointWords(S, 0), pointId(B, N),
-                  pointId(S, 0));
+    const int N = static_cast<int>(Out.block(B).Instrs.size());
+    const size_t Entry = static_cast<size_t>(pointId(B, 0));
+    for (int32_t Id = LiveBase[Entry]; Id < LiveBase[Entry + 1]; ++Id)
+      Parent[static_cast<size_t>(Id)] = Id;
+    for (int I = 0; I < N; ++I) {
+      const int32_t BaseA = LiveBase[static_cast<size_t>(pointId(B, I))];
+      const int32_t BaseB = LiveBase[static_cast<size_t>(pointId(B, I + 1))];
+      forEachLiveUnion(pointWords(B, I), pointWords(B, I + 1), W,
+                       [&](int32_t RankA, int32_t RankB) {
+                         if (RankB < 0)
+                           return;
+                         const int32_t Id = BaseB + RankB;
+                         Parent[static_cast<size_t>(Id)] =
+                             RankA < 0
+                                 ? Id
+                                 : Parent[static_cast<size_t>(BaseA + RankA)];
+                       });
+    }
+  }
+  // Then unite across every CFG edge the registers live on both ends.
+  for (int B = 0; B < NumBlocks; ++B) {
+    const int N = static_cast<int>(Out.block(B).Instrs.size());
+    const int32_t BaseA = LiveBase[static_cast<size_t>(pointId(B, N))];
+    for (int S : Out.successors(B)) {
+      const int32_t BaseB = LiveBase[static_cast<size_t>(pointId(S, 0))];
+      forEachLiveUnion(pointWords(B, N), pointWords(S, 0), W,
+                       [&](int32_t RankA, int32_t RankB) {
+                         if (RankA < 0 || RankB < 0)
+                           return;
+                         const int32_t A = find(BaseA + RankA);
+                         const int32_t C = find(BaseB + RankB);
+                         if (A != C)
+                           Parent[static_cast<size_t>(A)] = C;
+                       });
+    }
   }
 
   // Reference events per original register, in program order (uses before
@@ -148,33 +206,32 @@ Program npral::renameLiveRanges(const Program &P) {
   // register. The first component keeps the original register so most
   // programs are unchanged; later webs get fresh ".w<k>" registers and dead
   // defs ".dead" ones, numbered in the exact order the events occur.
-  std::vector<int32_t> Roots; // scratch: component root -> fresh register
-  std::vector<Reg> RootToReg;
+  // Fresh registers are only counted here and named afterwards.
+  std::vector<FreshReg> Fresh;
+  Fresh.reserve(Events.size()); // each event creates at most one register
+  std::vector<std::pair<int32_t, Reg>> Webs; // scratch: root -> register
   for (Reg R = 0; R < OrigRegs; ++R) {
-    Roots.clear();
-    RootToReg.clear();
+    Webs.clear();
     bool KeepOriginalUsed = false;
-    const int32_t Row = R * TotalPoints;
+    auto freshReg = [&](int32_t Web) {
+      Fresh.push_back({R, Web});
+      return static_cast<Reg>(OrigRegs + static_cast<int>(Fresh.size()) - 1);
+    };
     auto regForRoot = [&](int32_t Root) -> Reg {
-      for (size_t K = 0; K < Roots.size(); ++K)
-        if (Roots[K] == Root)
-          return RootToReg[K];
-      Reg Fresh;
-      if (!KeepOriginalUsed) {
-        Fresh = R;
-        KeepOriginalUsed = true;
-      } else {
-        Fresh = Out.addReg(Out.getRegName(R) + ".w" +
-                           std::to_string(Roots.size()));
-      }
-      Roots.push_back(Root);
-      RootToReg.push_back(Fresh);
-      return Fresh;
+      for (const auto &[WebRoot, WebReg] : Webs)
+        if (WebRoot == Root)
+          return WebReg;
+      Reg NewReg = R;
+      if (KeepOriginalUsed)
+        NewReg = freshReg(static_cast<int32_t>(Webs.size()));
+      KeepOriginalUsed = true;
+      Webs.push_back({Root, NewReg});
+      return NewReg;
     };
 
     // Entry component first so entry-live registers keep their identity.
     if (LI.blockLiveIn(Out.getEntryBlock()).test(R))
-      (void)regForRoot(find(Row + pointId(Out.getEntryBlock(), 0)));
+      (void)regForRoot(find(pairId(R, Out.getEntryBlock(), 0)));
 
     const int32_t Begin = EventStart[static_cast<size_t>(R)];
     const int32_t End = EventStart[static_cast<size_t>(R) + 1];
@@ -185,7 +242,7 @@ Program npral::renameLiveRanges(const Program &P) {
       if (!Ev.IsDef) {
         // Uses read the value live at the pre-point.
         assert(liveAtPoint(R, B, I) && "use of dead register");
-        Reg NewReg = regForRoot(find(Row + pointId(B, I)));
+        Reg NewReg = regForRoot(find(pairId(R, B, I)));
         if (Inst.Use1 == R)
           Inst.Use1 = NewReg;
         if (Inst.Use2 == R)
@@ -195,15 +252,35 @@ Program npral::renameLiveRanges(const Program &P) {
         // definition gets its own register.
         Reg NewReg;
         if (liveAtPoint(R, B, I + 1)) {
-          NewReg = regForRoot(find(Row + pointId(B, I + 1)));
+          NewReg = regForRoot(find(pairId(R, B, I + 1)));
         } else if (!KeepOriginalUsed) {
           NewReg = R;
           KeepOriginalUsed = true;
         } else {
-          NewReg = Out.addReg(Out.getRegName(R) + ".dead");
+          NewReg = freshReg(-1);
         }
         Inst.Def = NewReg;
       }
+    }
+  }
+
+  // Name the fresh registers in id order, the order the replay created
+  // them in, so the arena interns the names in the same order and hands
+  // out the same string ids. The arena and the name table are sized once.
+  if (!Fresh.empty()) {
+    auto suffix = [](const FreshReg &F) {
+      return F.Web < 0 ? std::string(".dead") : ".w" + std::to_string(F.Web);
+    };
+    size_t Bytes = 0;
+    for (const FreshReg &F : Fresh)
+      Bytes += Out.getRegName(F.Orig).size() + suffix(F).size();
+    Out.Strings.reserve(static_cast<int32_t>(Fresh.size()), Bytes);
+    Out.RegNameIds.reserve(static_cast<size_t>(OrigRegs) + Fresh.size());
+    for (const FreshReg &F : Fresh) {
+      [[maybe_unused]] const Reg Got =
+          Out.addReg(Out.getRegName(F.Orig) + suffix(F));
+      assert(Got == static_cast<Reg>(&F - Fresh.data()) + OrigRegs &&
+             "fresh registers are named in id order");
     }
   }
 

@@ -11,9 +11,10 @@
 /// structurally and analyzeThread() can rely on it.
 ///
 /// Dead definitions (values never read) each get their own fresh register.
-/// Entry-live registers are remapped to their entry component's register
-/// and Program::EntryLiveRegs is updated in place (order preserved, so
-/// harness entry values stay aligned).
+/// An entry-live register keeps its id: its entry component is the first
+/// web named, and the first web keeps the original register, so
+/// Program::EntryLiveRegs stays valid unchanged (harness entry values stay
+/// aligned).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,8 +26,9 @@
 namespace npral {
 
 /// Rename every live-range web of \p P to its own register. Idempotent.
-/// Returns the renamed copy.
-Program renameLiveRanges(const Program &P);
+/// Takes \p P by value and returns it renamed: a caller that no longer
+/// needs its program moves it in, and pays for no copy.
+Program renameLiveRanges(Program P);
 
 } // namespace npral
 

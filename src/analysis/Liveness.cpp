@@ -62,15 +62,19 @@ LivenessInfo npral::computeLiveness(const Program &P) {
                       static_cast<size_t>(LI.WordsPerSet));
 
   // Per-instruction live-out by a backward scan of each block, and pressure.
+  // One scan buffer serves every block, and its population count is kept
+  // up to date as bits flip instead of recounted per instruction.
   LI.RegPmax = 0;
   const size_t W = static_cast<size_t>(LI.WordsPerSet);
+  BitVector Live(NumRegs);
   for (int B = 0; B < NumBlocks; ++B) {
     const BasicBlock &BB = P.block(B);
     const int N = static_cast<int>(BB.Instrs.size());
     uint64_t *Slot0 =
         LI.InstrPool.data() +
         static_cast<size_t>(LI.InstrBase[static_cast<size_t>(B)]) * W;
-    BitVector Live = LI.BlockLiveOut[static_cast<size_t>(B)];
+    Live = LI.BlockLiveOut[static_cast<size_t>(B)];
+    int LiveCount = Live.count();
     for (int I = N - 1; I >= 0; --I) {
       const Instruction &Inst = BB.Instrs[static_cast<size_t>(I)];
       uint64_t *Slot = Slot0 + static_cast<size_t>(I) * W;
@@ -79,18 +83,23 @@ LivenessInfo npral::computeLiveness(const Program &P) {
 
       // Pressure at the defining moment: live-out plus the def itself (a
       // dead def still occupies a register while executing).
-      int OutCount = Live.count();
-      if (Inst.Def != NoReg && !Live.test(Inst.Def))
-        ++OutCount;
+      const bool DefLive = Inst.Def != NoReg && Live.test(Inst.Def);
+      const int OutCount =
+          LiveCount + (Inst.Def != NoReg && !DefLive ? 1 : 0);
       LI.RegPmax = std::max(LI.RegPmax, OutCount);
 
-      if (Inst.Def != NoReg)
+      if (DefLive) {
         Live.reset(Inst.Def);
+        --LiveCount;
+      }
       std::array<Reg, 2> Uses;
       int NU = Inst.getUses(Uses);
       for (int U = 0; U < NU; ++U)
-        Live.set(Uses[static_cast<size_t>(U)]);
-      LI.RegPmax = std::max(LI.RegPmax, Live.count());
+        if (!Live.test(Uses[static_cast<size_t>(U)])) {
+          Live.set(Uses[static_cast<size_t>(U)]);
+          ++LiveCount;
+        }
+      LI.RegPmax = std::max(LI.RegPmax, LiveCount);
     }
   }
   return LI;

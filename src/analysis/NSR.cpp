@@ -92,24 +92,16 @@ NSRInfo npral::computeNSRs(const Program &P, const LivenessInfo &LI) {
 
   // Collect CSBs with their live-across sets.
   Info.RegPCSBmax = 0;
-  for (int B = 0; B < NumBlocks; ++B) {
-    const BasicBlock &BB = P.block(B);
-    for (int I = 0; I < static_cast<int>(BB.Instrs.size()); ++I) {
-      const Instruction &Inst = BB.Instrs[static_cast<size_t>(I)];
-      if (!Inst.causesCtxSwitch())
-        continue;
-      CSB Boundary;
-      Boundary.Block = B;
-      Boundary.InstrIndex = I;
-      Boundary.PreNSR = Info.pointNSR(B, I);
-      Boundary.PostNSR = Info.pointNSR(B, I + 1);
-      Boundary.LiveAcross = LI.instrLiveOut(B, I);
-      if (Inst.Def != NoReg)
-        Boundary.LiveAcross.reset(Inst.Def);
-      Info.RegPCSBmax =
-          std::max(Info.RegPCSBmax, Boundary.LiveAcross.count());
-      Info.CSBs.push_back(std::move(Boundary));
-    }
-  }
+  Info.CSBs.reserve(static_cast<size_t>(P.countCtxInstructions()));
+  forEachCSB(P, LI, [&](int B, int I, const BitVector &Across) {
+    CSB Boundary;
+    Boundary.Block = B;
+    Boundary.InstrIndex = I;
+    Boundary.PreNSR = Info.pointNSR(B, I);
+    Boundary.PostNSR = Info.pointNSR(B, I + 1);
+    Boundary.LiveAcross = Across;
+    Info.RegPCSBmax = std::max(Info.RegPCSBmax, Across.count());
+    Info.CSBs.push_back(std::move(Boundary));
+  });
   return Info;
 }

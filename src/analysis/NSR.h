@@ -83,6 +83,29 @@ private:
 /// Build the NSR decomposition for \p P using liveness \p LI.
 NSRInfo computeNSRs(const Program &P, const LivenessInfo &LI);
 
+/// Call \p Fn(Block, Instr, LiveAcross) for every CSB of \p P, in program
+/// order, where LiveAcross is the set of registers live across it under
+/// \p LI (LiveOut(i) \ Defs(i), see above). This is the one definition of
+/// a crossing set: computeNSRs and the allocation verifier both read them
+/// here. One scratch set serves every call, so a visitor that keeps a set
+/// must copy it.
+template <typename FnT>
+void forEachCSB(const Program &P, const LivenessInfo &LI, FnT Fn) {
+  BitVector Across;
+  for (int B = 0; B < P.getNumBlocks(); ++B) {
+    const BasicBlock &BB = P.block(B);
+    for (int I = 0; I < static_cast<int>(BB.Instrs.size()); ++I) {
+      const Instruction &Inst = BB.Instrs[static_cast<size_t>(I)];
+      if (!Inst.causesCtxSwitch())
+        continue;
+      Across.assignSpan(LI.instrLiveOut(B, I));
+      if (Inst.Def != NoReg)
+        Across.reset(Inst.Def);
+      Fn(B, I, static_cast<const BitVector &>(Across));
+    }
+  }
+}
+
 } // namespace npral
 
 #endif // NPRAL_ANALYSIS_NSR_H

@@ -120,11 +120,7 @@ BatchJobResult processOne(const BatchJob &In, const BatchOptions &Opts,
     if (Status S = verifyProgram(T); !S.ok())
       return fail("analysis", S.code(), "thread '" + T.Name + "': " + S.str());
     const Clock::time_point T0 = Clock::now();
-    T = renameLiveRanges(T);
-    // Cache keying runs on the flat binary encoding — no assembly print in
-    // the hot path. Collected profiles are keyed by printed-text hash (the
-    // collector's convention), so only profile-carrying runs pay for one.
-    const std::string Text = encodeProgram(T);
+    T = renameLiveRanges(std::move(T));
 
     CostModel CM;
     const ThreadProfile *TP =
@@ -142,10 +138,16 @@ BatchJobResult processOne(const BatchJob &In, const BatchOptions &Opts,
     Models.push_back(std::move(CM));
 
     std::shared_ptr<const ThreadAnalysisBundle> Bundle;
+    // Cache keying runs on the flat binary encoding — no assembly print in
+    // the hot path, and no encoding at all without a cache. Collected
+    // profiles are keyed by printed-text hash (the collector's
+    // convention), so only profile-carrying runs pay for one.
+    std::string Text;
     uint64_t Key = 0;
     if (Cache) {
       if (Status F = Opts.Faults.check("cache", R.Name); !F.ok())
         return fail("analysis", F.code(), F.str());
+      Text = encodeProgram(T);
       // The bundle itself is weight-independent, but folding the profile
       // hash keeps the cache partitioned per (program, profile) pair so a
       // long-lived shared cache never crosses PGO configurations.
@@ -168,7 +170,7 @@ BatchJobResult processOne(const BatchJob &In, const BatchOptions &Opts,
       Fresh->Bounds = estimateRegBounds(Fresh->TA);
       Done = Clock::now();
       R.BoundsNs += nsBetween(T1, Done);
-      Bundle = Cache ? Cache->insert(Key, Text, std::move(Fresh))
+      Bundle = Cache ? Cache->insert(Key, std::move(Text), std::move(Fresh))
                      : std::move(Fresh);
     }
     // Analysis precondition: no path may read an undefined register. The

@@ -23,7 +23,7 @@ KernelTraits npral::computeKernelTraits(const std::string &Name,
   if (!W.ok())
     reportFatalError("grid: unknown kernel '" + Name + "': " +
                      W.status().str());
-  Program Renamed = renameLiveRanges(W->Code);
+  Program Renamed = renameLiveRanges(std::move(W->Code));
   std::shared_ptr<const ThreadAnalysisBundle> Bundle;
   std::string Text;
   uint64_t Key = 0;

@@ -2,6 +2,7 @@
 
 #include "ir/Program.h"
 
+#include <algorithm>
 #include <cassert>
 
 using namespace npral;
@@ -55,15 +56,9 @@ std::string Program::getRegName(Reg R) const {
   return (IsPhysical ? "p" : "r") + std::to_string(R);
 }
 
-std::vector<int> Program::successors(int BlockId) const {
+SuccessorList Program::successors(int BlockId) const {
   const BasicBlock &BB = block(BlockId);
-  std::vector<int> Succs;
-  auto addUnique = [&](int S) {
-    for (int Existing : Succs)
-      if (Existing == S)
-        return;
-    Succs.push_back(S);
-  };
+  SuccessorList Succs;
   if (!BB.Instrs.empty()) {
     const Instruction &Last = BB.Instrs.back();
     if (Last.Op == Opcode::Br) {
@@ -73,22 +68,22 @@ std::vector<int> Program::successors(int BlockId) const {
       if (BB.Instrs.size() >= 2) {
         const Instruction &Prev = BB.Instrs[BB.Instrs.size() - 2];
         if (Prev.isBranch() && Prev.Op != Opcode::Br)
-          addUnique(Prev.Target);
+          Succs.addUnique(Prev.Target);
       }
-      addUnique(Last.Target);
+      Succs.addUnique(Last.Target);
       return Succs;
     }
     if (Last.Op == Opcode::Halt)
       return Succs;
     if (Last.isBranch()) {
-      addUnique(Last.Target);
+      Succs.addUnique(Last.Target);
       if (BB.FallThrough != NoBlock)
-        addUnique(BB.FallThrough);
+        Succs.addUnique(BB.FallThrough);
       return Succs;
     }
   }
   if (BB.FallThrough != NoBlock)
-    Succs.push_back(BB.FallThrough);
+    Succs.addUnique(BB.FallThrough);
   return Succs;
 }
 
@@ -102,15 +97,17 @@ std::vector<std::vector<int>> Program::computePredecessors() const {
 
 std::vector<int> Program::computeRPO() const {
   std::vector<int> PostOrder;
+  PostOrder.reserve(Blocks.size());
   std::vector<char> Visited(Blocks.size(), 0);
 
   // Iterative DFS producing post order.
   struct Frame {
     int Block;
-    std::vector<int> Succs;
+    SuccessorList Succs;
     size_t Next;
   };
   std::vector<Frame> Stack;
+  Stack.reserve(Blocks.size());
   auto push = [&](int B) {
     Visited[static_cast<size_t>(B)] = 1;
     Stack.push_back({B, successors(B), 0});
@@ -129,11 +126,12 @@ std::vector<int> Program::computeRPO() const {
     Stack.pop_back();
   }
 
-  std::vector<int> RPO(PostOrder.rbegin(), PostOrder.rend());
+  // Reverse in place into RPO, then append the unreachable blocks.
+  std::reverse(PostOrder.begin(), PostOrder.end());
   for (int B = 0; B < getNumBlocks(); ++B)
     if (!Visited[static_cast<size_t>(B)])
-      RPO.push_back(B);
-  return RPO;
+      PostOrder.push_back(B);
+  return PostOrder;
 }
 
 int Program::countInstructions() const {

@@ -14,6 +14,7 @@
 #include "ir/Instruction.h"
 #include "support/Arena.h"
 
+#include <cassert>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,6 +28,8 @@ namespace npral {
 ///  * last instruction `halt`    -> no successors;
 ///  * last instruction cond-br   -> successors {Target, FallThrough};
 ///  * otherwise                  -> successors {FallThrough}.
+/// A cond-br just before a final `br` adds its target first. So a block has
+/// at most two successors, and SuccessorList stores them inline.
 struct BasicBlock {
   int Id = NoBlock;
   /// Label id in the owning Program's string arena (NoStr when unnamed);
@@ -41,11 +44,38 @@ struct BasicBlock {
   size_t size() const { return Instrs.size(); }
 };
 
+/// The successors of one block, in rule order and without duplicates:
+/// at most two ids held inline, so asking for them never allocates.
+class SuccessorList {
+public:
+  const int *begin() const { return Ids; }
+  const int *end() const { return Ids + N; }
+  size_t size() const { return N; }
+  bool empty() const { return N == 0; }
+  int operator[](size_t I) const {
+    assert(I < N && "successor index out of range");
+    return Ids[I];
+  }
+
+  /// Append \p S unless it is already listed.
+  void addUnique(int S) {
+    for (int Existing : *this)
+      if (Existing == S)
+        return;
+    assert(N < 2 && "a block has at most two successors");
+    Ids[N++] = S;
+  }
+
+private:
+  int Ids[2] = {NoBlock, NoBlock};
+  unsigned N = 0;
+};
+
 /// One thread's code.
 ///
 /// All debug labels (block names, register names) live in one per-program
 /// string arena and are referenced by int32 ids, so copying a Program —
-/// the renaming pass and the batch pipeline do this per thread — moves a
+/// the batch pipeline does this once per input thread — moves a
 /// handful of flat vectors instead of a string per label, and the analysis
 /// passes never touch a string at all.
 class Program {
@@ -101,7 +131,7 @@ public:
   void clearRegNames() { RegNameIds.clear(); }
 
   /// Successor block IDs of \p BlockId under the rules above.
-  std::vector<int> successors(int BlockId) const;
+  SuccessorList successors(int BlockId) const;
 
   /// Predecessor lists for all blocks (index = block ID).
   std::vector<std::vector<int>> computePredecessors() const;

@@ -179,8 +179,8 @@ private:
   std::vector<Reg> ClobberRegs;       ///< physical regs other threads touch
   std::vector<int64_t> ClobberSlots;  ///< scratch words other threads write
 
-  std::vector<std::vector<int>> Succs;     ///< physical successor lists
-  std::vector<std::vector<int>> VirtSuccs; ///< virtual successor lists
+  std::vector<SuccessorList> Succs;     ///< physical successor lists
+  std::vector<SuccessorList> VirtSuccs; ///< virtual successor lists
 
   /// Per-block outcome of the block's most recent transfer. The worklist
   /// requeues a block whenever its entry state changes, so after the
@@ -359,7 +359,7 @@ private:
   /// residual mismatch).
   int resolveInserted(int B) const {
     for (int Steps = 0; B >= NV && Steps <= Phys.getNumBlocks(); ++Steps) {
-      const std::vector<int> &S = Succs[static_cast<size_t>(B)];
+      const SuccessorList &S = Succs[static_cast<size_t>(B)];
       if (S.size() != 1)
         break;
       B = S[0];
@@ -795,8 +795,8 @@ void ThreadValidator::transfer(SymState &S, int B) {
         if (VB->Instrs[VI].Def != NoReg)
           S.VV[static_cast<size_t>(VB->Instrs[VI].Def)] = freshVN();
     }
-    const std::vector<int> &PS = Succs[static_cast<size_t>(B)];
-    const std::vector<int> &VS = VirtSuccs[static_cast<size_t>(B)];
+    const SuccessorList &PS = Succs[static_cast<size_t>(B)];
+    const SuccessorList &VS = VirtSuccs[static_cast<size_t>(B)];
     bool SuccsMatch = PS.size() == VS.size();
     for (size_t I = 0; SuccsMatch && I < PS.size(); ++I)
       SuccsMatch = resolveInserted(PS[I]) == VS[I];

@@ -20,8 +20,12 @@
 ///    clients reproduce their old results bit for bit.
 ///  * GenKill.h builds the word-parallel BitVector gen/kill instance on
 ///    top of this — the domain every core analysis (liveness,
-///    maybe-uninit) runs on, and the prototype for the ROADMAP item 3
-///    bitset hot-path rewrite.
+///    maybe-uninit) runs on.
+///
+/// A solve allocates up front (its result, its visit order, a forward
+/// problem's predecessor lists and one scratch value); visiting a block
+/// allocates nothing (successor lists are inline and the scratch value's
+/// storage is reused).
 ///
 /// Termination is the client's obligation (finite-height lattice plus a
 /// monotone join/transfer); every domain in this repo is a finite bitset
@@ -34,6 +38,8 @@
 
 #include "ir/Program.h"
 
+#include <algorithm>
+#include <utility>
 #include <vector>
 
 namespace npral {
@@ -99,8 +105,12 @@ DataflowResult<typename ProblemT::Value> solveDataflow(const Program &P,
   // the schedule that converges in O(loop depth) passes on reducible CFGs.
   std::vector<int> Order = P.computeRPO();
   if (!Forward)
-    std::vector<int>(Order.rbegin(), Order.rend()).swap(Order);
+    std::reverse(Order.begin(), Order.end());
 
+  // Each visit copies the join side into Scratch (reusing its storage),
+  // transfers it, and swaps it into the flow side when it changed; the
+  // swapped-out value becomes the next visit's storage.
+  Value Scratch = Problem.bottom(P);
   bool Changed = true;
   while (Changed) {
     Changed = false;
@@ -116,12 +126,12 @@ DataflowResult<typename ProblemT::Value> solveDataflow(const Program &P,
           Changed |=
               Problem.join(JoinSide[BI], FlowSide[static_cast<size_t>(S)]);
       }
-      Value V = JoinSide[BI];
-      Problem.transfer(P, B, V);
+      Scratch = JoinSide[BI];
+      Problem.transfer(P, B, Scratch);
       // Flow-side updates feed the next round's joins; track change so the
       // loop also terminates when only transfer outputs moved.
-      if (!(V == FlowSide[BI])) {
-        FlowSide[BI] = std::move(V);
+      if (!(Scratch == FlowSide[BI])) {
+        std::swap(FlowSide[BI], Scratch);
         Changed = true;
       }
     }

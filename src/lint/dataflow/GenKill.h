@@ -11,8 +11,7 @@
 /// with set-union join — a may-analysis in either direction. Liveness
 /// (backward: Gen = upward-exposed uses, Kill = defs) and maybe-uninit
 /// (forward: Gen = empty, Kill = defs, boundary = registers not entry-
-/// live) are both instances; this domain is also the working prototype
-/// for the ROADMAP item 3 bitset hot-path rewrite.
+/// live) are both instances.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,14 +29,28 @@ namespace npral {
 struct GenKillProblem {
   using Value = BitVector;
 
-  DataflowDirection Dir = DataflowDirection::Forward;
-  int NumBits = 0;
-  /// Per-block facts generated (flow-side) and killed, indexed by block ID.
-  std::vector<BitVector> Gen;
-  std::vector<BitVector> Kill;
+  DataflowDirection Dir;
+  int NumBits;
+  /// Words per set: (NumBits + 63) / 64.
+  int WordsPerSet;
+  /// Per-block facts generated (flow-side) and killed, each in one flat
+  /// word pool: block B's set occupies WordsPerSet words at B * WordsPerSet.
+  std::vector<uint64_t> Gen;
+  std::vector<uint64_t> Kill;
   /// Facts holding at the CFG boundary: the entry block's join side for a
   /// forward problem, every exit block's join side for a backward one.
   BitVector BoundaryValue;
+
+  /// An empty problem over \p NumBlocks blocks and \p Bits facts.
+  GenKillProblem(DataflowDirection D, int NumBlocks, int Bits)
+      : Dir(D), NumBits(Bits), WordsPerSet((Bits + 63) / 64),
+        Gen(static_cast<size_t>(NumBlocks) * static_cast<size_t>(WordsPerSet)),
+        Kill(Gen.size()), BoundaryValue(Bits) {}
+
+  BitSpan gen(int Block) const { return {Gen.data() + offset(Block), NumBits}; }
+  BitSpan kill(int Block) const {
+    return {Kill.data() + offset(Block), NumBits};
+  }
 
   DataflowDirection direction() const { return Dir; }
   Value boundary(const Program &) const { return BoundaryValue; }
@@ -46,8 +59,13 @@ struct GenKillProblem {
     return Into.unionWith(From);
   }
   void transfer(const Program &, int Block, Value &V) const {
-    V.subtract(Kill[static_cast<size_t>(Block)]);
-    V.unionWith(Gen[static_cast<size_t>(Block)]);
+    V.subtractSpan(kill(Block));
+    V.unionWithSpan(gen(Block));
+  }
+
+private:
+  size_t offset(int Block) const {
+    return static_cast<size_t>(Block) * static_cast<size_t>(WordsPerSet);
   }
 };
 

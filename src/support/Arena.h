@@ -52,10 +52,24 @@ public:
     Lengths.push_back(static_cast<uint32_t>(S.size()));
     Bytes.insert(Bytes.end(), S.begin(), S.end());
     if ((Offsets.size() + 1) * 2 > Table.size())
-      rehash();
+      rehash(Table.empty() ? 16 : Table.size() * 2);
     else
       insertIntoTable(Id, H);
     return Id;
+  }
+
+  /// Make room for \p MoreStrings more strings of \p MoreBytes bytes in
+  /// all, so interning them grows nothing. Ids are unaffected.
+  void reserve(int32_t MoreStrings, size_t MoreBytes) {
+    const size_t Strings = Offsets.size() + static_cast<size_t>(MoreStrings);
+    Offsets.reserve(Strings);
+    Lengths.reserve(Strings);
+    Bytes.reserve(Bytes.size() + MoreBytes);
+    size_t TableSize = Table.empty() ? 16 : Table.size();
+    while ((Strings + 1) * 2 > TableSize)
+      TableSize *= 2;
+    if (TableSize != Table.size())
+      rehash(TableSize);
   }
 
   /// The interned string for \p Id. The view stays valid until the next
@@ -90,8 +104,7 @@ private:
     Table[Slot] = Id;
   }
 
-  void rehash() {
-    size_t NewSize = Table.empty() ? 16 : Table.size() * 2;
+  void rehash(size_t NewSize) {
     Table.assign(NewSize, NoStr);
     for (int32_t Id = 0; Id < size(); ++Id)
       insertIntoTable(Id, hashBytes(view(Id)));

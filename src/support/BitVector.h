@@ -160,6 +160,14 @@ public:
       Words[I] |= O[I];
   }
 
+  /// this &= ~Span (word-parallel; sizes must match).
+  void subtractSpan(BitSpan Span) {
+    assert(NumBits == Span.size() && "size mismatch");
+    const uint64_t *O = Span.words();
+    for (size_t I = 0; I < Words.size(); ++I)
+      Words[I] &= ~O[I];
+  }
+
   /// this |= Other. Returns true if any bit changed.
   bool unionWith(const BitVector &Other) {
     assert(NumBits == Other.NumBits && "size mismatch");

@@ -6,6 +6,7 @@
 #include "alloc/IntraAllocator.h"
 #include "alloc/SplitTransforms.h"
 #include "analysis/LiveRangeRenaming.h"
+#include "ir/IRPrinter.h"
 #include "ir/IRVerifier.h"
 
 #include "../common/TestUtils.h"
@@ -259,6 +260,32 @@ TEST(IntraAllocatorTest, LowerBoundReachableWithMoves) {
   expectColorProgramValid(R.ColorProgram, Intra.getMinPR(), Intra.getMinR());
   expectSameBehaviour(Intra.getProgram(), R.ColorProgram, {0x1000},
                       {2, 4, 6, 8});
+}
+
+TEST(IntraAllocatorTest, BorrowsTheRenamedProgramAndSharesTheBundle) {
+  const Program Renamed = renameLiveRanges(parseOrDie(BoundaryHeavyAsm));
+  const auto Bundle = std::make_shared<const ThreadAnalysisBundle>(
+      computeThreadAnalysisBundle(Renamed));
+  IntraThreadAllocator Intra(Renamed, Bundle);
+  // Neither the program nor the analysis is copied.
+  EXPECT_EQ(&Intra.getAnalysis(), &Bundle->TA);
+  EXPECT_EQ(&Intra.getProgram(), &Renamed);
+  EXPECT_EQ(&Intra.getBounds(), &Bundle->Bounds);
+
+  // Borrowing changes no allocation: a standalone allocator, which
+  // renames and analyzes for itself, gives the same color programs.
+  IntraThreadAllocator Standalone(Renamed);
+  for (int PR = Intra.getMinPR(); PR <= Intra.getMaxPR(); ++PR) {
+    const IntraResult &A = Intra.allocate(PR, Intra.getMaxR() - PR);
+    const IntraResult &B = Standalone.allocate(PR, Intra.getMaxR() - PR);
+    ASSERT_EQ(A.Feasible, B.Feasible) << "PR " << PR;
+    EXPECT_EQ(A.Strategy, B.Strategy) << "PR " << PR;
+    EXPECT_EQ(A.MoveCost, B.MoveCost) << "PR " << PR;
+    if (A.Feasible)
+      EXPECT_EQ(programToString(A.ColorProgram),
+                programToString(B.ColorProgram))
+          << "PR " << PR;
+  }
 }
 
 TEST(IntraAllocatorTest, InfeasibleBelowLowerBounds) {

@@ -9,8 +9,9 @@
 #  * grid classifies an allocation failure like the other front ends do
 #    ("engine <E>: [alloc/infeasible] ...") and degrades a tight budget by
 #    spilling instead of failing;
-#  * a trace that cannot be written, or one that cannot be read, fails
-#    with exit 1 and an error (never a success note or an abort).
+#  * a trace or profile that cannot be written, or a trace that cannot be
+#    read, fails with exit 1 and an error (never a success note or an
+#    abort).
 #
 # usage: npralc_usage_test.sh <path/to/npralc> <examples/asm directory>
 set -u
@@ -76,12 +77,15 @@ grep -q -F '[alloc/infeasible]' "$TMP/err" ||
   fail "npralc grid s1 -nreg 64: no [alloc/infeasible] verdict"
 expect 0 grid s1 --engines 4 -nreg 96 --json
 
-# A full disk fails a wall trace as it fails a cycle trace.
+# A full disk fails a wall trace as it fails a cycle trace or a profile.
 if [ -w /dev/full ]; then
   expect 1 batch "$F" --trace-out /dev/full
   grep -q '^error: failed writing' "$TMP/err" ||
     fail "npralc batch --trace-out /dev/full: no write error"
   expect 1 run "$F" --trace-cycles /dev/full
+  expect 1 profile "$F" -o /dev/full
+  grep -q '^error: failed writing' "$TMP/err" ||
+    fail "npralc profile -o /dev/full: no write error"
 fi
 # A timestamp that overflows a double is a classified error, not an abort.
 printf '[{"ph": "i", "name": "a", "ts": 1e999, "pid": 0, "tid": 0}]' \

@@ -319,7 +319,7 @@ bool hasCycle(const Program &P) {
   enum { White, Grey, Black };
   std::vector<char> Color(static_cast<size_t>(P.getNumBlocks()), White);
   std::vector<std::pair<int, size_t>> Stack;
-  std::vector<std::vector<int>> Succs(static_cast<size_t>(P.getNumBlocks()));
+  std::vector<SuccessorList> Succs(static_cast<size_t>(P.getNumBlocks()));
   for (int B = 0; B < P.getNumBlocks(); ++B)
     Succs[static_cast<size_t>(B)] = P.successors(B);
   for (int Start = 0; Start < P.getNumBlocks(); ++Start) {

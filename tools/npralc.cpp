@@ -565,12 +565,11 @@ int cmdProfile(const MultiThreadProgram &MTP, const SimConfig &Config,
     std::cout << Text;
     return 0;
   }
-  std::ofstream Out(OutPath);
-  if (!Out) {
-    std::cerr << "error: cannot write '" << OutPath << "'\n";
+  if (Status S = writeFile(OutPath, [&](std::ostream &OS) { OS << Text; });
+      !S.ok()) {
+    std::cerr << "error: " << S.str() << "\n";
     return 1;
   }
-  Out << Text;
   std::cerr << "wrote " << OutPath << " (" << MTP.getNumThreads()
             << " threads, " << Run.TotalCycles << " cycles simulated)\n";
   return 0;
