@@ -18,8 +18,7 @@
 
 #include <chrono>
 #include <exception>
-#include <fstream>
-#include <sstream>
+#include <string_view>
 
 using namespace npral;
 
@@ -36,14 +35,12 @@ int64_t nsBetween(Clock::time_point From, Clock::time_point To) {
 /// (and the shared AnalysisCache, which synchronises internally).
 /// \p ProfileHash is the content hash of Opts.Profile (0 when absent),
 /// computed once by runBatch and folded into every cache key.
-/// \p AllowSpill overrides Opts.AllowSpill so the degraded retry can
-/// re-run a strict job in spill-permitted mode. \p Limits carries the
-/// job's deadline, polled after every stage on the clock read that timed
-/// it. \p Log, when non-null, records the allocation's decisions (see
-/// runSingleJob).
+/// \p Limits carries the job's deadline, polled after every stage on the
+/// clock read that timed it. \p Log, when non-null, records the
+/// allocation's decisions (see runSingleJob).
 BatchJobResult processOne(const BatchJob &In, const BatchOptions &Opts,
                           AnalysisCache *Cache, uint64_t ProfileHash,
-                          bool AllowSpill, const InterAllocLimits &Limits,
+                          const InterAllocLimits &Limits,
                           AllocationDecisionLog *Log) {
   BatchJobResult R;
   R.Name = In.Name.empty() ? In.Path : In.Name;
@@ -73,28 +70,24 @@ BatchJobResult processOne(const BatchJob &In, const BatchOptions &Opts,
     const Clock::time_point T0 = Clock::now();
     if (Status F = Opts.Faults.check("parse", R.Name); !F.ok())
       return fail("parse", F.code(), F.str());
-    if (!In.Path.empty()) {
-      std::ifstream Stream(In.Path);
-      if (!Stream)
-        return fail("parse", StatusCode::IOError,
-                    "cannot open '" + In.Path + "'");
-      std::ostringstream Buf;
-      Buf << Stream.rdbuf();
-      ErrorOr<MultiThreadProgram> Parsed = parseAssembly(Buf.str());
-      if (!Parsed.ok()) {
-        R.ParseNs = nsBetween(T0, Clock::now());
-        return fail("parse", Parsed.status().code(), Parsed.status().str());
-      }
-      MTP = Parsed.take();
-    } else if (!In.Text.empty()) {
-      ErrorOr<MultiThreadProgram> Parsed = parseAssembly(In.Text);
-      if (!Parsed.ok()) {
-        R.ParseNs = nsBetween(T0, Clock::now());
-        return fail("parse", Parsed.status().code(), Parsed.status().str());
-      }
-      MTP = Parsed.take();
-    } else {
+    if (In.Path.empty() && In.Text.empty()) {
       MTP = In.Program;
+    } else {
+      std::string_view Source = In.Text;
+      std::string FileText;
+      if (!In.Path.empty()) {
+        ErrorOr<std::string> Read = readTextFile(In.Path);
+        if (!Read.ok())
+          return fail("parse", Read.status().code(), Read.status().str());
+        FileText = Read.take();
+        Source = FileText;
+      }
+      ErrorOr<MultiThreadProgram> Parsed = parseAssembly(Source);
+      if (!Parsed.ok()) {
+        R.ParseNs = nsBetween(T0, Clock::now());
+        return fail("parse", Parsed.status().code(), Parsed.status().str());
+      }
+      MTP = Parsed.take();
     }
     const Clock::time_point T1 = Clock::now();
     R.ParseNs = nsBetween(T0, T1);
@@ -191,7 +184,7 @@ BatchJobResult processOne(const BatchJob &In, const BatchOptions &Opts,
     if (Status F = Opts.Faults.check("alloc", R.Name); !F.ok())
       return fail("alloc", F.code(), F.str());
     const Clock::time_point T0 = Clock::now();
-    if (AllowSpill) {
+    if (Opts.AllowSpill) {
       SpillFallbackOptions SpillOpts;
       SpillOpts.MaxSpills = Opts.MaxSpills;
       SpillFallbackResult SF = allocateWithSpillFallback(
@@ -248,8 +241,9 @@ BatchJobResult processOne(const BatchJob &In, const BatchOptions &Opts,
     DiagnosticEngine &Diags = R.ValidateDiags;
     R.Validation = validateTranslation(MTP, Alloc.Physical, Diags, Metrics);
     const int LogMismatches =
-        Log && !AllowSpill ? crossCheckDecisionLog(*Log, Alloc, Diags, Metrics)
-                           : 0;
+        Log && !Opts.AllowSpill
+            ? crossCheckDecisionLog(*Log, Alloc, Diags, Metrics)
+            : 0;
     const Clock::time_point T1 = Clock::now();
     R.ValidateNs = nsBetween(T0, T1);
     Diags.sortByPosition();
@@ -274,9 +268,9 @@ BatchJobResult processOne(const BatchJob &In, const BatchOptions &Opts,
 }
 
 /// The fault-isolation wrapper both entry points share: processOne with an
-/// exception net and the bounded degraded retry. Whatever the job does
-/// lands in its returned result, never in the caller's control flow. The
-/// job's deadline is taken here, once, and also bounds the retry.
+/// exception net. Whatever the job does lands in its returned result,
+/// never in the caller's control flow. The job's deadline is taken here,
+/// once.
 BatchJobResult runIsolated(const BatchJob &In, const BatchOptions &Opts,
                            AnalysisCache *Cache, uint64_t ProfileHash,
                            AllocationDecisionLog *Log) {
@@ -285,20 +279,7 @@ BatchJobResult runIsolated(const BatchJob &In, const BatchOptions &Opts,
     Limits.Deadline =
         Clock::now() + std::chrono::milliseconds(Opts.DeadlineMs);
   try {
-    BatchJobResult R = processOne(In, Opts, Cache, ProfileHash,
-                                  Opts.AllowSpill, Limits, Log);
-    if (!R.Success && !Opts.AllowSpill && Opts.RetryDegraded &&
-        R.FailCode == StatusCode::Infeasible) {
-      // One bounded retry in degraded mode: only for budget failures
-      // (a deadline or parse error would fail identically again).
-      if (Log)
-        *Log = AllocationDecisionLog();
-      BatchJobResult Retry = processOne(In, Opts, Cache, ProfileHash,
-                                        /*AllowSpill=*/true, Limits, Log);
-      Retry.Retried = true;
-      return Retry;
-    }
-    return R;
+    return processOne(In, Opts, Cache, ProfileHash, Limits, Log);
   } catch (const std::exception &E) {
     BatchJobResult R;
     R.Name = In.Name.empty() ? In.Path : In.Name;
@@ -376,7 +357,6 @@ BatchResult npral::runBatch(const std::vector<BatchJob> &Inputs,
   for (const BatchJobResult &R : Out.Results) {
     ++(R.Success ? S.Succeeded : S.Failed);
     S.Degraded += R.UsedSpilling ? 1 : 0;
-    S.Retried += R.Retried ? 1 : 0;
     S.DeadlineExceeded += R.FailCode == StatusCode::DeadlineExceeded ? 1 : 0;
     S.FaultsInjected += R.FailCode == StatusCode::FaultInjected ? 1 : 0;
     S.Validated += R.Validated ? 1 : 0;
@@ -419,7 +399,6 @@ void PipelineStats::toRegistry(MetricsRegistry &MR) const {
   MR.counter("batch.stage.verify_ns").add(VerifyNs);
   MR.counter("batch.wall_ns").add(WallNs);
   MR.counter("batch.degraded").add(Degraded);
-  MR.counter("batch.retried").add(Retried);
   MR.counter("batch.deadline_exceeded").add(DeadlineExceeded);
   MR.counter("batch.faults_injected").add(FaultsInjected);
   MR.counter("batch.validated").add(Validated);
@@ -444,11 +423,10 @@ void PipelineStats::renderText(std::ostream &OS) const {
     OS << "cache: disabled\n";
   // Robustness line only when something robustness-related happened, so
   // healthy runs keep their historical byte-stable output.
-  if (Degraded || Retried || DeadlineExceeded || FaultsInjected)
+  if (Degraded || DeadlineExceeded || FaultsInjected)
     OS << formatString(
-        "harden: %d degraded, %d retried, %d deadline-exceeded, "
-        "%d faults injected\n",
-        Degraded, Retried, DeadlineExceeded, FaultsInjected);
+        "harden: %d degraded, %d deadline-exceeded, %d faults injected\n",
+        Degraded, DeadlineExceeded, FaultsInjected);
   // Same convention for the validation line: only --validate runs have
   // nonzero counters, so plain runs keep their historical output.
   if (Validated || ValidateFailed)
@@ -470,9 +448,8 @@ void PipelineStats::renderJSON(std::ostream &OS) const {
   OS << "  \"stages_ns\": {\"parse\": " << ParseNs
      << ", \"analysis\": " << AnalysisNs << ", \"bounds\": " << BoundsNs
      << ", \"alloc\": " << AllocNs << ", \"verify\": " << VerifyNs << "},\n";
-  if (Degraded || Retried || DeadlineExceeded || FaultsInjected)
+  if (Degraded || DeadlineExceeded || FaultsInjected)
     OS << "  \"harden\": {\"degraded\": " << Degraded
-       << ", \"retried\": " << Retried
        << ", \"deadline_exceeded\": " << DeadlineExceeded
        << ", \"faults_injected\": " << FaultsInjected << "},\n";
   if (Validated || ValidateFailed)

@@ -24,8 +24,8 @@
 /// captured in that item's BatchJobResult (stage, StatusCode, reason) and
 /// the remaining items run to completion; BatchResult::failed() is the
 /// resulting failed[] report. Optional per-job hardening: a deadline over
-/// the whole job, spill-based graceful degradation for infeasible
-/// budgets, and one bounded retry in degraded mode.
+/// the whole job and spill-based graceful degradation for infeasible
+/// budgets.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,10 +66,12 @@ struct BatchOptions {
   bool Verify = true;
   /// Run the translation validator over every successful allocation: a
   /// symbolic value-flow proof that the physical program computes exactly
-  /// what the renamed virtual program computes (lint/TranslationValidator.h).
-  /// Strictly stronger than Verify's safety check — it catches miscompiles,
-  /// not just cross-thread clobbers — at roughly one extra dataflow pass
-  /// per job. A refuted job fails in stage "validate".
+  /// what the renamed virtual program computes (lint/TranslationValidator.h),
+  /// at roughly one extra dataflow pass per job. It catches miscompiles
+  /// Verify cannot see, but it does not subsume Verify: a value kept in a
+  /// shared register across a CSB whose only later use is a dead copy
+  /// proves, yet breaks CSB privacy (docs/validation.md). A refuted job
+  /// fails in stage "validate".
   bool Validate = false;
   /// Retain each job's physical program in its result (costs memory;
   /// `npralc batch` leaves it off, `alloc`, `run`, serve and the tests turn
@@ -93,15 +95,11 @@ struct BatchOptions {
   bool AllowSpill = false;
   /// Live ranges the spill fallback may demote per job.
   int MaxSpills = 64;
-  /// Retry a job that failed with an infeasible budget once more in
-  /// degraded (spill-permitted) mode. Meaningful when AllowSpill is off:
-  /// the first attempt stays strict and only the retry may degrade.
-  bool RetryDegraded = false;
   /// Per-job deadline in milliseconds, taken once at job entry and
-  /// covering every stage and the degraded retry; 0 sets none. It is
-  /// polled at stage boundaries and in the allocator's loops (no thread
-  /// is involved), and a job whose deadline has passed fails with
-  /// StatusCode::DeadlineExceeded, whatever its stages concluded.
+  /// covering every stage; 0 sets none. It is polled at stage boundaries
+  /// and in the allocator's loops (no thread is involved), and a job whose
+  /// deadline has passed fails with StatusCode::DeadlineExceeded, whatever
+  /// its stages concluded.
   int DeadlineMs = 0;
   /// Deterministic fault injection (disabled by default). Probes fire at
   /// the parse/analysis/cache/alloc stage entries of each job; an injected
@@ -133,9 +131,6 @@ struct BatchJobResult {
   std::string FailStage;
   /// Classification of the failure; Ok on success.
   StatusCode FailCode = StatusCode::Ok;
-  /// True when the job went through the bounded degraded retry (whether or
-  /// not the retry then succeeded).
-  bool Retried = false;
   /// True when the job's allocation came from the spill fallback.
   bool UsedSpilling = false;
   /// True when translation validation ran and proved the job's output.
@@ -209,7 +204,6 @@ struct PipelineStats {
   /// features off, and the renderers only mention them when nonzero, so
   /// the byte-stable golden outputs of plain runs are unchanged.
   int Degraded = 0;        ///< Jobs whose allocation used the spill fallback.
-  int Retried = 0;         ///< Jobs sent through the degraded retry.
   int DeadlineExceeded = 0; ///< Jobs that failed with DeadlineExceeded.
   int FaultsInjected = 0;  ///< Jobs failed by an injected fault.
   /// Translation-validation counters; like the robustness counters they
@@ -280,24 +274,25 @@ BatchResult runBatch(const std::vector<BatchJob> &Inputs,
 /// contract of runBatch: every failure — malformed input, infeasible
 /// budget, expired deadline, injected fault, an escaping C++ exception —
 /// is captured and classified in the returned BatchJobResult, never
-/// thrown; the degraded retry applies under Opts.RetryDegraded. This is
-/// the serve daemon's per-request entry point: one request, one isolated
-/// result, a shared long-lived \p Cache across requests.
+/// thrown. This is the serve daemon's per-request entry point: one
+/// request, one isolated result, a shared long-lived \p Cache across
+/// requests.
 ///
-/// It is also the one path from a program to a checked allocation behind
-/// `npralc alloc`, `run` and `verify`.
+/// runBatch runs each of its jobs the same way, so this and runBatch are
+/// the one path from a program to a checked allocation behind `npralc
+/// alloc`, `run`, `batch` and `verify`.
 ///
 /// \p ProfileHash partitions a shared cache's key space the way a loaded
 /// profile's content hash does in runBatch (serve clients pass an opaque
 /// hash; 0 = the unpartitioned default). Opts.Profile / Opts.StaticPGO,
 /// when set, take precedence exactly as in runBatch.
 ///
-/// \p Log, when non-null, receives the allocation decision log of the
-/// final attempt (it is cleared before the degraded retry). It only
-/// observes: the allocation is the same with or without it. With
-/// Opts.Validate on and spilling off, the validate stage also
-/// cross-checks the log against the result (crossCheckDecisionLog), and a
-/// mismatch refutes the job like a failed proof.
+/// \p Log, when non-null, receives the allocation decision log (of the
+/// final attempt when the spill fallback retried). It only observes: the
+/// allocation is the same with or without it. With Opts.Validate on and
+/// spilling off, the validate stage also cross-checks the log against the
+/// result (crossCheckDecisionLog), and a mismatch refutes the job like a
+/// failed proof.
 BatchJobResult runSingleJob(const BatchJob &In, const BatchOptions &Opts,
                             AnalysisCache *Cache = nullptr,
                             uint64_t ProfileHash = 0,

@@ -3,162 +3,121 @@
 #include "driver/VerifyPipeline.h"
 
 #include "asmparse/AsmParser.h"
-#include "driver/BatchPipeline.h"
 #include "lint/Lint.h"
 #include "lint/TranslationValidator.h"
 #include "support/StringUtils.h"
 #include "support/ThreadPool.h"
 #include "trace/MetricsRegistry.h"
-#include "trace/TraceEngine.h"
 
-#include <exception>
-#include <fstream>
-#include <sstream>
+#include <iterator>
 
 using namespace npral;
 
 namespace {
 
-/// Check one file in paired mode; writes only \p Out. Diagnostics end up
-/// sorted by program position so the result is independent of worker
-/// scheduling.
-void verifyPaired(const std::string &Path, VerifyFileResult &Out) {
-  std::ifstream Stream(Path);
-  if (!Stream) {
-    Out.FailReason = "cannot open '" + Path + "'";
-    return;
-  }
-  std::ostringstream Buf;
-  Buf << Stream.rdbuf();
-  ErrorOr<MultiThreadProgram> Parsed = parseAssembly(Buf.str());
-  if (!Parsed.ok()) {
-    Out.FailReason = Parsed.status().str();
-    return;
-  }
-  MultiThreadProgram MTP = Parsed.take();
+/// True when the job stopped before the validator could judge it.
+bool isError(const BatchJobResult &F) {
+  return !F.Success && F.FailStage != "validate";
+}
+
+/// Check one file in paired mode, filling its result the way the job path
+/// does: a refutation fails in stage "validate", anything earlier in the
+/// stage that stopped it. Diagnostics end up sorted by program position so
+/// the result is independent of worker scheduling.
+BatchJobResult verifyPaired(const std::string &Path) {
+  BatchJobResult R;
+  R.Name = Path;
+  auto fail = [&R](const char *Stage, StatusCode Code, std::string Reason) {
+    R.FailStage = Stage;
+    R.FailCode = Code;
+    R.FailReason = std::move(Reason);
+    return R;
+  };
+  ErrorOr<std::string> Text = readTextFile(Path);
+  if (!Text.ok())
+    return fail("parse", Text.status().code(), Text.status().str());
+  ErrorOr<MultiThreadProgram> Parsed = parseAssembly(*Text);
+  if (!Parsed.ok())
+    return fail("parse", Parsed.status().code(), Parsed.status().str());
+  MultiThreadProgram Virt = Parsed.take();
 
   // The file carries both sides of the proof obligation: virtual threads
   // first, then the same number of hand-written physical threads.
-  if (MTP.getNumThreads() < 2 || MTP.getNumThreads() % 2 != 0) {
-    Out.FailReason = "paired mode needs an even number of threads "
-                     "(virtual half followed by physical half)";
-    return;
-  }
-  const int Half = MTP.getNumThreads() / 2;
-  MultiThreadProgram Virt, Phys;
-  Virt.Name = MTP.Name;
-  Phys.Name = MTP.Name;
-  for (int T = 0; T < Half; ++T)
-    Virt.Threads.push_back(MTP.Threads[static_cast<size_t>(T)]);
-  for (int T = Half; T < MTP.getNumThreads(); ++T)
-    Phys.Threads.push_back(MTP.Threads[static_cast<size_t>(T)]);
-  if (Status S = mapNamedPhysicalRegisters(Phys); !S.ok()) {
-    Out.FailReason = S.str();
-    return;
-  }
+  R.NumThreads = Virt.getNumThreads();
+  if (R.NumThreads < 2 || R.NumThreads % 2 != 0)
+    return fail("parse", StatusCode::InvalidIR,
+                "paired mode needs an even number of threads "
+                "(virtual half followed by physical half)");
+  const auto Mid = Virt.Threads.begin() + R.NumThreads / 2;
+  MultiThreadProgram Phys;
+  Phys.Name = Virt.Name;
+  Phys.Threads.assign(std::make_move_iterator(Mid),
+                      std::make_move_iterator(Virt.Threads.end()));
+  Virt.Threads.erase(Mid, Virt.Threads.end());
+  if (Status S = mapNamedPhysicalRegisters(Phys); !S.ok())
+    return fail("parse", StatusCode::InvalidIR, S.str());
 
-  DiagnosticEngine Engine;
-  ValidationResult V =
-      validateTranslation(Virt, Phys, Engine, &MetricsRegistry::global());
-  Engine.sortByPosition();
-  Out.Proved = V.Proved;
-  Out.ThreadsProved = V.ThreadsProved;
-  Out.InstructionsMatched = V.InstructionsMatched;
-  Out.CopiesInterpreted = V.CopiesInterpreted;
-  Out.Diags = Engine.diagnostics();
-}
-
-/// Check one file in allocate mode: the shared job path (parse, rename,
-/// use-of-undef precondition, allocation, safety verifier, translation
-/// validation) proves the allocator's own output against the renamed
-/// input. A job that fails before its validate stage is an error.
-void verifyAllocated(const std::string &Path, const VerifyOptions &Opts,
-                     VerifyFileResult &Out) {
-  BatchJob Job;
-  Job.Path = Path;
-  BatchOptions BO;
-  BO.Nreg = Opts.Nreg;
-  BO.Validate = true;
-  BO.AllowSpill = Opts.AllowSpill;
-  BO.MaxSpills = Opts.MaxSpills;
-  BO.StaticPGO = Opts.StaticPGO;
-  BO.Profile = Opts.Profile;
-  const BatchJobResult R = runSingleJob(Job, BO);
-  if (!R.Success && R.FailStage != "validate") {
-    Out.FailReason = R.failureSummary();
-    return;
+  R.Validation = validateTranslation(Virt, Phys, R.ValidateDiags,
+                                     &MetricsRegistry::global());
+  R.ValidateDiags.sortByPosition();
+  R.Validated = R.Success = R.Validation.Proved;
+  if (!R.Success) {
+    const Diagnostic *First = R.ValidateDiags.firstError();
+    return fail("validate", StatusCode::Internal,
+                "translation validation refuted the physical half: " +
+                    (First ? First->Message
+                           : std::string("program shape mismatch")));
   }
-  Out.Proved = R.Validated;
-  Out.ThreadsProved = R.Validation.ThreadsProved;
-  Out.InstructionsMatched = R.Validation.InstructionsMatched;
-  Out.CopiesInterpreted = R.Validation.CopiesInterpreted;
-  Out.UsedSpilling = R.UsedSpilling;
-  Out.Diags = R.ValidateDiags.diagnostics();
+  return R;
 }
 
 } // namespace
 
 VerifyResult npral::runVerify(const std::vector<std::string> &Paths,
-                              const VerifyOptions &Opts) {
-  NPRAL_TRACE_SPAN_ARGS("verify", "runVerify",
-                        {"files", std::to_string(Paths.size())},
-                        {"jobs", std::to_string(std::max(1, Opts.Jobs))});
+                              BatchOptions Opts, bool Paired) {
   VerifyResult Out;
-  Out.Files.resize(Paths.size());
-  {
+  if (Paired) {
+    Out.Files.resize(Paths.size());
     ThreadPool Pool(Opts.Jobs);
     parallelFor(Pool, static_cast<int>(Paths.size()), [&](int I) {
-      VerifyFileResult &Slot = Out.Files[static_cast<size_t>(I)];
-      const std::string &Path = Paths[static_cast<size_t>(I)];
-      Slot.Name = Path;
-      NPRAL_TRACE_SPAN_ARGS("verify", "file", {"name", Path});
-      try {
-        if (Opts.Paired)
-          verifyPaired(Path, Slot);
-        else
-          verifyAllocated(Path, Opts, Slot);
-      } catch (const std::exception &E) {
-        Slot = VerifyFileResult();
-        Slot.Name = Path;
-        Slot.FailReason = std::string("uncaught exception: ") + E.what();
-      }
+      Out.Files[static_cast<size_t>(I)] =
+          verifyPaired(Paths[static_cast<size_t>(I)]);
     });
+  } else {
+    std::vector<BatchJob> Jobs(Paths.size());
+    for (size_t I = 0; I < Paths.size(); ++I)
+      Jobs[I].Path = Paths[I];
+    Opts.Validate = true;
+    Out.Files = runBatch(Jobs, Opts).Results;
   }
-  for (const VerifyFileResult &F : Out.Files) {
-    if (!F.FailReason.empty())
-      ++Out.Errors;
-    else if (F.Proved)
-      ++Out.Proved;
-    else
-      ++Out.Rejected;
-  }
+  for (const BatchJobResult &F : Out.Files)
+    ++(isError(F) ? Out.Errors : F.Validated ? Out.Proved : Out.Rejected);
   return Out;
 }
 
 int VerifyResult::warningCount() const {
   int N = 0;
-  for (const VerifyFileResult &F : Files)
-    for (const Diagnostic &D : F.Diags)
-      if (D.Sev == Severity::Warning)
-        ++N;
+  for (const BatchJobResult &F : Files)
+    N += F.ValidateDiags.warningCount();
   return N;
 }
 
 void VerifyResult::renderText(std::ostream &OS) const {
-  for (const VerifyFileResult &F : Files) {
-    if (!F.FailReason.empty()) {
-      OS << F.Name << ": error: " << F.FailReason << "\n";
+  for (const BatchJobResult &F : Files) {
+    if (isError(F)) {
+      OS << F.Name << ": error: " << F.failureSummary() << "\n";
       continue;
     }
-    if (F.Proved) {
-      OS << F.Name << ": proved (" << F.ThreadsProved << " thread(s), "
-         << F.InstructionsMatched << " instruction(s) matched, "
-         << F.CopiesInterpreted << " copies interpreted)"
-         << (F.UsedSpilling ? " [degraded]" : "") << "\n";
+    if (F.Validated) {
+      OS << F.Name << ": proved (" << F.Validation.ThreadsProved
+         << " thread(s), " << F.Validation.InstructionsMatched
+         << " instruction(s) matched, " << F.Validation.CopiesInterpreted
+         << " copies interpreted)" << (F.UsedSpilling ? " [degraded]" : "")
+         << "\n";
       continue;
     }
     OS << F.Name << ": REJECTED\n";
-    for (const Diagnostic &D : F.Diags) {
+    for (const Diagnostic &D : F.ValidateDiags.diagnostics()) {
       OS << "  " << formatDiagnostic(D) << "\n";
       if (!D.Witness.empty())
         OS << "      witness: " << D.Witness << "\n";
@@ -171,24 +130,27 @@ void VerifyResult::renderText(std::ostream &OS) const {
 void VerifyResult::renderJSON(std::ostream &OS) const {
   OS << "{\n  \"files\": [";
   for (size_t I = 0; I < Files.size(); ++I) {
-    const VerifyFileResult &F = Files[I];
+    const BatchJobResult &F = Files[I];
+    const bool Error = isError(F);
     OS << (I ? ",\n    {" : "\n    {");
     OS << "\"name\": ";
     writeJSONString(OS, F.Name);
     OS << ", \"status\": ";
-    writeJSONString(OS, !F.FailReason.empty() ? "error"
-                        : F.Proved            ? "proved"
-                                              : "rejected");
+    writeJSONString(OS, Error         ? "error"
+                        : F.Validated ? "proved"
+                                      : "rejected");
     OS << ", \"fail_reason\": ";
-    writeJSONString(OS, F.FailReason);
-    OS << ", \"threads_proved\": " << F.ThreadsProved;
-    OS << ", \"instructions_matched\": " << F.InstructionsMatched;
-    OS << ", \"copies_interpreted\": " << F.CopiesInterpreted;
-    OS << ", \"degraded\": " << (F.UsedSpilling ? "true" : "false");
+    writeJSONString(OS, Error ? F.failureSummary() : "");
+    OS << ", \"threads_proved\": " << F.Validation.ThreadsProved;
+    OS << ", \"instructions_matched\": " << F.Validation.InstructionsMatched;
+    OS << ", \"copies_interpreted\": " << F.Validation.CopiesInterpreted;
+    OS << ", \"degraded\": "
+       << (!Error && F.UsedSpilling ? "true" : "false");
     OS << ", \"diagnostics\": [";
-    for (size_t J = 0; J < F.Diags.size(); ++J) {
+    const std::vector<Diagnostic> &Diags = F.ValidateDiags.diagnostics();
+    for (size_t J = 0; J < Diags.size(); ++J) {
       OS << (J ? ", " : "");
-      writeDiagnosticJSON(OS, F.Diags[J]);
+      writeDiagnosticJSON(OS, Diags[J]);
     }
     OS << "]}";
   }

@@ -9,6 +9,7 @@
 #include "support/Status.h"
 #include "trace/CycleTrace.h"
 #include "trace/MetricsRegistry.h"
+#include "trace/Telemetry.h"
 #include "trace/TraceEngine.h"
 
 #include <cassert>
@@ -183,8 +184,8 @@ GridReport npral::runKernelPoolGrid(const std::string &Name,
   }
 
   std::optional<TelemetrySampler> Sampler;
-  if (Opts.SampleCycles > 0 && (Opts.Trace || Opts.Ring))
-    Sampler.emplace(Opts.SampleCycles, Opts.Trace, Opts.Ring);
+  if (Opts.SampleCycles > 0 && Opts.Trace)
+    Sampler.emplace(Opts.SampleCycles, Opts.Trace);
   Grid.setTelemetry(Opts.Trace, Sampler ? &*Sampler : nullptr);
 
   GridRunResult Run = Grid.run();

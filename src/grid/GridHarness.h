@@ -32,7 +32,6 @@
 
 #include "grid/EngineGrid.h"
 #include "grid/Placement.h"
-#include "trace/Telemetry.h"
 #include "workloads/Harness.h"
 
 #include <string>
@@ -57,11 +56,8 @@ struct GridOptions {
   /// tracks, dispatch->delivery flows — trace/CycleTrace.h). Null disables;
   /// owned by the caller, who exports it after the run.
   CycleTrace *Trace = nullptr;
-  /// Ring buffer receiving telemetry samples (trace/Telemetry.h); null
-  /// disables the programmatic sink.
-  TelemetryRing *Ring = nullptr;
-  /// Telemetry sampling period in cycles; 0 disables sampling (no counter
-  /// tracks, no ring samples).
+  /// Telemetry sampling period in cycles for Trace's counter tracks
+  /// (trace/Telemetry.h); 0 disables sampling.
   int64_t SampleCycles = 0;
 };
 

@@ -106,17 +106,14 @@ SpillFallbackResult npral::allocateWithSpillFallback(
                         {"nreg", std::to_string(Nreg)});
   const int Nthd = MTP.getNumThreads();
   SpillFallbackResult R;
-  R.SpillsPerThread.assign(static_cast<size_t>(Nthd), 0);
 
   // First attempt: the plain allocator on the caller's own bundles. For
   // feasible inputs this is the *entire* computation — the fallback adds no
   // decision and the output is bit-identical to allocateInterThread.
   R.Attempts = 1;
   R.Inter = allocateInterThread(MTP, Nreg, Analyses, Models, Log, Limits);
-  if (R.Inter.Success || R.Inter.FailCode != StatusCode::Infeasible) {
-    R.Degraded = MTP;
+  if (R.Inter.Success || R.Inter.FailCode != StatusCode::Infeasible)
     return R;
-  }
 
   MetricsRegistry::global().counter("harden.spill_fallbacks").increment();
 
@@ -131,21 +128,22 @@ SpillFallbackResult npral::allocateWithSpillFallback(
   // temporaries are born single-def/single-use), so bundles can be
   // recomputed without re-renaming and the no-spill marks stay aligned
   // with register IDs across rounds.
-  std::vector<Program> Work;
+  MultiThreadProgram Work;
+  Work.Name = MTP.Name;
   std::vector<std::shared_ptr<const ThreadAnalysisBundle>> Bundles;
   std::vector<std::vector<char>> NoSpill(static_cast<size_t>(Nthd));
   std::vector<std::vector<int64_t>> SlotOf(static_cast<size_t>(Nthd));
   std::vector<int64_t> NextSlot(static_cast<size_t>(Nthd), 0);
   for (int T = 0; T < Nthd; ++T) {
-    Work.push_back(renameLiveRanges(MTP.Threads[static_cast<size_t>(T)]));
+    const Program &P = Work.Threads.emplace_back(
+        renameLiveRanges(MTP.Threads[static_cast<size_t>(T)]));
     if (static_cast<size_t>(T) < Analyses.size() &&
         Analyses[static_cast<size_t>(T)])
       Bundles.push_back(Analyses[static_cast<size_t>(T)]);
     else
       Bundles.push_back(std::make_shared<ThreadAnalysisBundle>(
-          computeThreadAnalysisBundle(Work.back())));
-    NoSpill[static_cast<size_t>(T)].assign(
-        static_cast<size_t>(Work.back().NumRegs), 0);
+          computeThreadAnalysisBundle(P)));
+    NoSpill[static_cast<size_t>(T)].assign(static_cast<size_t>(P.NumRegs), 0);
   }
 
   auto failInfeasible = [&](const std::string &Why) {
@@ -177,13 +175,9 @@ SpillFallbackResult npral::allocateWithSpillFallback(
       // The bounds fit; retry the real allocator on the degraded threads.
       if (Log)
         *Log = AllocationDecisionLog();
-      MultiThreadProgram Cur;
-      Cur.Name = MTP.Name;
-      Cur.Threads = Work;
       ++R.Attempts;
-      R.Inter = allocateInterThread(Cur, Nreg, Bundles, Models, Log, Limits);
+      R.Inter = allocateInterThread(Work, Nreg, Bundles, Models, Log, Limits);
       if (R.Inter.Success || R.Inter.FailCode != StatusCode::Infeasible) {
-        R.Degraded = std::move(Cur);
         if (R.Inter.Success)
           MetricsRegistry::global()
               .counter("harden.degraded_allocations")
@@ -219,7 +213,7 @@ SpillFallbackResult npral::allocateWithSpillFallback(
     Reg Victim = NoReg;
     for (int T : Order) {
       const ThreadAnalysisBundle &Bd = *Bundles[static_cast<size_t>(T)];
-      const Program &P = Work[static_cast<size_t>(T)];
+      const Program &P = Work.Threads[static_cast<size_t>(T)];
       const std::vector<char> &NS = NoSpill[static_cast<size_t>(T)];
       const bool BoundaryBound = Bd.Bounds.MinPR >= Bd.Bounds.MinR - SGRStar;
       BitVector Primary = BoundaryBound
@@ -243,7 +237,7 @@ SpillFallbackResult npral::allocateWithSpillFallback(
 
     // Demote the victim: per-thread disjoint scratch windows keep degraded
     // threads from racing on spill memory.
-    Program &P = Work[static_cast<size_t>(VictimThread)];
+    Program &P = Work.Threads[static_cast<size_t>(VictimThread)];
     std::vector<int64_t> &Slots = SlotOf[static_cast<size_t>(VictimThread)];
     Slots.resize(static_cast<size_t>(P.NumRegs), 0);
     Slots[static_cast<size_t>(Victim)] =
@@ -258,7 +252,6 @@ SpillFallbackResult npral::allocateWithSpillFallback(
     R.SpillLoads += SR.Loads;
     R.SpillStores += SR.Stores;
     ++R.SpilledRanges;
-    ++R.SpillsPerThread[static_cast<size_t>(VictimThread)];
     R.UsedSpilling = true;
     MetricsRegistry::global().counter("harden.spilled_ranges").increment();
     Bundles[static_cast<size_t>(VictimThread)] =

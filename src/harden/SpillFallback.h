@@ -53,18 +53,13 @@ struct SpillFallbackResult {
   InterThreadResult Inter;
   /// True when the result came from a degraded (spilled) program.
   bool UsedSpilling = false;
-  /// Victim live ranges demoted to memory, total and per thread.
+  /// Victim live ranges demoted to memory.
   int SpilledRanges = 0;
-  std::vector<int> SpillsPerThread;
   /// Spill instructions inserted over all threads.
   int SpillLoads = 0;
   int SpillStores = 0;
   /// allocateInterThread attempts (1 = the plain call sufficed).
   int Attempts = 0;
-  /// The threads actually allocated (spill code included once degraded).
-  /// Inter.Physical is derived from these, and the simulator must run them
-  /// (not the caller's originals) for a degraded allocation.
-  MultiThreadProgram Degraded;
 };
 
 /// Allocate \p MTP into \p Nreg registers, degrading by spilling when the

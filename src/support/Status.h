@@ -10,12 +10,12 @@
 /// callers decide how to surface failures.
 ///
 /// Every failed Status carries a StatusCode so callers can branch on *what
-/// kind* of failure occurred — the batch pipeline retries Infeasible items
-/// in spill-permitted mode, treats CacheCorrupt as a cache miss, and
-/// reports DeadlineExceeded / FaultInjected per item instead of aborting
-/// the fleet. The code is classification, not prose: the human-readable
-/// message still follows the LLVM error style (lowercase first letter, no
-/// trailing period).
+/// kind* of failure occurred — the spill fallback degrades Infeasible
+/// allocations when spilling is permitted, and the batch pipeline treats
+/// CacheCorrupt as a cache miss and reports DeadlineExceeded /
+/// FaultInjected per item instead of aborting the fleet. The code is
+/// classification, not prose: the human-readable message still follows the
+/// LLVM error style (lowercase first letter, no trailing period).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -157,6 +157,19 @@ void npral::writeJSONString(std::ostream &OS, std::string_view S) {
   OS << '"';
 }
 
+ErrorOr<std::string> npral::readTextFile(const std::string &Path) {
+  std::ifstream IS(Path, std::ios::binary);
+  if (!IS)
+    return Status::error(StatusCode::IOError, "cannot open '" + Path + "'");
+  std::string Text;
+  char Chunk[4096];
+  while (IS.read(Chunk, sizeof(Chunk)) || IS.gcount() > 0)
+    Text.append(Chunk, static_cast<size_t>(IS.gcount()));
+  if (IS.bad())
+    return Status::error(StatusCode::IOError, "failed reading '" + Path + "'");
+  return Text;
+}
+
 Status npral::writeFile(const std::string &Path,
                         const std::function<void(std::ostream &)> &Write) {
   std::ofstream OS(Path, std::ios::binary);

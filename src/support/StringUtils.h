@@ -2,7 +2,7 @@
 ///
 /// \file
 /// String helpers used by the assembler front end and the printers, and
-/// the one checked file writer.
+/// the one checked file reader and writer.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,6 +43,11 @@ std::string formatString(const char *Fmt, ...)
 /// string encoding used across the codebase (diagnostics, metrics, traces),
 /// so every exporter and round-trip parser agrees byte for byte.
 void writeJSONString(std::ostream &OS, std::string_view S);
+
+/// Read the whole file \p Path. Fails with IOError naming the path when the
+/// file cannot be opened or a read fails (a directory opens but cannot be
+/// read), so no caller mistakes an unreadable path for empty text.
+ErrorOr<std::string> readTextFile(const std::string &Path);
 
 /// Write the file \p Path through \p Write. Fails unless every byte
 /// reached the file: the stream is checked after flushing.

@@ -11,7 +11,8 @@
 #    spilling instead of failing;
 #  * a trace or profile that cannot be written, or a trace that cannot be
 #    read, fails with exit 1 and an error (never a success note or an
-#    abort).
+#    abort), and an input path that names a directory is an I/O error,
+#    not empty text.
 #
 # usage: npralc_usage_test.sh <path/to/npralc> <examples/asm directory>
 set -u
@@ -60,6 +61,9 @@ expect_usage --bogus alloc "$F" --bogus
 expect_usage -nreg alloc "$F" -nreg
 expect_usage --max-request-bytes serve --socket "$TMP/s" --max-request-bytes 0
 expect_usage --profile-hash client --socket "$TMP/s" --health --profile-hash -1
+expect_usage --retry-degraded batch "$F" --retry-degraded
+grep -q '^error: --retry-degraded: unknown flag$' "$TMP/err" ||
+  fail "npralc batch --retry-degraded: not an unknown flag"
 
 expect 0 alloc "$F" -nreg 12
 expect 0 alloc "$F" -nreg 0x10
@@ -68,6 +72,7 @@ expect 0 batch "$F" --jobs 2
 expect 0 batch "$F" --jobs 0
 expect 0 grid s1 --engines 2 -iters 5 --hoplat 1 --credits 2
 expect 0 alloc "$F" --allow-spill --max-spills 0
+expect 0 verify "$F" --jobs 2 -nreg 16 --allow-spill --max-spills 8 --pgo-static
 # The full unsigned 64-bit range parses; the exit is the missing daemon.
 expect 1 client --socket "$TMP/none" --health \
   --profile-hash 18446744073709551615
@@ -87,6 +92,10 @@ if [ -w /dev/full ]; then
   grep -q '^error: failed writing' "$TMP/err" ||
     fail "npralc profile -o /dev/full: no write error"
 fi
+# A directory opens but cannot be read: an I/O error naming the path.
+expect 1 alloc "$TMP"
+grep -q 'io-error' "$TMP/err" ||
+  fail "npralc alloc <directory>: no io-error verdict"
 # A timestamp that overflows a double is a classified error, not an abort.
 printf '[{"ph": "i", "name": "a", "ts": 1e999, "pid": 0, "tid": 0}]' \
   >"$TMP/inf.json"

@@ -267,7 +267,7 @@ TEST(BatchPipelineTest, CountsOnlyDeadlineFailuresAsDeadlineExceeded) {
   EXPECT_EQ(B.Stats.DeadlineExceeded, 1);
   std::ostringstream BJSON;
   B.Stats.renderJSON(BJSON);
-  EXPECT_NE(BJSON.str().find("\"harden\": {\"degraded\": 0, \"retried\": 0, "
+  EXPECT_NE(BJSON.str().find("\"harden\": {\"degraded\": 0, "
                              "\"deadline_exceeded\": 1, \"faults_injected\": 0}"),
             std::string::npos)
       << BJSON.str();

@@ -1,13 +1,19 @@
 //===- VerifyPipelineTest.cpp - Verify driver unit tests ------------------===//
 //
 // Covers the `npralc verify` pipeline library: allocate-mode proofs over
-// the example corpus, paired-mode rejection of the bad_swap fixture, error
-// isolation, and the satellite determinism pin — the rendered JSON report
-// must be byte-identical between --jobs 1 and --jobs 8.
+// the example corpus, paired-mode rejection of the bad_swap fixture, the
+// paired CSB-privacy fixtures, error isolation, and the determinism pin —
+// the rendered JSON report must be byte-identical between --jobs 1 and
+// --jobs 8.
 //
 //===----------------------------------------------------------------------===//
 
 #include "driver/VerifyPipeline.h"
+
+#include "alloc/AllocationVerifier.h"
+#include "asmparse/AsmParser.h"
+#include "lint/Lint.h"
+#include "support/StringUtils.h"
 
 #include "gtest/gtest.h"
 
@@ -52,44 +58,94 @@ TEST(VerifyPipelineTest, ProvesAllExamplesInAllocateMode) {
   // its analysis precondition, exactly as batch does.
   std::vector<std::string> Paths = allExamples();
   ASSERT_GE(Paths.size(), 12u);
-  VerifyOptions Opts;
+  BatchOptions Opts;
   Opts.Jobs = 4;
   VerifyResult R = runVerify(Paths, Opts);
   EXPECT_EQ(R.Rejected, 0);
   EXPECT_EQ(R.Errors, 1);
   EXPECT_EQ(R.Proved, static_cast<int>(Paths.size()) - 1);
-  for (const VerifyFileResult &F : R.Files) {
+  for (const BatchJobResult &F : R.Files) {
     if (std::filesystem::path(F.Name).filename() == "lint_buggy.s") {
-      EXPECT_FALSE(F.Proved);
+      EXPECT_FALSE(F.Validated);
+      EXPECT_EQ(F.FailStage, "analysis");
       EXPECT_NE(F.FailReason.find("may be undefined"), std::string::npos)
           << F.FailReason;
       continue;
     }
-    EXPECT_TRUE(F.Proved) << F.Name << ": " << F.FailReason;
-    EXPECT_GT(F.ThreadsProved, 0) << F.Name;
-    EXPECT_GT(F.InstructionsMatched, 0) << F.Name;
+    EXPECT_TRUE(F.Validated) << F.Name << ": " << F.failureSummary();
+    EXPECT_GT(F.Validation.ThreadsProved, 0) << F.Name;
+    EXPECT_GT(F.Validation.InstructionsMatched, 0) << F.Name;
   }
 }
 
 TEST(VerifyPipelineTest, PairedModeRejectsBadSwapWithWitness) {
-  VerifyOptions Opts;
-  Opts.Paired = true;
-  VerifyResult R = runVerify({examplePath("bad_swap.s")}, Opts);
+  VerifyResult R =
+      runVerify({examplePath("bad_swap.s")}, BatchOptions(), /*Paired=*/true);
   ASSERT_EQ(R.Files.size(), 1u);
   EXPECT_EQ(R.Rejected, 1);
-  EXPECT_FALSE(R.Files[0].Proved);
-  ASSERT_FALSE(R.Files[0].Diags.empty());
-  const Diagnostic &D = R.Files[0].Diags.front();
+  EXPECT_FALSE(R.Files[0].Validated);
+  EXPECT_EQ(R.Files[0].FailStage, "validate");
+  const std::vector<Diagnostic> &Diags = R.Files[0].ValidateDiags.diagnostics();
+  ASSERT_FALSE(Diags.empty());
+  const Diagnostic &D = Diags.front();
   EXPECT_EQ(D.Check, "translation-validation");
   EXPECT_NE(D.Message.find("does not carry the value"), std::string::npos)
       << D.Message;
   EXPECT_NE(D.Witness.find("path:"), std::string::npos) << D.Witness;
 }
 
+TEST(VerifyPipelineTest, CsbPrivacyFixturesSplitValidatorAndVerifier) {
+  // ROADMAP item 7, "First, measure": neither physical-program check
+  // subsumes the other. The validator rejects the paired bad_alloc at the
+  // first read of a clobbered register, but proves the dead copy, whose
+  // clobbered value reaches no operand. The safety verifier, run on each
+  // physical half, rejects both CSB-privacy violations.
+  struct Case {
+    const char *File;
+    bool ValidatorProves;
+  };
+  for (const Case &C : {Case{"bad_alloc_paired.s", false},
+                        Case{"dead_copy_paired.s", true}}) {
+    SCOPED_TRACE(C.File);
+    const std::string Path =
+        std::string(NPRAL_EXAMPLES_ASM_DIR) + "/paired/" + C.File;
+    VerifyResult R = runVerify({Path}, BatchOptions(), /*Paired=*/true);
+    ASSERT_EQ(R.Files.size(), 1u);
+    EXPECT_EQ(R.Errors, 0) << R.Files[0].failureSummary();
+    EXPECT_EQ(R.Files[0].Validated, C.ValidatorProves);
+    if (!C.ValidatorProves) {
+      const Diagnostic *D = R.Files[0].ValidateDiags.firstError();
+      ASSERT_NE(D, nullptr);
+      EXPECT_NE(D->Witness.find("physical `add p1, p1, p3`"),
+                std::string::npos)
+          << D->Witness;
+    }
+
+    ErrorOr<std::string> Text = readTextFile(Path);
+    ASSERT_TRUE(Text.ok()) << Text.status().str();
+    ErrorOr<MultiThreadProgram> Parsed = parseAssembly(*Text);
+    ASSERT_TRUE(Parsed.ok()) << Parsed.status().str();
+    MultiThreadProgram Phys = Parsed.take();
+    Phys.Threads.erase(Phys.Threads.begin(),
+                       Phys.Threads.begin() + Phys.getNumThreads() / 2);
+    ASSERT_TRUE(mapNamedPhysicalRegisters(Phys).ok());
+    DiagnosticEngine Engine;
+    collectAllocationSafety(Phys, Engine);
+    const Diagnostic *D = Engine.firstError();
+    ASSERT_NE(D, nullptr);
+    EXPECT_NE(D->Message.find("register p1 is live across"),
+              std::string::npos)
+        << D->Message;
+    EXPECT_NE(D->Message.find("but referenced by thread 'beta.phys'"),
+              std::string::npos)
+        << D->Message;
+  }
+}
+
 TEST(VerifyPipelineTest, SpillDegradedOutputStillProves) {
   // A budget far below two_threads.s's requirement forces the spill
   // fallback; the degraded output must prove against the pre-spill input.
-  VerifyOptions Opts;
+  BatchOptions Opts;
   Opts.AllowSpill = true;
   bool SawDegradedProof = false;
   for (int Nreg = 6; Nreg >= 2 && !SawDegradedProof; --Nreg) {
@@ -98,24 +154,37 @@ TEST(VerifyPipelineTest, SpillDegradedOutputStillProves) {
     ASSERT_EQ(R.Files.size(), 1u);
     if (!R.Files[0].UsedSpilling)
       continue;
-    EXPECT_TRUE(R.Files[0].Proved)
+    EXPECT_TRUE(R.Files[0].Validated)
         << "degraded output rejected at Nreg=" << Nreg;
-    SawDegradedProof = R.Files[0].Proved;
+    SawDegradedProof = R.Files[0].Validated;
   }
   EXPECT_TRUE(SawDegradedProof)
       << "no budget in [2,6] forced the spill fallback";
 }
 
 TEST(VerifyPipelineTest, UnreadableFileIsAnErrorNotARejection) {
-  VerifyResult R =
-      runVerify({examplePath("two_threads.s"), "/nonexistent/nope.s"},
-                VerifyOptions{});
-  ASSERT_EQ(R.Files.size(), 2u);
-  EXPECT_EQ(R.Proved, 1);
-  EXPECT_EQ(R.Rejected, 0);
-  EXPECT_EQ(R.Errors, 1);
-  EXPECT_FALSE(R.allProved());
-  EXPECT_FALSE(R.Files[1].FailReason.empty());
+  // A missing file and a directory are I/O errors in both modes, reported
+  // with the [stage/code] prefix every front end prints.
+  const std::vector<std::string> Paths{examplePath("two_threads.s"),
+                                       "/nonexistent/nope.s",
+                                       NPRAL_EXAMPLES_ASM_DIR};
+  for (bool Paired : {false, true}) {
+    VerifyResult R = runVerify(Paths, BatchOptions(), Paired);
+    ASSERT_EQ(R.Files.size(), 3u);
+    EXPECT_EQ(R.Proved, Paired ? 0 : 1);
+    EXPECT_EQ(R.Rejected, 0);
+    EXPECT_EQ(R.Errors, Paired ? 3 : 2);
+    EXPECT_FALSE(R.allProved());
+    for (size_t I = 1; I < Paths.size(); ++I) {
+      EXPECT_EQ(R.Files[I].FailCode, StatusCode::IOError)
+          << R.Files[I].failureSummary();
+      std::ostringstream Text;
+      R.renderText(Text);
+      EXPECT_NE(Text.str().find(Paths[I] + ": error: [parse/io-error] "),
+                std::string::npos)
+          << Text.str();
+    }
+  }
 }
 
 TEST(VerifyPipelineTest, ReportIsByteIdenticalAcrossWorkerCounts) {
@@ -125,36 +194,35 @@ TEST(VerifyPipelineTest, ReportIsByteIdenticalAcrossWorkerCounts) {
   // bad_swap would need a separate run, so squeeze budgets instead) to
   // make sure diagnostic-carrying results are covered too.
   std::vector<std::string> Paths = allExamples();
-  VerifyOptions Serial;
+  BatchOptions Serial;
   Serial.Jobs = 1;
-  VerifyOptions Parallel;
+  BatchOptions Parallel;
   Parallel.Jobs = 8;
   const std::string A = renderJSON(runVerify(Paths, Serial));
   const std::string B = renderJSON(runVerify(Paths, Parallel));
   EXPECT_EQ(A, B);
 
   // Same pin for paired mode, where rejections carry witness diagnostics.
-  Serial.Paired = Parallel.Paired = true;
   const std::vector<std::string> Pair{examplePath("bad_swap.s"),
                                       examplePath("bad_swap.s"),
                                       examplePath("bad_swap.s")};
-  const std::string PA = renderJSON(runVerify(Pair, Serial));
-  const std::string PB = renderJSON(runVerify(Pair, Parallel));
+  const std::string PA = renderJSON(runVerify(Pair, Serial, true));
+  const std::string PB = renderJSON(runVerify(Pair, Parallel, true));
   EXPECT_EQ(PA, PB);
 }
 
 TEST(VerifyPipelineTest, JSONWritesEachDiagnosticInTheLintShape) {
   // verify --json and lint --json write a Diagnostic through one writer,
   // line and column included.
-  VerifyOptions Opts;
-  Opts.Paired = true;
-  VerifyResult R = runVerify({examplePath("bad_swap.s")}, Opts);
+  VerifyResult R =
+      runVerify({examplePath("bad_swap.s")}, BatchOptions(), /*Paired=*/true);
   ASSERT_EQ(R.Rejected, 1);
-  ASSERT_FALSE(R.Files[0].Diags.empty());
+  const std::vector<Diagnostic> &Diags = R.Files[0].ValidateDiags.diagnostics();
+  ASSERT_FALSE(Diags.empty());
   const std::string JSON = renderJSON(R);
   EXPECT_NE(JSON.find("\"line\": "), std::string::npos) << JSON;
   EXPECT_NE(JSON.find("\"column\": "), std::string::npos) << JSON;
-  for (const Diagnostic &D : R.Files[0].Diags) {
+  for (const Diagnostic &D : Diags) {
     std::ostringstream One;
     writeDiagnosticJSON(One, D);
     EXPECT_NE(JSON.find(One.str()), std::string::npos) << One.str();

@@ -644,7 +644,7 @@ TEST(GridTest, LanesMatchLockstepReference) {
 TEST(GridTest, TracedLanesMatchLockstepTelemetry) {
   // Traced and sampled, lanes record into their own traces and sample rows
   // and merge after the run. Against the lockstep loop recording into one
-  // trace: equal results, ring samples, counter series, per-track slices
+  // trace: equal results, sample schedule, counter series, per-track slices
   // and phase totals, and flows that pair one-to-one with equal send and
   // delivery cycles (ids are renumbered). The configs cover periods off
   // the boundary grid, longer and shorter than a hop, HaltAtTarget
@@ -678,11 +678,9 @@ TEST(GridTest, TracedLanesMatchLockstepTelemetry) {
     Sim.TargetIterations = 3;
     Sim.RecordCtxTrace = true;
 
-    constexpr size_t RingCapacity = 1 << 14;
     CycleTrace RefTrace, LaneTrace;
-    TelemetryRing RefRing(RingCapacity), LaneRing(RingCapacity);
-    TelemetrySampler RefSampler(C.Period, &RefTrace, &RefRing);
-    TelemetrySampler LaneSampler(C.Period, &LaneTrace, &LaneRing);
+    TelemetrySampler RefSampler(C.Period, &RefTrace);
+    TelemetrySampler LaneSampler(C.Period, &LaneTrace);
     const GridRunResult Ref = lockstepReference(
         Inputs, C.HopLatency, C.Credits, Sim, &RefTrace, &RefSampler);
     const GridRunResult Got = runOnLanes(Inputs, C.HopLatency, C.Credits,
@@ -690,21 +688,15 @@ TEST(GridTest, TracedLanesMatchLockstepTelemetry) {
     ASSERT_TRUE(Ref.Completed) << Ref.FailReason;
     EXPECT_EQ(firstDifference(Got, Ref), "");
 
-    ASSERT_GT(RefRing.totalPushed(), 0);
-    ASSERT_LT(RefRing.totalPushed(), static_cast<int64_t>(RingCapacity));
-    ASSERT_EQ(LaneRing.totalPushed(), RefRing.totalPushed());
-    for (size_t I = 0; I < RefRing.size(); ++I) {
-      EXPECT_EQ(LaneRing.at(I).Cycle, RefRing.at(I).Cycle) << "sample " << I;
-      EXPECT_EQ(LaneRing.at(I).Values, RefRing.at(I).Values) << "sample "
-                                                             << I;
-    }
+    const auto Counters = counterSeries(RefTrace);
+    ASSERT_FALSE(Counters.empty());
+    EXPECT_EQ(counterSeries(LaneTrace), Counters);
     EXPECT_EQ(LaneSampler.nextDue(), RefSampler.nextDue());
 
     EXPECT_EQ(LaneTrace.eventCount(), RefTrace.eventCount());
     // Lanes stop at a subset of the lockstep boundaries, so they split
     // fewer idle intervals: the tracing-guard count can only drop.
     EXPECT_LE(LaneTrace.intervalCount(), RefTrace.intervalCount());
-    EXPECT_EQ(counterSeries(LaneTrace), counterSeries(RefTrace));
     EXPECT_EQ(trackContents(LaneTrace), trackContents(RefTrace));
     const std::vector<std::array<int64_t, 6>> Flows = flowPairs(RefTrace);
     EXPECT_FALSE(Flows.empty());

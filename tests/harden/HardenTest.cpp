@@ -338,8 +338,7 @@ TEST(FaultInjectionTest, PartialRateIsDeterministicAcrossRuns) {
 }
 
 //===----------------------------------------------------------------------===//
-// Degraded batch: tight budgets succeed with AllowSpill, and the bounded
-// RetryDegraded path recovers strict-mode failures.
+// Degraded batch: tight budgets succeed with AllowSpill.
 //===----------------------------------------------------------------------===//
 
 TEST(DegradedBatchTest, AllowSpillRecoversTightBudgets) {
@@ -368,24 +367,6 @@ TEST(DegradedBatchTest, AllowSpillRecoversTightBudgets) {
   std::ostringstream Text;
   Batch.Stats.renderText(Text);
   EXPECT_NE(Text.str().find("degraded"), std::string::npos);
-}
-
-TEST(DegradedBatchTest, RetryDegradedIsBoundedAndMarked) {
-  BatchOptions Opts;
-  Opts.Nreg = 4;
-  Opts.Jobs = 2;
-  Opts.AllowSpill = false;
-  Opts.RetryDegraded = true;
-  BatchResult Batch = runBatch(allExampleJobs(), Opts);
-  int Retried = 0;
-  for (const BatchJobResult &R : Batch.Results)
-    if (R.Retried) {
-      ++Retried;
-      EXPECT_TRUE(R.Success) << R.Name << ": " << R.FailReason;
-      EXPECT_TRUE(R.UsedSpilling) << R.Name;
-    }
-  EXPECT_GT(Retried, 0);
-  EXPECT_EQ(Batch.Stats.Retried, Retried);
 }
 
 //===----------------------------------------------------------------------===//

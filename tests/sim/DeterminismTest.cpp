@@ -20,6 +20,7 @@
 
 #include "gtest/gtest.h"
 
+#include <algorithm>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -159,25 +160,21 @@ GridRunResult runGridOnce(uint64_t Seed) {
   return Grid.run();
 }
 
-/// One traced and sampled grid run, as bytes: the exported cycle trace
-/// followed by every ring sample.
+/// One traced and sampled grid run, as the bytes of its exported cycle
+/// trace: thread-state slices, flows and the sampler's counter events.
 std::string runTracedGridOnce(uint64_t Seed) {
   EngineGrid Grid(/*HopLatency=*/4, /*InitialCredits=*/2);
   addEngines(Grid, Seed);
   CycleTrace CT;
-  TelemetryRing Ring(1024);
-  TelemetrySampler Sampler(/*PeriodCycles=*/16, &CT, &Ring);
+  TelemetrySampler Sampler(/*PeriodCycles=*/16, &CT);
   Grid.setTelemetry(&CT, &Sampler);
   GridRunResult R = Grid.run();
   EXPECT_TRUE(R.Completed) << R.FailReason;
+  EXPECT_TRUE(std::any_of(CT.events().begin(), CT.events().end(),
+                          [](const TraceEvent &E) { return E.Ph == 'C'; }))
+      << "the sampler wrote no counter events";
   std::ostringstream OS;
   writeChromeTrace(OS, TraceClock::Cycles, CT.events());
-  for (const TelemetrySample &S : Ring.snapshot()) {
-    OS << S.Cycle;
-    for (const auto &[Name, V] : S.Values)
-      OS << ' ' << Name << '=' << V;
-    OS << '\n';
-  }
   return OS.str();
 }
 

@@ -23,6 +23,7 @@
 #include "../common/TestUtils.h"
 #include "gtest/gtest.h"
 
+#include <map>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -68,8 +69,7 @@ top:
 
 /// Run the mix with a fresh trace and sampler; returns the exported JSON.
 std::string runTracedSim(int64_t SamplePeriod, SimResult *OutResult = nullptr,
-                         CycleTrace *OutTrace = nullptr,
-                         TelemetryRing *Ring = nullptr) {
+                         CycleTrace *OutTrace = nullptr) {
   MultiThreadProgram MTP = twoThreadMix();
   SimConfig Config;
   Config.TargetIterations = 8;
@@ -79,7 +79,7 @@ std::string runTracedSim(int64_t SamplePeriod, SimResult *OutResult = nullptr,
   Sim.setCycleTrace(&CT, /*Pid=*/1);
   std::optional<TelemetrySampler> Sampler;
   if (SamplePeriod > 0) {
-    Sampler.emplace(SamplePeriod, &CT, Ring);
+    Sampler.emplace(SamplePeriod, &CT);
     Sim.setSampler(&*Sampler, "sim.");
   }
   SimResult R = Sim.run();
@@ -253,10 +253,9 @@ TEST(CycleTraceTest, MultiEngineGridEmitsCountersAndMatchedFlows) {
   EXPECT_NE(Html.str().find("work-dispatch"), std::string::npos);
 }
 
-TEST(CycleTraceTest, SamplerFiresOnPeriodGridIntoTraceAndRing) {
+TEST(CycleTraceTest, SamplerFiresOnPeriodGridIntoTrace) {
   CycleTrace CT;
-  TelemetryRing Ring(8);
-  TelemetrySampler Sampler(10, &CT, &Ring);
+  TelemetrySampler Sampler(10, &CT);
   EXPECT_EQ(Sampler.nextDue(), 10);
   EXPECT_FALSE(Sampler.due(9));
   EXPECT_TRUE(Sampler.due(10));
@@ -271,58 +270,41 @@ TEST(CycleTraceTest, SamplerFiresOnPeriodGridIntoTraceAndRing) {
   Sampler.value(1, "sim.occupancy", 2);
   Sampler.endSample(57);
   EXPECT_EQ(Sampler.nextDue(), 60);
-  ASSERT_EQ(Ring.size(), 2u);
   // Sample timestamps sit on the period grid (the due cycle, not the cycle
   // the check happened to run at).
-  EXPECT_EQ(Ring.at(0).Cycle, 10);
-  EXPECT_EQ(Ring.at(1).Cycle, 20);
   ASSERT_EQ(CT.eventCount(), 2);
   EXPECT_EQ(CT.events()[0].Ph, 'C');
   EXPECT_EQ(CT.events()[0].Ts, 10);
   EXPECT_EQ(CT.events()[0].Args.front().Value, "3");
+  EXPECT_EQ(CT.events()[1].Ph, 'C');
+  EXPECT_EQ(CT.events()[1].Ts, 20);
+  EXPECT_EQ(CT.events()[1].Args.front().Value, "2");
 }
 
-TEST(CycleTraceTest, RingBufferWrapsOldestFirst) {
-  TelemetryRing Ring(4);
-  for (int64_t I = 0; I < 6; ++I) {
-    TelemetrySample S;
-    S.Cycle = I;
-    Ring.push(std::move(S));
-  }
-  EXPECT_EQ(Ring.capacity(), 4u);
-  EXPECT_EQ(Ring.size(), 4u);
-  EXPECT_EQ(Ring.totalPushed(), 6);
-  for (size_t I = 0; I < 4; ++I)
-    EXPECT_EQ(Ring.at(I).Cycle, static_cast<int64_t>(I + 2));
-  std::vector<TelemetrySample> Snap = Ring.snapshot();
-  ASSERT_EQ(Snap.size(), 4u);
-  EXPECT_EQ(Snap.front().Cycle, 2);
-  EXPECT_EQ(Snap.back().Cycle, 5);
-  Ring.clear();
-  EXPECT_EQ(Ring.size(), 0u);
-}
-
-TEST(CycleTraceTest, GridRunFillsTheTelemetryRing) {
+TEST(CycleTraceTest, GridRunSamplesCountersOnThePeriodGrid) {
   GridOptions Opts;
   Opts.NumEngines = 2;
   Opts.Sim = defaultExperimentConfig();
   Opts.Sim.TargetIterations = 10;
-  TelemetryRing Ring(256);
-  Opts.Ring = &Ring;
+  CycleTrace CT;
+  Opts.Trace = &CT;
   Opts.SampleCycles = 64;
   std::vector<std::string> Pool;
   ASSERT_TRUE(buildGridPool("s1", 2, Pool));
   GridReport Report = runKernelPoolGrid("s1", Pool, Opts);
   ASSERT_TRUE(Report.Success) << Report.FailReason;
-  ASSERT_GT(Ring.size(), 0u);
-  // Samples land on the period grid, strictly increasing.
-  int64_t Prev = 0;
-  for (size_t I = 0; I < Ring.size(); ++I) {
-    EXPECT_EQ(Ring.at(I).Cycle % 64, 0);
-    EXPECT_GT(Ring.at(I).Cycle, Prev);
-    Prev = Ring.at(I).Cycle;
-    EXPECT_FALSE(Ring.at(I).Values.empty());
+  // Per counter track, samples land on the period grid, strictly
+  // increasing.
+  std::map<std::pair<int64_t, std::string>, int64_t> Prev;
+  for (const TraceEvent &E : CT.events()) {
+    if (E.Ph != 'C')
+      continue;
+    EXPECT_EQ(E.Ts % 64, 0) << E.Name;
+    int64_t &Last = Prev[{E.Pid, E.Name}];
+    EXPECT_GT(E.Ts, Last) << E.Name;
+    Last = E.Ts;
   }
+  EXPECT_FALSE(Prev.empty());
 }
 
 TEST(CycleTraceValidatorTest, AcceptsCounterAndFlowPhases) {

@@ -251,7 +251,6 @@ TEST(PipelineStatsTest, RegistryKeySetIsGoldenPinned) {
             "batch.faults_injected counter 0\n"
             "batch.jobs gauge 2\n"
             "batch.programs counter 4\n"
-            "batch.retried counter 0\n"
             "batch.stage.alloc_ns counter 500000\n"
             "batch.stage.analysis_ns counter 2250000\n"
             "batch.stage.bounds_ns counter 0\n"

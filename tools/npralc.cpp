@@ -45,9 +45,9 @@
 // other flags come from one table per subcommand (dispatch); an unknown
 // flag, a missing value or an out-of-range number exits 2.
 //
-// `alloc`, `run` and `verify` allocate through the batch pipeline's
-// runSingleJob, like `batch` and `serve`, so all five give one verdict for
-// the same input.
+// `alloc` and `run` allocate through the batch pipeline's runSingleJob,
+// like `serve`, and `verify` through runBatch, like `batch`, so all five
+// give one verdict for the same input.
 //
 // Threads may declare entry-live registers; `run` seeds them with zero (use
 // the C++ API for richer setups — see examples/).
@@ -85,7 +85,6 @@
 
 #include <algorithm>
 #include <charconv>
-#include <fstream>
 #include <iostream>
 #include <limits>
 #include <map>
@@ -220,8 +219,8 @@ int usage() {
          "        -o file    write the profile to file (default: stdout)\n"
          "  batch    files... [--jobs N] [--cache] [--stats] [--json]\n"
          "           [-nreg N] [--profile f] [--pgo-static] [--allow-spill]\n"
-         "           [--max-spills K] [--retry-degraded] [--deadline-ms D]\n"
-         "           [--fault-inject spec] [--validate]\n"
+         "           [--max-spills K] [--deadline-ms D] [--fault-inject spec]\n"
+         "           [--validate]\n"
          "      run the full pipeline (parse, analyze, allocate, verify)\n"
          "      over many files on a thread pool; one result row per file\n"
          "        --jobs N      worker threads (default: hw concurrency)\n"
@@ -236,9 +235,6 @@ int usage() {
          "        --allow-spill spill-based graceful degradation for\n"
          "                      infeasible budgets (see alloc)\n"
          "        --max-spills K  per-job spill cap (default 64)\n"
-         "        --retry-degraded  retry an infeasible job once in\n"
-         "                      degraded (spill-permitted) mode; the first\n"
-         "                      attempt stays strict\n"
          "        --deadline-ms D  per-job deadline over all stages; an\n"
          "                      overrun fails only that job\n"
          "        --fault-inject <sites>@<rate>#<seed>\n"
@@ -385,12 +381,10 @@ bool parseFlags(int argc, char **argv, const std::vector<Flag> &Table,
 
 ErrorOr<MultiThreadProgram> loadFile(const std::string &Path,
                                      bool Rename = true) {
-  std::ifstream In(Path);
-  if (!In)
-    return Status::error("cannot open '" + Path + "'");
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  ErrorOr<MultiThreadProgram> MTP = parseAssembly(Buf.str());
+  ErrorOr<std::string> Text = readTextFile(Path);
+  if (!Text.ok())
+    return Text.status();
+  ErrorOr<MultiThreadProgram> MTP = parseAssembly(*Text);
   if (!MTP.ok())
     return MTP.status();
   if (Rename)
@@ -444,16 +438,13 @@ int cmdAnalyze(const MultiThreadProgram &MTP) {
 
 /// Read and parse a .npprof file; exits through the caller on failure.
 std::optional<ExecutionProfile> loadProfile(const std::string &Path) {
-  std::ifstream In(Path);
-  if (!In) {
-    std::cerr << "error: cannot open profile '" << Path << "'\n";
+  ErrorOr<std::string> Text = readTextFile(Path);
+  if (!Text.ok()) {
+    std::cerr << "error: profile: " << Text.status().str() << "\n";
     return std::nullopt;
   }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
   std::string Error;
-  std::optional<ExecutionProfile> Prof = ExecutionProfile::parse(Buf.str(),
-                                                                 Error);
+  std::optional<ExecutionProfile> Prof = ExecutionProfile::parse(*Text, Error);
   if (!Prof)
     std::cerr << "error: malformed profile '" << Path << "': " << Error
               << "\n";
@@ -591,7 +582,7 @@ int cmdRun(const std::string &Path, BatchOptions Opts,
   std::optional<TelemetrySampler> Sampler;
   if (!TraceCycles.empty()) {
     Sim.setCycleTrace(&CT, /*Pid=*/1);
-    Sampler.emplace(SampleCycles > 0 ? SampleCycles : 64, &CT, nullptr);
+    Sampler.emplace(SampleCycles > 0 ? SampleCycles : 64, &CT);
     Sim.setSampler(&*Sampler, "sim.");
   }
   for (int T = 0; T < R.Physical.getNumThreads(); ++T) {
@@ -724,8 +715,9 @@ int cmdLint(MultiThreadProgram MTP, bool Json, bool AfterAlloc, bool Physical,
   return Werror && Engine.warningCount() > 0 ? 1 : 0;
 }
 
-int cmdVerify(const std::vector<std::string> &Files, VerifyOptions Opts,
-              const std::string &ProfilePath, bool Json, bool Werror) {
+int cmdVerify(const std::vector<std::string> &Files, BatchOptions Opts,
+              bool Paired, const std::string &ProfilePath, bool Json,
+              bool Werror) {
   if (Files.empty()) {
     std::cerr << "verify: no input files\n";
     return usage();
@@ -739,7 +731,7 @@ int cmdVerify(const std::vector<std::string> &Files, VerifyOptions Opts,
   }
   if (Opts.Jobs == 0)
     Opts.Jobs = ThreadPool::hardwareConcurrency();
-  VerifyResult R = runVerify(Files, Opts);
+  VerifyResult R = runVerify(Files, std::move(Opts), Paired);
   if (Json)
     R.renderJSON(std::cout);
   else
@@ -857,14 +849,12 @@ int cmdClient(const std::string &SocketPath, const std::string &File,
   } else if (FetchMetrics) {
     R = C->metrics();
   } else {
-    std::ifstream In(File);
-    if (!In) {
-      std::cerr << "client: cannot open '" << File << "'\n";
+    ErrorOr<std::string> Text = readTextFile(File);
+    if (!Text.ok()) {
+      std::cerr << "client: " << Text.status().str() << "\n";
       return 1;
     }
-    std::ostringstream Buf;
-    Buf << In.rdbuf();
-    Req.Assembly = Buf.str();
+    Req.Assembly = Text.take();
     R = C->alloc(Req);
   }
   if (!R.ok()) {
@@ -994,14 +984,12 @@ int cmdGrid(const std::string &ScenarioName, GridOptions Opts,
 /// is a hard error, not a partial summary.
 std::optional<std::vector<TraceEvent>> loadTrace(const std::string &Path,
                                                  TraceClock &Clock) {
-  std::ifstream In(Path);
-  if (!In) {
-    std::cerr << "error: cannot open '" << Path << "'\n";
+  ErrorOr<std::string> Text = readTextFile(Path);
+  if (!Text.ok()) {
+    std::cerr << "error: " << Text.status().str() << "\n";
     return std::nullopt;
   }
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  ErrorOr<std::vector<TraceEvent>> Events = parseChromeTrace(Buf.str(), &Clock);
+  ErrorOr<std::vector<TraceEvent>> Events = parseChromeTrace(*Text, &Clock);
   if (!Events.ok()) {
     std::cerr << Path << ": " << Events.status().str() << "\n";
     return std::nullopt;
@@ -1048,9 +1036,9 @@ int dispatch(int argc, char **argv) {
   // subcommand's table points into the variables it uses; 0 keeps its
   // documented meaning where it has one (all cores, no deadline, run to
   // halt, unbounded cache) and is rejected where it cannot be honoured.
+  // `batch` runs on all cores unless told otherwise, `verify` on one.
   BatchOptions Batch;
-  Batch.Jobs = 0;
-  VerifyOptions Verify;
+  Batch.Jobs = Cmd == "verify" ? 1 : 0;
   GridOptions Grid;
   ServeOptions Serve;
   AllocRequest Req;
@@ -1060,7 +1048,7 @@ int dispatch(int argc, char **argv) {
   int RegsPerThread = 32, Nthd = 4;
   int64_t SampleCycles = 0;
   bool Json = false, Stats = false, Werror = false, Explain = false;
-  bool AfterAlloc = false, Physical = false, Health = false;
+  bool AfterAlloc = false, Physical = false, Paired = false, Health = false;
   bool FetchMetrics = false;
   std::string ProfilePath, TraceCycles, Only, OutPath, HtmlOut, SocketPath;
   std::string Policy = "bounds";
@@ -1102,15 +1090,15 @@ int dispatch(int argc, char **argv) {
         {"-nreg", &Batch.Nreg, 1},
         {"--Werror", &Werror}}},
       {"verify",
-       {{"--jobs", &Verify.Jobs},
+       {{"--jobs", &Batch.Jobs},
         {"--json", &Json},
         {"--Werror", &Werror},
-        {"-nreg", &Verify.Nreg, 1},
-        {"--allow-spill", &Verify.AllowSpill},
-        {"--max-spills", &Verify.MaxSpills},
-        {"--pgo-static", &Verify.StaticPGO},
+        {"-nreg", &Batch.Nreg, 1},
+        {"--allow-spill", &Batch.AllowSpill},
+        {"--max-spills", &Batch.MaxSpills},
+        {"--pgo-static", &Batch.StaticPGO},
         {"--profile", &ProfilePath},
-        {"--paired", &Verify.Paired}}},
+        {"--paired", &Paired}}},
       {"profile",
        {{"-iters", &Sim.TargetIterations},
         {"-memlat", &Sim.MemLatency},
@@ -1125,7 +1113,6 @@ int dispatch(int argc, char **argv) {
         {"--pgo-static", &Batch.StaticPGO},
         {"--allow-spill", &Batch.AllowSpill},
         {"--max-spills", &Batch.MaxSpills},
-        {"--retry-degraded", &Batch.RetryDegraded},
         {"--deadline-ms", &Batch.DeadlineMs},
         {"--fault-inject", &Batch.Faults},
         {"--validate", &Batch.Validate},
@@ -1163,7 +1150,8 @@ int dispatch(int argc, char **argv) {
   if (Cmd == "batch")
     return cmdBatch(Args, std::move(Batch), ProfilePath, Stats, Json);
   if (Cmd == "verify")
-    return cmdVerify(Args, Verify, ProfilePath, Json, Werror);
+    return cmdVerify(Args, std::move(Batch), Paired, ProfilePath, Json,
+                     Werror);
   if (Cmd == "serve")
     return Args.empty() ? cmdServe(std::move(Serve)) : usage();
   if (Cmd == "client")
