@@ -128,7 +128,7 @@ void BM_BatchValidate(benchmark::State &State, bool Validate) {
       Last.throughput(), benchmark::Counter::kAvgIterations);
   if (Validate)
     State.counters["validate_ms"] =
-        static_cast<double>(Last.ValidateNs) / 1e6;
+        static_cast<double>(Last.StageNs[JobStage::Validate]) / 1e6;
 }
 
 } // namespace

@@ -2,17 +2,12 @@
 ///
 /// \file
 /// The batch allocation pipeline: N input programs (assembly files or
-/// in-memory MultiThreadPrograms) each run
-///
-///   parse -> live-range renaming -> liveness/NSR/interference ->
-///   bounds estimation -> inter/intra allocation -> safety verification
-///   [-> translation validation]
-///
-/// across a fixed-size ThreadPool. Jobs are independent — each writes only
-/// its own result slot — so the output is bit-identical for any worker
-/// count. Per-thread analysis artifacts are memoised in a content-hash
-/// keyed AnalysisCache, so repeated inputs and shared kernels skip the
-/// dataflow recomputation.
+/// in-memory MultiThreadPrograms) each run the job stages (JobStage), one
+/// JobRun::stage() call per stage (driver/JobRun.h), across a fixed-size
+/// ThreadPool. Jobs are independent — each writes only its own result
+/// slot — so the output is bit-identical for any worker count. Per-thread
+/// analysis artifacts are memoised in a content-hash keyed AnalysisCache,
+/// so repeated inputs and shared kernels skip the dataflow recomputation.
 ///
 /// Per-stage wall-clock and cache hit/miss counters are aggregated into a
 /// PipelineStats, rendered as text or as JSON following the
@@ -40,7 +35,9 @@
 #include "support/DiagnosticEngine.h"
 #include "support/Status.h"
 
+#include <array>
 #include <cstdint>
+#include <optional>
 #include <ostream>
 #include <string>
 #include <vector>
@@ -49,6 +46,37 @@ namespace npral {
 
 class AnalysisCache;
 class MetricsRegistry;
+
+/// The stages of one job, in pipeline order. jobStageName() is the one
+/// place their names are spelled: `[<stage>/<code>]` verdicts, fault sites,
+/// `batch` trace spans, `batch.stage.*_ns` metrics and the stats renderers
+/// all take them from there.
+enum class JobStage {
+  Parse,    ///< read and parse the input
+  Analysis, ///< per thread: check, rename, analyze (through the cache)
+  Bounds,   ///< per cache-missed thread: the §5 register bounds
+  Alloc,    ///< Fig. 8 inter-thread allocation, spill fallback included
+  Verify,   ///< the CSB-privacy safety verifier
+  Validate, ///< the translation validator
+  Internal, ///< an exception escaped a stage; never timed
+};
+
+inline constexpr size_t NumJobStages =
+    static_cast<size_t>(JobStage::Internal) + 1;
+
+inline const char *jobStageName(JobStage S) {
+  constexpr const char *Names[NumJobStages] = {
+      "parse", "analysis", "bounds", "alloc", "verify", "validate", "internal"};
+  return Names[static_cast<size_t>(S)];
+}
+
+/// Wall clock per stage, in nanoseconds, indexed by JobStage.
+struct StageTimes {
+  std::array<int64_t, NumJobStages> Ns{};
+
+  int64_t &operator[](JobStage S) { return Ns[static_cast<size_t>(S)]; }
+  int64_t operator[](JobStage S) const { return Ns[static_cast<size_t>(S)]; }
+};
 
 struct BatchOptions {
   /// Register file size handed to the inter-thread allocator.
@@ -71,7 +99,7 @@ struct BatchOptions {
   /// Verify cannot see, but it does not subsume Verify: a value kept in a
   /// shared register across a CSB whose only later use is a dead copy
   /// proves, yet breaks CSB privacy (docs/validation.md). A refuted job
-  /// fails in stage "validate".
+  /// fails in JobStage::Validate.
   bool Validate = false;
   /// Retain each job's physical program in its result (costs memory;
   /// `npralc batch` leaves it off, `alloc`, `run`, serve and the tests turn
@@ -101,10 +129,11 @@ struct BatchOptions {
   /// deadline has passed fails with StatusCode::DeadlineExceeded, whatever
   /// its stages concluded.
   int DeadlineMs = 0;
-  /// Deterministic fault injection (disabled by default). Probes fire at
-  /// the parse/analysis/cache/alloc stage entries of each job; an injected
-  /// fault fails that job like any other input-dependent error — captured
-  /// in its result slot, never aborting the batch.
+  /// Deterministic fault injection (disabled by default). Each stage probes
+  /// the site named after it on entry (only parse, analysis and alloc have
+  /// one), and Analysis also probes "cache" before each cache lookup; an
+  /// injected fault fails that job like any other input-dependent error —
+  /// captured in its result slot, never aborting the batch.
   FaultInjector Faults;
 };
 
@@ -126,9 +155,9 @@ struct BatchJobResult {
   std::string Name;
   bool Success = false;
   std::string FailReason;
-  /// Pipeline stage that failed: "parse", "analysis", "alloc", "verify",
-  /// "validate", or "internal" for a captured exception. Empty on success.
-  std::string FailStage;
+  /// Stage that failed (Internal for a captured exception); empty on
+  /// success.
+  std::optional<JobStage> FailStage;
   /// Classification of the failure; Ok on success.
   StatusCode FailCode = StatusCode::Ok;
   /// True when the job's allocation came from the spill fallback.
@@ -158,27 +187,23 @@ struct BatchJobResult {
   /// Analysis-cache hits/misses attributed to this job's threads.
   int64_t CacheHits = 0;
   int64_t CacheMisses = 0;
-  /// Per-stage wall clock, nanoseconds.
-  int64_t ParseNs = 0;
-  int64_t AnalysisNs = 0;
-  int64_t BoundsNs = 0;
-  int64_t AllocNs = 0;
-  int64_t VerifyNs = 0;
-  int64_t ValidateNs = 0;
-  /// Translation-validation counts, and every diagnostic the validate
-  /// stage reported (the validator's, plus the decision-log cross-check's
-  /// when runSingleJob got a log), sorted by program position. Filled
-  /// whenever the validate stage ran, refuted or not.
+  /// Wall clock of each stage the job ran, failed ones included.
+  StageTimes StageNs;
+  /// Translation-validation counts, and the diagnostics of the checks that
+  /// judged the job, sorted by program position: the validator's (plus the
+  /// decision-log cross-check's when runSingleJob got a log) whenever the
+  /// validate stage ran, refuted or not, and the safety verifier's when it
+  /// refused.
   ValidationResult Validation;
   DiagnosticEngine ValidateDiags;
   /// Filled when BatchOptions::KeepPhysical.
   MultiThreadProgram Physical;
 
   /// "[<stage>/<code>] <reason>": the one-line verdict every front end
-  /// reports for a failed job.
+  /// reports for a failed job ("[/ok] " on success).
   std::string failureSummary() const {
-    return "[" + FailStage + "/" + statusCodeName(FailCode) + "] " +
-           FailReason;
+    return std::string("[") + (FailStage ? jobStageName(*FailStage) : "") +
+           "/" + statusCodeName(FailCode) + "] " + FailReason;
   }
 };
 
@@ -191,26 +216,21 @@ struct PipelineStats {
   bool CacheEnabled = false;
   int64_t CacheHits = 0;
   int64_t CacheMisses = 0;
-  /// Per-stage wall clock summed over all jobs, nanoseconds. Stages on
-  /// different workers overlap, so the sum can exceed WallNs.
-  int64_t ParseNs = 0;
-  int64_t AnalysisNs = 0;
-  int64_t BoundsNs = 0;
-  int64_t AllocNs = 0;
-  int64_t VerifyNs = 0;
+  /// Per-stage wall clock summed over all jobs. Stages on different
+  /// workers overlap, so the sum can exceed WallNs.
+  StageTimes StageNs;
   /// End-to-end wall clock of the whole batch, nanoseconds.
   int64_t WallNs = 0;
   /// Robustness counters; all stay zero on a healthy run with hardening
   /// features off, and the renderers only mention them when nonzero, so
   /// the byte-stable golden outputs of plain runs are unchanged.
-  int Degraded = 0;        ///< Jobs whose allocation used the spill fallback.
+  int Degraded = 0;        ///< Succeeded jobs that the spill fallback fit.
   int DeadlineExceeded = 0; ///< Jobs that failed with DeadlineExceeded.
   int FaultsInjected = 0;  ///< Jobs failed by an injected fault.
   /// Translation-validation counters; like the robustness counters they
   /// stay zero (and unrendered) unless BatchOptions::Validate was on.
   int Validated = 0;       ///< Jobs whose output the validator proved.
   int ValidateFailed = 0;  ///< Jobs the validator refuted.
-  int64_t ValidateNs = 0;  ///< Wall clock of the validate stage, summed.
   /// Per-job latency percentiles from the batch.job_wall_ns histogram
   /// (MetricsRegistry::Histogram::percentile). Rendered in the JSON output
   /// only when JobWallCount > 0, keeping synthetic stats (and their golden

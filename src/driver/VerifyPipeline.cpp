@@ -3,6 +3,7 @@
 #include "driver/VerifyPipeline.h"
 
 #include "asmparse/AsmParser.h"
+#include "driver/JobRun.h"
 #include "lint/Lint.h"
 #include "lint/TranslationValidator.h"
 #include "support/StringUtils.h"
@@ -15,59 +16,63 @@ using namespace npral;
 
 namespace {
 
-/// True when the job stopped before the validator could judge it.
+/// True when the file stopped before a check could judge it. A file the
+/// validator refutes or the safety verifier refuses is rejected instead.
 bool isError(const BatchJobResult &F) {
-  return !F.Success && F.FailStage != "validate";
+  return !F.Success && F.FailStage != JobStage::Validate &&
+         F.FailStage != JobStage::Verify;
 }
 
-/// Check one file in paired mode, filling its result the way the job path
-/// does: a refutation fails in stage "validate", anything earlier in the
-/// stage that stopped it. Diagnostics end up sorted by program position so
-/// the result is independent of worker scheduling.
-BatchJobResult verifyPaired(const std::string &Path) {
+/// Check one file in paired mode through the job stages: parse, then the
+/// translation validator and the CSB-privacy verifier on the physical
+/// half. Both checks always run, so a rejection lists the diagnostics of
+/// every check that refused, sorted by program position (independent of
+/// worker scheduling); the verdict names the first refusing check.
+BatchJobResult verifyPaired(const std::string &Path, const BatchOptions &Opts) {
   BatchJobResult R;
   R.Name = Path;
-  auto fail = [&R](const char *Stage, StatusCode Code, std::string Reason) {
-    R.FailStage = Stage;
-    R.FailCode = Code;
-    R.FailReason = std::move(Reason);
+  JobRun Job(R, Opts);
+  MultiThreadProgram Virt, Phys;
+  if (!Job.stage(JobStage::Parse, {}, [&] {
+        ErrorOr<std::string> Text = readTextFile(Path);
+        if (!Text.ok())
+          return Job.fail(Text.status());
+        ErrorOr<MultiThreadProgram> Parsed = parseAssembly(*Text);
+        if (!Parsed.ok())
+          return Job.fail(Parsed.status());
+        Virt = Parsed.take();
+        // The file carries both sides of the proof obligation: virtual
+        // threads first, then the same number of hand-written physical
+        // threads.
+        R.NumThreads = Virt.getNumThreads();
+        if (R.NumThreads < 2 || R.NumThreads % 2 != 0)
+          return Job.fail(StatusCode::InvalidIR,
+                          "paired mode needs an even number of threads "
+                          "(virtual half followed by physical half)");
+        const auto Mid = Virt.Threads.begin() + R.NumThreads / 2;
+        Phys.Name = Virt.Name;
+        Phys.Threads.assign(std::make_move_iterator(Mid),
+                            std::make_move_iterator(Virt.Threads.end()));
+        Virt.Threads.erase(Mid, Virt.Threads.end());
+        Status Mapped = mapNamedPhysicalRegisters(Phys);
+        return Mapped.ok() || Job.fail(Mapped);
+      }))
     return R;
-  };
-  ErrorOr<std::string> Text = readTextFile(Path);
-  if (!Text.ok())
-    return fail("parse", Text.status().code(), Text.status().str());
-  ErrorOr<MultiThreadProgram> Parsed = parseAssembly(*Text);
-  if (!Parsed.ok())
-    return fail("parse", Parsed.status().code(), Parsed.status().str());
-  MultiThreadProgram Virt = Parsed.take();
 
-  // The file carries both sides of the proof obligation: virtual threads
-  // first, then the same number of hand-written physical threads.
-  R.NumThreads = Virt.getNumThreads();
-  if (R.NumThreads < 2 || R.NumThreads % 2 != 0)
-    return fail("parse", StatusCode::InvalidIR,
-                "paired mode needs an even number of threads "
-                "(virtual half followed by physical half)");
-  const auto Mid = Virt.Threads.begin() + R.NumThreads / 2;
-  MultiThreadProgram Phys;
-  Phys.Name = Virt.Name;
-  Phys.Threads.assign(std::make_move_iterator(Mid),
-                      std::make_move_iterator(Virt.Threads.end()));
-  Virt.Threads.erase(Mid, Virt.Threads.end());
-  if (Status S = mapNamedPhysicalRegisters(Phys); !S.ok())
-    return fail("parse", StatusCode::InvalidIR, S.str());
-
-  R.Validation = validateTranslation(Virt, Phys, R.ValidateDiags,
-                                     &MetricsRegistry::global());
-  R.ValidateDiags.sortByPosition();
-  R.Validated = R.Success = R.Validation.Proved;
-  if (!R.Success) {
+  Job.stage(JobStage::Validate, {}, [&] {
+    R.Validation = validateTranslation(Virt, Phys, R.ValidateDiags,
+                                       &MetricsRegistry::global());
+    R.ValidateDiags.sortByPosition();
+    R.Validated = R.Validation.Proved;
     const Diagnostic *First = R.ValidateDiags.firstError();
-    return fail("validate", StatusCode::Internal,
-                "translation validation refuted the physical half: " +
-                    (First ? First->Message
-                           : std::string("program shape mismatch")));
-  }
+    return R.Validated ||
+           Job.fail(StatusCode::Internal,
+                    "translation validation refuted the physical half: " +
+                        (First ? First->Message
+                               : std::string("program shape mismatch")));
+  });
+  Job.stage(JobStage::Verify, {}, [&] { return Job.verifySafety(Phys); });
+  R.Success = !R.FailStage;
   return R;
 }
 
@@ -81,7 +86,7 @@ VerifyResult npral::runVerify(const std::vector<std::string> &Paths,
     ThreadPool Pool(Opts.Jobs);
     parallelFor(Pool, static_cast<int>(Paths.size()), [&](int I) {
       Out.Files[static_cast<size_t>(I)] =
-          verifyPaired(Paths[static_cast<size_t>(I)]);
+          verifyPaired(Paths[static_cast<size_t>(I)], Opts);
     });
   } else {
     std::vector<BatchJob> Jobs(Paths.size());
@@ -91,7 +96,7 @@ VerifyResult npral::runVerify(const std::vector<std::string> &Paths,
     Out.Files = runBatch(Jobs, Opts).Results;
   }
   for (const BatchJobResult &F : Out.Files)
-    ++(isError(F) ? Out.Errors : F.Validated ? Out.Proved : Out.Rejected);
+    ++(isError(F) ? Out.Errors : F.Success ? Out.Proved : Out.Rejected);
   return Out;
 }
 
@@ -108,7 +113,7 @@ void VerifyResult::renderText(std::ostream &OS) const {
       OS << F.Name << ": error: " << F.failureSummary() << "\n";
       continue;
     }
-    if (F.Validated) {
+    if (F.Success) {
       OS << F.Name << ": proved (" << F.Validation.ThreadsProved
          << " thread(s), " << F.Validation.InstructionsMatched
          << " instruction(s) matched, " << F.Validation.CopiesInterpreted
@@ -136,9 +141,9 @@ void VerifyResult::renderJSON(std::ostream &OS) const {
     OS << "\"name\": ";
     writeJSONString(OS, F.Name);
     OS << ", \"status\": ";
-    writeJSONString(OS, Error         ? "error"
-                        : F.Validated ? "proved"
-                                      : "rejected");
+    writeJSONString(OS, Error       ? "error"
+                        : F.Success ? "proved"
+                                    : "rejected");
     OS << ", \"fail_reason\": ";
     writeJSONString(OS, Error ? F.failureSummary() : "");
     OS << ", \"threads_proved\": " << F.Validation.ThreadsProved;

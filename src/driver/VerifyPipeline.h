@@ -15,13 +15,16 @@
 ///   - paired mode: the file itself carries both halves of the proof
 ///     obligation — the first half of its threads is the virtual program,
 ///     the second half a hand-written physical program (registers named
-///     p<N>, mapped by mapNamedPhysicalRegisters). This is how deliberate
-///     miscompiles like examples/asm/bad_swap.s are checked.
+///     p<N>, mapped by mapNamedPhysicalRegisters). The validator checks
+///     the physical half against the virtual one, and the safety verifier
+///     checks its CSB privacy, which the validator alone can miss. This is
+///     how deliberate miscompiles like examples/asm/bad_swap.s are checked.
 ///
-/// Either way each file yields one BatchJobResult, and the report is
-/// rendered from those. Each job writes only its own result slot and its
-/// diagnostics are sorted by program position, so the rendered report is
-/// byte-identical for any worker count.
+/// Either way each file yields one BatchJobResult, whose stages run
+/// through JobRun like every job's, and the report is rendered from those.
+/// Each job writes only its own result slot and its diagnostics are sorted
+/// by program position, so the rendered report is byte-identical for any
+/// worker count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,17 +41,18 @@ namespace npral {
 
 struct VerifyResult {
   /// One result per input, in input order regardless of worker scheduling.
-  /// A file is proved when Validated is set and rejected when it failed in
-  /// stage "validate"; any other failure never reached the validator and
-  /// counts as an error.
+  /// A file is proved when every check passed, and rejected when a check
+  /// refused it (it failed in JobStage::Validate or JobStage::Verify). Any
+  /// other failure never reached the checks and counts as an error.
+  /// Validated keeps the validator's own verdict, so a paired file the
+  /// verifier alone refuses is rejected with Validated set.
   std::vector<BatchJobResult> Files;
-  int Proved = 0;   ///< Files whose translation the validator proved.
-  int Rejected = 0; ///< Files the validator refuted.
-  int Errors = 0;   ///< Files that never reached the validator.
+  int Proved = 0;   ///< Files every check passed.
+  int Rejected = 0; ///< Files a check refused.
+  int Errors = 0;   ///< Files that never reached the checks.
 
   bool allProved() const { return Rejected == 0 && Errors == 0; }
-  /// Warning-severity validator diagnostics across all files (for
-  /// --Werror).
+  /// Warning-severity check diagnostics across all files (for --Werror).
   int warningCount() const;
 
   /// Render one section per file plus a trailing summary line.
@@ -61,7 +65,8 @@ struct VerifyResult {
 /// Run the verify pipeline over \p Paths on Opts.Jobs workers. Allocate
 /// mode is one runBatch call with \p Opts and validation on. With
 /// \p Paired, each file's threads are split in half and the second
-/// (physical) half is checked against the first instead of allocating.
+/// (physical) half is checked against the first instead of allocating;
+/// only Opts.Jobs and Opts.Faults apply there.
 VerifyResult runVerify(const std::vector<std::string> &Paths,
                        BatchOptions Opts, bool Paired = false);
 

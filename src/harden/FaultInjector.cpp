@@ -9,7 +9,7 @@ using namespace npral;
 
 namespace {
 
-uint64_t fnv1a(uint64_t Hash, const std::string &S) {
+uint64_t fnv1a(uint64_t Hash, std::string_view S) {
   for (char C : S) {
     Hash ^= static_cast<unsigned char>(C);
     Hash *= 1099511628211ull;
@@ -98,8 +98,8 @@ FaultInjector FaultInjector::fromEnv() {
   return FI.take();
 }
 
-bool FaultInjector::shouldFail(const std::string &Site,
-                               const std::string &Item) const {
+bool FaultInjector::shouldFail(std::string_view Site,
+                               std::string_view Item) const {
   if (!enabled())
     return false;
   if (std::find(Sites.begin(), Sites.end(), Site) == Sites.end())
@@ -110,11 +110,11 @@ bool FaultInjector::shouldFail(const std::string &Site,
   return Hash % 100 < static_cast<uint64_t>(Rate);
 }
 
-Status FaultInjector::check(const std::string &Site,
-                            const std::string &Item) const {
+Status FaultInjector::check(std::string_view Site,
+                            std::string_view Item) const {
   if (!shouldFail(Site, Item))
     return Status::success();
   return Status::error(StatusCode::FaultInjected,
-                       "injected fault at site '" + Site + "' for '" + Item +
-                           "'");
+                       "injected fault at site '" + std::string(Site) +
+                           "' for '" + std::string(Item) + "'");
 }

@@ -16,10 +16,11 @@
 /// interleavings, and under `--jobs N` for any N — which is what lets CI
 /// assert exact failed[] reports.
 ///
-/// The injector is wired through explicit probe calls (`check(site, item)`)
-/// at the stage entry points of the batch pipeline and the npralc driver; a
-/// disabled injector (default) makes every probe a no-op. The spec comes
-/// from `--fault-inject` or the NPRAL_FAULT_INJECT environment variable.
+/// The batch pipeline's job stages are the only probe sites: each stage
+/// probes the site named after it on entry (JobRun::stage), and the
+/// analysis stage probes `cache` before each cache lookup. A disabled
+/// injector (default) makes every probe a no-op. The spec comes from
+/// `--fault-inject` or the NPRAL_FAULT_INJECT environment variable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,6 +31,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace npral {
@@ -55,11 +57,11 @@ public:
 
   /// True when the probe at \p Site for \p Item (e.g. an input path) should
   /// fail. Deterministic in (seed, site, item).
-  bool shouldFail(const std::string &Site, const std::string &Item) const;
+  bool shouldFail(std::string_view Site, std::string_view Item) const;
 
   /// Status-flavoured probe: an error with StatusCode::FaultInjected when
   /// shouldFail, success otherwise.
-  Status check(const std::string &Site, const std::string &Item) const;
+  Status check(std::string_view Site, std::string_view Item) const;
 
   int rate() const { return Rate; }
   uint64_t seed() const { return Seed; }

@@ -106,7 +106,7 @@ int npral::runAllCheckers(const MultiThreadProgram &MTP,
 
 Status npral::mapNamedPhysicalRegisters(MultiThreadProgram &MTP) {
   if (MTP.Threads.empty())
-    return Status::error("no threads to map");
+    return Status::error(StatusCode::InvalidIR, "no threads to map");
 
   // Arbitrary ceiling so a typo like p99999 cannot balloon every bit
   // vector in the subsequent analyses.
@@ -119,21 +119,22 @@ Status npral::mapNamedPhysicalRegisters(MultiThreadProgram &MTP) {
     for (Reg R = 0; R < T.NumRegs; ++R) {
       std::string Name = T.getRegName(R);
       bool Ok = Name.size() >= 2 && Name[0] == 'p';
-      int Value = 0;
-      for (size_t I = 1; Ok && I < Name.size(); ++I) {
-        if (Name[I] < '0' || Name[I] > '9')
-          Ok = false;
-        else
-          Value = Value * 10 + (Name[I] - '0');
-      }
+      for (size_t I = 1; Ok && I < Name.size(); ++I)
+        Ok = Name[I] >= '0' && Name[I] <= '9';
       if (!Ok)
-        return Status::error("register '" + Name + "' in thread '" + T.Name +
-                             "' is not a physical register name of the form "
-                             "p<N>");
+        return Status::error(StatusCode::InvalidIR,
+                             "register '" + Name + "' in thread '" + T.Name +
+                                 "' is not a physical register name of the "
+                                 "form p<N>");
+      // Stop as soon as the index passes the ceiling, so no digit string
+      // can overflow into a small index.
+      int Value = 0;
+      for (size_t I = 1; I < Name.size() && Value <= MaxPhysIndex; ++I)
+        Value = Value * 10 + (Name[I] - '0');
       if (Value > MaxPhysIndex)
-        return Status::error("physical register index " +
-                             std::to_string(Value) + " in thread '" + T.Name +
-                             "' is out of range");
+        return Status::error(StatusCode::InvalidIR,
+                             "physical register index " + Name.substr(1) +
+                                 " in thread '" + T.Name + "' is out of range");
       Map[static_cast<size_t>(R)] = Value;
       MaxPhys = std::max(MaxPhys, Value);
     }

@@ -117,7 +117,9 @@ int runAllCheckers(const MultiThreadProgram &MTP, DiagnosticEngine &Engine,
 /// the form p<N> as a physical program: register IDs become the named
 /// indices, every thread gets the same register file size (max index + 1),
 /// and IsPhysical is set. This is how deliberately-bad allocations are
-/// crafted as plain .s fixtures for `npralc lint --physical`.
+/// crafted as plain .s fixtures for `npralc lint --physical`. Fails with
+/// StatusCode::InvalidIR on a name not of that form, an index above 4095
+/// or a program without threads.
 Status mapNamedPhysicalRegisters(MultiThreadProgram &MTP);
 
 } // namespace npral

@@ -18,11 +18,17 @@ ErrorOr<ServeResponse> ServeClient::roundTrip(FrameType Type,
                                               std::string Payload) {
   const uint64_t Id = NextId++;
   Frame Out{static_cast<uint16_t>(Type), Id, std::move(Payload)};
-  if (Status S = writeFrame(Sock, Out); !S.ok())
-    return S;
+  // A server that refuses the connection answers before reading and then
+  // closes, so its refusal may be waiting even when the write failed.
+  const Status Wrote = writeFrame(Sock, Out);
   Frame In;
   if (Status S = readFrame(Sock, In, DefaultMaxRequestBytes); !S.ok())
-    return S;
+    return Wrote.ok() ? S : Wrote;
+  // Id 0 is the connection-level verdict; it answers any request.
+  if (In.RequestId == 0 && In.Type == static_cast<uint16_t>(FrameType::Error))
+    return parseResponse(In.Type, In.Payload);
+  if (!Wrote.ok())
+    return Wrote;
   if (In.RequestId != Id)
     return Status::error(StatusCode::ParseError,
                          "response id " + std::to_string(In.RequestId) +

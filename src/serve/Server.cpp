@@ -118,7 +118,7 @@ int Server::wait() {
   // with Cancelled, finish in-flight requests, and return.
   // The pool destructor then joins its threads.
   Pool.reset();
-  sweepConnections(/*Force=*/true);
+  sweepConnections(Reap::All);
   Waited = true;
   return AcceptFailed.load() ? 1 : 0;
 }
@@ -134,13 +134,19 @@ void Server::acceptLoop() {
       AcceptFailed.store(true);
       break;
     }
-    sweepConnections(/*Force=*/false);
-    size_t Live;
-    {
+    // A connection counts until its reader has finished, so the cap bounds
+    // reader threads. At the cap, first wait for the readers about to
+    // finish: the peer is gone, so each reply fails at once, or it shut
+    // down its write side and the reader has at most the frame in hand
+    // left to answer.
+    auto AtCap = [this] {
       std::lock_guard<std::mutex> Lock(ConnMutex);
-      Live = Conns.size();
-    }
-    if (Live >= static_cast<size_t>(Opts.MaxConnections)) {
+      return Conns.size() >= static_cast<size_t>(Opts.MaxConnections);
+    };
+    sweepConnections(Reap::Finished);
+    if (AtCap())
+      sweepConnections(Reap::Ending);
+    if (AtCap()) {
       bumpServeCounter("serve.connections_rejected", Stats.ConnectionsRejected);
       ServeResponse R;
       R.Code = statusCodeName(StatusCode::Unavailable);
@@ -296,9 +302,10 @@ void Server::processRequest(Pending &P) {
       bumpServeCounter("serve.deadline_exceeded", Stats.DeadlineExceeded);
     if (R.FailCode == StatusCode::FaultInjected)
       bumpServeCounter("serve.faults_injected", Stats.FaultsInjected);
-    if (R.FailStage == "internal")
+    if (R.FailStage == JobStage::Internal)
       bumpServeCounter("serve.isolated_failures", Stats.IsolatedFailures);
-    respondError(P.Conn, P.RequestId, R.FailCode, R.FailStage, R.FailReason);
+    respondError(P.Conn, P.RequestId, R.FailCode, jobStageName(*R.FailStage),
+                 R.FailReason);
     return;
   }
   bumpServeCounter("serve.ok", Stats.Ok);
@@ -379,12 +386,14 @@ void Server::respond(const std::shared_ptr<Connection> &Conn, const Frame &F) {
     bumpServeCounter("serve.dropped_responses", Stats.DroppedResponses);
 }
 
-void Server::sweepConnections(bool Force) {
+void Server::sweepConnections(Reap Which) {
   std::list<std::shared_ptr<Connection>> Sweep;
   {
     std::lock_guard<std::mutex> Lock(ConnMutex);
     for (auto It = Conns.begin(); It != Conns.end();) {
-      if (Force || (*It)->Done.load()) {
+      const Connection &C = **It;
+      if (Which == Reap::All || C.Done.load() ||
+          (Which == Reap::Ending && C.Sock.drainsToEOF())) {
         Sweep.push_back(*It);
         It = Conns.erase(It);
       } else {

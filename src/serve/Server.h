@@ -65,7 +65,8 @@ struct ServeOptions {
   int Workers = 0;
   /// Bounded admission queue capacity; a full queue sheds load.
   int QueueCapacity = 64;
-  /// Concurrent connections; further connects get an Unavailable frame.
+  /// Concurrent connections, each counted until its reader thread ends;
+  /// further connects get an Unavailable frame.
   int MaxConnections = 64;
   /// Cap on request payload bytes; larger frames are rejected with a
   /// structured error before any allocation happens.
@@ -171,8 +172,12 @@ private:
                     StatusCode Code, const std::string &Stage,
                     const std::string &Message, int RetryAfterMs = 0);
   void respond(const std::shared_ptr<Connection> &Conn, const Frame &F);
-  /// Join reader threads of connections that have finished.
-  void sweepConnections(bool Force);
+  /// Which connections sweepConnections reaps: those whose reader has
+  /// finished, also those whose reader is about to (its socket
+  /// drainsToEOF), or all.
+  enum class Reap { Finished, Ending, All };
+  /// Drop the connections \p Which selects and join their readers.
+  void sweepConnections(Reap Which);
   void bumpServeCounter(const char *Name, std::atomic<int64_t> &Local,
                         int64_t Delta = 1);
 

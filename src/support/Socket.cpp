@@ -7,6 +7,7 @@
 #include <cstring>
 #include <fcntl.h>
 #include <poll.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/stat.h>
 #include <sys/un.h>
@@ -95,6 +96,17 @@ Status UnixSocket::writeAll(const void *Buf, size_t Len) const {
 
 void UnixSocket::shutdownRead() const { ::shutdown(Fd, SHUT_RD); }
 void UnixSocket::shutdownBoth() const { ::shutdown(Fd, SHUT_RDWR); }
+
+bool UnixSocket::drainsToEOF() const {
+  pollfd P{Fd, POLLRDHUP, 0};
+  if (::poll(&P, 1, 0) != 1)
+    return false;
+  if (P.revents & (POLLHUP | POLLERR))
+    return true;
+  int Unread = 0;
+  return (P.revents & POLLRDHUP) && ::ioctl(Fd, FIONREAD, &Unread) == 0 &&
+         Unread == 0;
+}
 
 void UnixSocket::setSendTimeoutMs(int Ms) const {
   timeval TV;

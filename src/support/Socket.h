@@ -71,6 +71,12 @@ public:
   /// shutdown(2) both directions.
   void shutdownBoth() const;
 
+  /// True when reading this socket reaches EOF without waiting on the
+  /// peer: the peer closed or shut down both sides (nothing more arrives
+  /// and every write fails at once), or it shut down its write side and
+  /// all it sent has been read. Never blocks.
+  bool drainsToEOF() const;
+
   /// Bound every send by \p Ms milliseconds (SO_SNDTIMEO) so one client
   /// that stops reading cannot wedge a server worker forever.
   void setSendTimeoutMs(int Ms) const;

@@ -12,7 +12,9 @@
 #  * a trace or profile that cannot be written, or a trace that cannot be
 #    read, fails with exit 1 and an error (never a success note or an
 #    abort), and an input path that names a directory is an I/O error,
-#    not empty text.
+#    not empty text;
+#  * lint --physical refuses a register index past the ceiling however
+#    many digits it has.
 #
 # usage: npralc_usage_test.sh <path/to/npralc> <examples/asm directory>
 set -u
@@ -104,6 +106,13 @@ for Cmd in trace-validate report; do
   grep -q 'number out of range at line 1, offset' "$TMP/err" ||
     fail "npralc $Cmd ts 1e999: no classified error"
 done
+
+# p4294967296 is 2^32: a 32-bit index would wrap it to p0.
+printf '.thread t0\nmain:\n    imm  p4294967296, 1\n    storea 0x100, p4294967296\n    halt\n' \
+  >"$TMP/wrap.s"
+expect 1 lint "$TMP/wrap.s" --physical
+grep -q 'out of range' "$TMP/err" ||
+  fail "npralc lint --physical p4294967296: not out of range"
 
 # One verdict for lint_buggy.s from every front end that allocates.
 for Cmd in alloc run verify batch; do

@@ -2,18 +2,23 @@
 //
 // Covers the batch allocation pipeline: result ordering, worker-count
 // independence, cache hit accounting (within a run and across runs sharing
-// one AnalysisCache), failure isolation, and the stats renderers.
+// one AnalysisCache), failure isolation, the stats renderers, and the job
+// stage contract between stage times, trace spans and failure verdicts.
 //
 //===----------------------------------------------------------------------===//
 
 #include "driver/AnalysisCache.h"
 #include "driver/BatchPipeline.h"
 #include "ir/IRPrinter.h"
+#include "trace/TraceEngine.h"
 #include "workloads/ProgramGenerator.h"
 
 #include "../common/TestUtils.h"
 #include "gtest/gtest.h"
 
+#include <algorithm>
+#include <filesystem>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -49,6 +54,43 @@ std::vector<BatchJob> makeCorpus(int N) {
 
 std::string examplePath(const char *File) {
   return std::string(NPRAL_EXAMPLES_ASM_DIR) + "/" + File;
+}
+
+/// Every examples/asm program as a file job, in sorted order.
+std::vector<BatchJob> exampleJobs() {
+  std::vector<std::string> Paths;
+  for (const auto &Entry :
+       std::filesystem::directory_iterator(NPRAL_EXAMPLES_ASM_DIR))
+    if (Entry.path().extension() == ".s")
+      Paths.push_back(Entry.path().string());
+  std::sort(Paths.begin(), Paths.end());
+  std::vector<BatchJob> Jobs(Paths.size());
+  for (size_t I = 0; I < Paths.size(); ++I)
+    Jobs[I].Path = Paths[I];
+  return Jobs;
+}
+
+/// Run \p Jobs traced on one worker and return, per job name, the names of
+/// its `batch` stage spans in the order they opened.
+std::map<std::string, std::vector<std::string>>
+tracedStageSpans(const std::vector<BatchJob> &Jobs, const BatchOptions &Opts,
+                 BatchResult &Out) {
+  TraceEngine &TE = TraceEngine::global();
+  TE.clear();
+  TE.setEnabled(true);
+  Out = runBatch(Jobs, Opts);
+  TE.setEnabled(false);
+  std::map<std::string, std::vector<std::string>> Spans;
+  for (const TraceEvent &E : TE.events()) {
+    if (E.Ph != 'B' || E.Cat != "batch" || E.Name == "job" ||
+        E.Name == "runBatch")
+      continue;
+    for (const TraceArg &A : E.Args)
+      if (A.Key == "name")
+        Spans[A.Value].push_back(E.Name);
+  }
+  TE.clear();
+  return Spans;
 }
 
 } // namespace
@@ -205,11 +247,11 @@ TEST(BatchPipelineTest, ValidateProvesJobsAndFillsStats) {
   ASSERT_TRUE(R.allSucceeded());
   for (const BatchJobResult &Res : R.Results) {
     EXPECT_TRUE(Res.Validated) << Res.Name;
-    EXPECT_GT(Res.ValidateNs, 0) << Res.Name;
+    EXPECT_GT(Res.StageNs[JobStage::Validate], 0) << Res.Name;
   }
   EXPECT_EQ(R.Stats.Validated, 4);
   EXPECT_EQ(R.Stats.ValidateFailed, 0);
-  EXPECT_GT(R.Stats.ValidateNs, 0);
+  EXPECT_GT(R.Stats.StageNs[JobStage::Validate], 0);
 
   // The validate line is rendered by both renderers.
   std::ostringstream Text;
@@ -340,4 +382,67 @@ TEST(AnalysisCacheTest, ForcedCollisionIsNeverServed) {
   EXPECT_EQ(Cache.hits(), 1);
   EXPECT_EQ(Cache.lookup(Key, TextB), nullptr);
   EXPECT_EQ(Cache.collisions(), 2);
+}
+
+// The contract of JobRun::stage: a job's stage spans carry the names
+// jobStageName gives, every stage that took time has a span, and a failed
+// job's verdict names the stage of its last span. Each example runs with
+// the cache off, then twice with it on (the second copy hits, so it has no
+// bounds spans); one more job is failed by an injected fault.
+TEST(JobStageTest, StageSpansMatchStageTimesAndVerdicts) {
+  const std::vector<BatchJob> Examples = exampleJobs();
+  ASSERT_GE(Examples.size(), 12u);
+  std::vector<BatchJob> Twice = Examples;
+  for (const BatchJob &J : Examples) {
+    Twice.push_back(J);
+    Twice.back().Name = J.Path + "#2";
+  }
+
+  BatchOptions Plain;
+  Plain.Validate = true;
+  BatchOptions Cached = Plain;
+  Cached.UseCache = true;
+  BatchOptions Faulted = Plain;
+  ErrorOr<FaultInjector> FI = FaultInjector::parse("alloc@100#1");
+  ASSERT_TRUE(FI.ok());
+  Faulted.Faults = FI.take();
+
+  std::vector<std::string> StageNames;
+  for (size_t I = 0; I < NumJobStages; ++I)
+    StageNames.push_back(jobStageName(static_cast<JobStage>(I)));
+
+  int BoundsSpans = 0, Failures = 0;
+  for (const auto &[Jobs, Opts] :
+       {std::pair{Examples, Plain}, std::pair{Twice, Cached},
+        std::pair{std::vector<BatchJob>{Examples.front()}, Faulted}}) {
+    BatchResult Out;
+    auto Spans = tracedStageSpans(Jobs, Opts, Out);
+    for (const BatchJobResult &R : Out.Results) {
+      SCOPED_TRACE(R.Name);
+      const std::vector<std::string> &Mine = Spans[R.Name];
+      for (const std::string &Name : Mine)
+        EXPECT_NE(std::find(StageNames.begin(), StageNames.end(), Name),
+                  StageNames.end())
+            << Name;
+      for (size_t I = 0; I < NumJobStages; ++I) {
+        const JobStage St = static_cast<JobStage>(I);
+        if (R.StageNs[St] > 0) {
+          EXPECT_NE(std::find(Mine.begin(), Mine.end(), jobStageName(St)),
+                    Mine.end())
+              << jobStageName(St);
+        }
+      }
+      BoundsSpans += static_cast<int>(
+          std::count(Mine.begin(), Mine.end(), jobStageName(JobStage::Bounds)));
+      if (R.Success)
+        continue;
+      ++Failures;
+      ASSERT_FALSE(Mine.empty());
+      EXPECT_EQ(Mine.back(), jobStageName(*R.FailStage)) << R.failureSummary();
+    }
+  }
+  // lint_buggy.s fails its analysis three times, the faulted job once in
+  // alloc; every cache-missed thread that reached its bounds has a span.
+  EXPECT_EQ(Failures, 4);
+  EXPECT_GT(BoundsSpans, 0);
 }

@@ -12,6 +12,7 @@
 
 #include "alloc/AllocationVerifier.h"
 #include "asmparse/AsmParser.h"
+#include "driver/JobRun.h"
 #include "lint/Lint.h"
 #include "support/StringUtils.h"
 
@@ -67,7 +68,7 @@ TEST(VerifyPipelineTest, ProvesAllExamplesInAllocateMode) {
   for (const BatchJobResult &F : R.Files) {
     if (std::filesystem::path(F.Name).filename() == "lint_buggy.s") {
       EXPECT_FALSE(F.Validated);
-      EXPECT_EQ(F.FailStage, "analysis");
+      EXPECT_EQ(F.FailStage, JobStage::Analysis);
       EXPECT_NE(F.FailReason.find("may be undefined"), std::string::npos)
           << F.FailReason;
       continue;
@@ -84,7 +85,7 @@ TEST(VerifyPipelineTest, PairedModeRejectsBadSwapWithWitness) {
   ASSERT_EQ(R.Files.size(), 1u);
   EXPECT_EQ(R.Rejected, 1);
   EXPECT_FALSE(R.Files[0].Validated);
-  EXPECT_EQ(R.Files[0].FailStage, "validate");
+  EXPECT_EQ(R.Files[0].FailStage, JobStage::Validate);
   const std::vector<Diagnostic> &Diags = R.Files[0].ValidateDiags.diagnostics();
   ASSERT_FALSE(Diags.empty());
   const Diagnostic &D = Diags.front();
@@ -95,11 +96,13 @@ TEST(VerifyPipelineTest, PairedModeRejectsBadSwapWithWitness) {
 }
 
 TEST(VerifyPipelineTest, CsbPrivacyFixturesSplitValidatorAndVerifier) {
-  // ROADMAP item 7, "First, measure": neither physical-program check
-  // subsumes the other. The validator rejects the paired bad_alloc at the
-  // first read of a clobbered register, but proves the dead copy, whose
-  // clobbered value reaches no operand. The safety verifier, run on each
-  // physical half, rejects both CSB-privacy violations.
+  // Neither physical-program check subsumes the other. The validator
+  // rejects the paired bad_alloc at the first read of a clobbered register,
+  // but proves the dead copy, whose clobbered value reaches no operand. The
+  // safety verifier, run on each physical half, rejects both CSB-privacy
+  // violations, so paired verify rejects both files: the verdict names the
+  // first refusing check, and the diagnostics of every refusing check are
+  // listed.
   struct Case {
     const char *File;
     bool ValidatorProves;
@@ -111,15 +114,40 @@ TEST(VerifyPipelineTest, CsbPrivacyFixturesSplitValidatorAndVerifier) {
         std::string(NPRAL_EXAMPLES_ASM_DIR) + "/paired/" + C.File;
     VerifyResult R = runVerify({Path}, BatchOptions(), /*Paired=*/true);
     ASSERT_EQ(R.Files.size(), 1u);
-    EXPECT_EQ(R.Errors, 0) << R.Files[0].failureSummary();
-    EXPECT_EQ(R.Files[0].Validated, C.ValidatorProves);
+    const BatchJobResult &F = R.Files[0];
+    EXPECT_EQ(R.Errors, 0) << F.failureSummary();
+    EXPECT_EQ(F.Validated, C.ValidatorProves);
+    EXPECT_EQ(R.Rejected, 1);
+    EXPECT_EQ(R.Proved, 0);
+    EXPECT_FALSE(F.Success);
+    EXPECT_EQ(F.FailStage,
+              C.ValidatorProves ? JobStage::Verify : JobStage::Validate);
+    std::vector<std::string> Checks;
+    for (const Diagnostic &D : F.ValidateDiags.diagnostics())
+      if (D.Sev == Severity::Error &&
+          std::find(Checks.begin(), Checks.end(), D.Check) == Checks.end())
+        Checks.push_back(D.Check);
+    std::sort(Checks.begin(), Checks.end());
+    const std::vector<std::string> Refusing =
+        C.ValidatorProves
+            ? std::vector<std::string>{"cross-thread-race"}
+            : std::vector<std::string>{"cross-thread-race",
+                                       "translation-validation"};
+    EXPECT_EQ(Checks, Refusing);
     if (!C.ValidatorProves) {
-      const Diagnostic *D = R.Files[0].ValidateDiags.firstError();
+      const Diagnostic *D = F.ValidateDiags.firstError();
       ASSERT_NE(D, nullptr);
       EXPECT_NE(D->Witness.find("physical `add p1, p1, p3`"),
                 std::string::npos)
           << D->Witness;
     }
+    std::ostringstream Report;
+    R.renderText(Report);
+    EXPECT_NE(Report.str().find(": REJECTED\n"), std::string::npos)
+        << Report.str();
+    EXPECT_NE(Report.str().find("register p1 is live across"),
+              std::string::npos)
+        << Report.str();
 
     ErrorOr<std::string> Text = readTextFile(Path);
     ASSERT_TRUE(Text.ok()) << Text.status().str();
@@ -140,6 +168,44 @@ TEST(VerifyPipelineTest, CsbPrivacyFixturesSplitValidatorAndVerifier) {
               std::string::npos)
         << D->Message;
   }
+}
+
+TEST(VerifyPipelineTest, VerifyStageRefusalListsTheVerifierDiagnostics) {
+  // The allocator never hands the verify stage an unsafe allocation, so
+  // run that stage as allocate mode's jobs do (JobRun::verifySafety) on
+  // bad_alloc.s's hand-written physical threads, and render the job.
+  ErrorOr<std::string> Text = readTextFile(examplePath("bad_alloc.s"));
+  ASSERT_TRUE(Text.ok()) << Text.status().str();
+  ErrorOr<MultiThreadProgram> Parsed = parseAssembly(*Text);
+  ASSERT_TRUE(Parsed.ok()) << Parsed.status().str();
+  MultiThreadProgram Phys = Parsed.take();
+  ASSERT_TRUE(mapNamedPhysicalRegisters(Phys).ok());
+
+  BatchJobResult F;
+  F.Name = "bad_alloc.s";
+  BatchOptions Opts;
+  JobRun Job(F, Opts);
+  EXPECT_FALSE(Job.stage(JobStage::Verify, {},
+                         [&] { return Job.verifySafety(Phys); }));
+  EXPECT_EQ(F.FailStage, JobStage::Verify);
+  EXPECT_EQ(F.FailReason.rfind("unsafe allocation: register p1 is live", 0),
+            0u)
+      << F.FailReason;
+  EXPECT_EQ(F.ValidateDiags.errorCount(), 2);
+
+  VerifyResult R;
+  R.Files.push_back(F);
+  R.Rejected = 1;
+  std::ostringstream Report;
+  R.renderText(Report);
+  EXPECT_NE(Report.str().find("bad_alloc.s: REJECTED\n  "), std::string::npos)
+      << Report.str();
+  EXPECT_NE(Report.str().find("register p2 is live across"), std::string::npos)
+      << Report.str();
+  const std::string JSON = renderJSON(R);
+  EXPECT_NE(JSON.find("\"status\": \"rejected\""), std::string::npos) << JSON;
+  EXPECT_NE(JSON.find("\"check\": \"cross-thread-race\""), std::string::npos)
+      << JSON;
 }
 
 TEST(VerifyPipelineTest, SpillDegradedOutputStillProves) {

@@ -29,8 +29,11 @@
 #include "../common/TestUtils.h"
 #include "gtest/gtest.h"
 
-#include <fstream>
+#include <algorithm>
+#include <filesystem>
+#include <map>
 #include <optional>
+#include <set>
 #include <sstream>
 
 using namespace npral;
@@ -42,21 +45,43 @@ std::string examplePath(const std::string &Name) {
   return std::string(NPRAL_EXAMPLES_ASM_DIR) + "/" + Name;
 }
 
+/// Every examples/asm program, by file name, in sorted order.
 const std::vector<std::string> &allExamples() {
-  static const std::vector<std::string> Files = {
-      "bad_alloc.s", "fig3_paper.s", "lint_buggy.s", "modular_kernel.s",
-      "two_threads.s"};
+  static const std::vector<std::string> Files = [] {
+    std::vector<std::string> Names;
+    for (const auto &Entry :
+         std::filesystem::directory_iterator(NPRAL_EXAMPLES_ASM_DIR))
+      if (Entry.path().extension() == ".s")
+        Names.push_back(Entry.path().filename().string());
+    std::sort(Names.begin(), Names.end());
+    return Names;
+  }();
   return Files;
+}
+
+/// The lowest budget at which the spill fallback recovers each example;
+/// it recovers at every budget from there up. Below it the fallback runs
+/// out of spillable live ranges and fails Infeasible. The floor is a
+/// property of each program (2 to 5 registers here), not a machine
+/// minimum, so it is pinned per example. lint_buggy.s fails the
+/// structural checkers and has none.
+int recoveryFloor(const std::string &Name) {
+  static const std::map<std::string, int> Floors = {
+      {"bad_alloc.s", 3},     {"bad_swap.s", 2},        {"crc_fold.s", 3},
+      {"fig3_paper.s", 2},    {"hash_probe.s", 4},      {"header_split.s", 4},
+      {"modular_kernel.s", 2}, {"packet_filter.s", 3},  {"quad_counters.s", 5},
+      {"ring_handoff.s", 3},  {"scratch_mailbox.s", 4}, {"token_bucket.s", 4},
+      {"ttl_rewrite.s", 3},   {"two_threads.s", 3}};
+  const auto It = Floors.find(Name);
+  return It == Floors.end() ? -1 : It->second;
 }
 
 /// Parse and rename an example file; nullopt when unreadable.
 std::optional<MultiThreadProgram> loadExample(const std::string &Name) {
-  std::ifstream In(examplePath(Name));
-  if (!In)
+  ErrorOr<std::string> Text = readTextFile(examplePath(Name));
+  if (!Text.ok())
     return std::nullopt;
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  ErrorOr<MultiThreadProgram> MTP = parseAssembly(Buf.str());
+  ErrorOr<MultiThreadProgram> MTP = parseAssembly(*Text);
   if (!MTP.ok())
     return std::nullopt;
   for (Program &T : MTP->Threads)
@@ -77,11 +102,27 @@ bool passesStructuralChecks(const MultiThreadProgram &MTP) {
   return true;
 }
 
-int sumMinPR(const MultiThreadProgram &MTP) {
-  int Sum = 0;
+/// The smallest budget the strict allocator fits (the Lemma-1 floor).
+int strictFloor(const MultiThreadProgram &MTP) {
+  std::vector<RegBounds> Bounds;
   for (const Program &T : MTP.Threads)
-    Sum += estimateRegBounds(analyzeThread(T)).MinPR;
-  return Sum;
+    Bounds.push_back(estimateRegBounds(analyzeThread(T)));
+  std::vector<const RegBounds *> Ptrs;
+  for (const RegBounds &B : Bounds)
+    Ptrs.push_back(&B);
+  return feasibilityFloor(Ptrs);
+}
+
+/// The cross-thread-abs-overlap findings on \p Physical: the absolute
+/// words one thread writes and another accesses.
+std::set<std::string> absOverlaps(const MultiThreadProgram &Physical) {
+  DiagnosticEngine Engine;
+  collectAllocationSafety(Physical, Engine);
+  std::set<std::string> Words;
+  for (const Diagnostic &D : Engine.diagnostics())
+    if (D.Check == "cross-thread-abs-overlap")
+      Words.insert(D.Message);
+  return Words;
 }
 
 /// Simulate \p MTP (virtual or physical) with zero-seeded entry values and
@@ -118,9 +159,9 @@ HardenRun simulateHashed(const MultiThreadProgram &MTP) {
 } // namespace
 
 //===----------------------------------------------------------------------===//
-// Infeasible-budget grid: below Sigma MinPR the strict allocator must fail
-// and the spill fallback must degrade into a verifier-clean, race-free,
-// simulator-correct allocation.
+// Infeasible-budget grid: below the strict floor the strict allocator must
+// fail, and from its recovery floor up the spill fallback must degrade into
+// a verifier-clean, race-free, simulator-correct allocation.
 //===----------------------------------------------------------------------===//
 
 class InfeasibleBudgetTest : public ::testing::TestWithParam<std::string> {};
@@ -130,56 +171,58 @@ TEST_P(InfeasibleBudgetTest, SpillFallbackRecoversTightBudgets) {
   ASSERT_TRUE(MTP) << "cannot load " << GetParam();
   if (!passesStructuralChecks(*MTP))
     GTEST_SKIP() << GetParam() << " is a deliberately malformed example";
+  const int Recovery = recoveryFloor(GetParam());
+  ASSERT_GT(Recovery, 0) << "pin the recovery floor of " << GetParam();
+  const int Strict = strictFloor(*MTP);
 
-  const int SumPR = sumMinPR(*MTP);
-  int Recovered = 0;
-  // 3 is the machine minimum (a three-operand instruction needs three
-  // simultaneously-live registers); 6 exceeds the strict feasibility floor
-  // of some examples, so both branches below are exercised.
-  for (int Nreg = 3; Nreg <= 6; ++Nreg) {
-    InterThreadResult Strict = allocateInterThread(*MTP, Nreg);
-    if (Nreg < SumPR)
-      ASSERT_FALSE(Strict.Success)
-          << GetParam() << " Nreg=" << Nreg << " below Sigma MinPR";
-    if (Strict.Success)
-      continue; // feasible budgets are covered by the differential test
-    EXPECT_EQ(Strict.FailCode, StatusCode::Infeasible)
-        << GetParam() << " Nreg=" << Nreg;
+  // The reference: the virtual program's outputs, and the absolute words
+  // its threads already share by design (scratch_mailbox.s, and
+  // token_bucket.s, whose threads race on one word) in a roomy strict
+  // allocation. A shared word's final value legitimately shifts with
+  // spill-code timing, so outputs are compared only where none is shared.
+  InterThreadResult Roomy = allocateInterThread(*MTP, 128);
+  ASSERT_TRUE(Roomy.Success) << Roomy.FailReason;
+  const std::set<std::string> Shared = absOverlaps(Roomy.Physical);
+  const HardenRun Ref = simulateHashed(*MTP);
+  ASSERT_TRUE(Ref.Result.Completed) << Ref.Result.FailReason;
+
+  for (int Nreg = 1; Nreg < Strict; ++Nreg) {
+    SCOPED_TRACE("Nreg=" + std::to_string(Nreg));
+    InterThreadResult StrictR = allocateInterThread(*MTP, Nreg);
+    ASSERT_FALSE(StrictR.Success) << "below the strict floor " << Strict;
+    EXPECT_EQ(StrictR.FailCode, StatusCode::Infeasible);
 
     SpillFallbackResult SF = allocateWithSpillFallback(
         *MTP, Nreg, {}, {}, nullptr, InterAllocLimits());
-    ASSERT_TRUE(SF.Inter.Success)
-        << GetParam() << " Nreg=" << Nreg << ": " << SF.Inter.FailReason;
+    if (Nreg < Recovery) {
+      EXPECT_FALSE(SF.Inter.Success) << "below the recovery floor";
+      EXPECT_EQ(SF.Inter.FailCode, StatusCode::Infeasible);
+      continue;
+    }
+    ASSERT_TRUE(SF.Inter.Success) << SF.Inter.FailReason;
     EXPECT_TRUE(SF.UsedSpilling);
     EXPECT_GT(SF.SpilledRanges, 0);
     EXPECT_LE(SF.Inter.RegistersUsed, Nreg);
-    ++Recovered;
 
     // Verifier-clean and race-free, including the spill scratch region:
-    // per-thread windows are disjoint, so the cross-thread-abs-overlap
-    // check must stay silent.
+    // per-thread windows are disjoint, so spilling shares no absolute word
+    // the roomy allocation does not.
     DiagnosticEngine Engine;
     collectAllocationSafety(SF.Inter.Physical, Engine);
-    EXPECT_FALSE(Engine.hasErrors()) << GetParam() << " Nreg=" << Nreg;
-    for (const Diagnostic &D : Engine.diagnostics())
-      EXPECT_NE(D.Check, "cross-thread-abs-overlap")
-          << GetParam() << " Nreg=" << Nreg << ": " << D.Message;
+    EXPECT_FALSE(Engine.hasErrors());
+    for (const std::string &Word : absOverlaps(SF.Inter.Physical))
+      EXPECT_TRUE(Shared.count(Word)) << "spilling added: " << Word;
 
     // Simulator-correct: the degraded physical program computes the same
     // low-memory outputs as the virtual reference, and its extra memory
-    // traffic is exactly the absolute-addressed spill accesses.
-    HardenRun Ref = simulateHashed(*MTP);
+    // traffic includes the absolute-addressed spill accesses.
     HardenRun Deg = simulateHashed(SF.Inter.Physical);
-    ASSERT_TRUE(Ref.Result.Completed) << Ref.Result.FailReason;
     ASSERT_TRUE(Deg.Result.Completed) << Deg.Result.FailReason;
-    EXPECT_EQ(Deg.OutputHash, Ref.OutputHash) << GetParam() << " Nreg=" << Nreg;
-    EXPECT_EQ(Ref.AbsMemOps, 0);
-    EXPECT_GT(Deg.AbsMemOps, 0);
+    if (Shared.empty()) {
+      EXPECT_EQ(Deg.OutputHash, Ref.OutputHash);
+    }
+    EXPECT_GT(Deg.AbsMemOps, Ref.AbsMemOps);
   }
-  // Examples whose Sigma MinPR exceeds the machine minimum must have hit
-  // the fallback at least once (fig3_paper fits strictly everywhere).
-  if (SumPR > 3)
-    EXPECT_GT(Recovered, 0) << "grid never exercised the spill fallback";
 }
 
 INSTANTIATE_TEST_SUITE_P(Examples, InfeasibleBudgetTest,
@@ -298,19 +341,22 @@ TEST(FaultInjectionTest, BatchNeverAbortsAndReportsAccurately) {
       EXPECT_EQ(Failed.size(), NumFailed);
       EXPECT_EQ(static_cast<int>(NumFailed), Batch.Stats.Failed);
       for (const BatchJobResult *R : Failed) {
-        EXPECT_FALSE(R->FailStage.empty()) << R->Name;
+        EXPECT_TRUE(R->FailStage.has_value()) << R->Name;
         EXPECT_NE(R->FailCode, StatusCode::Ok) << R->Name;
       }
 
       // At 100% every job dies at the probed site — except sites later in
       // the pipeline than a job's natural failure (lint_buggy fails the
-      // analysis checkers before reaching "alloc").
+      // analysis checkers before reaching "alloc"). The cache probe fires
+      // inside the analysis stage.
+      const JobStage Expected = Site == "parse"   ? JobStage::Parse
+                                : Site == "alloc" ? JobStage::Alloc
+                                                  : JobStage::Analysis;
       int Injected = 0;
       for (const BatchJobResult &R : Batch.Results)
         if (R.FailCode == StatusCode::FaultInjected) {
           ++Injected;
-          EXPECT_EQ(R.FailStage, Site == "cache" ? "analysis" : Site)
-              << R.Name;
+          EXPECT_EQ(R.FailStage, Expected) << R.Name;
         }
       EXPECT_GT(Injected, 0) << "site " << Site << " never fired";
       EXPECT_EQ(Batch.Stats.FaultsInjected, Injected);
@@ -343,7 +389,7 @@ TEST(FaultInjectionTest, PartialRateIsDeterministicAcrossRuns) {
 
 TEST(DegradedBatchTest, AllowSpillRecoversTightBudgets) {
   BatchOptions Opts;
-  Opts.Nreg = 4; // below Sigma MinPR for every multi-thread example
+  Opts.Nreg = 4; // below the strict floor of all but bad_swap and fig3_paper
   Opts.Jobs = 2;
   Opts.AllowSpill = true;
   BatchResult Batch = runBatch(allExampleJobs(), Opts);
@@ -351,7 +397,14 @@ TEST(DegradedBatchTest, AllowSpillRecoversTightBudgets) {
   for (const BatchJobResult &R : Batch.Results) {
     if (R.Name == "lint_buggy.s") {
       EXPECT_FALSE(R.Success);
-      EXPECT_EQ(R.FailStage, "analysis");
+      EXPECT_EQ(R.FailStage, JobStage::Analysis);
+      continue;
+    }
+    // Only an example whose recovery floor exceeds the budget fails.
+    if (recoveryFloor(R.Name) > Opts.Nreg) {
+      EXPECT_FALSE(R.Success) << R.Name;
+      EXPECT_EQ(R.failureSummary().rfind("[alloc/infeasible] ", 0), 0u)
+          << R.Name << ": " << R.failureSummary();
       continue;
     }
     EXPECT_TRUE(R.Success) << R.Name << ": " << R.FailReason;

@@ -497,21 +497,28 @@ main:
 )");
   Status S = mapNamedPhysicalRegisters(MTP);
   ASSERT_FALSE(S.ok());
+  EXPECT_EQ(S.code(), StatusCode::InvalidIR);
   EXPECT_NE(S.str().find("'sum'"), std::string::npos) << S.str();
   EXPECT_NE(S.str().find("p<N>"), std::string::npos) << S.str();
+
+  MultiThreadProgram Empty;
+  EXPECT_EQ(mapNamedPhysicalRegisters(Empty).code(), StatusCode::InvalidIR);
 }
 
 TEST(MapPhysicalTest, RejectsAbsurdIndices) {
-  MultiThreadProgram MTP = parseMT(R"(
-.thread t0
-main:
-    imm  p99999, 1
-    storea 0x100, p99999
-    halt
-)");
-  Status S = mapNamedPhysicalRegisters(MTP);
-  ASSERT_FALSE(S.ok());
-  EXPECT_NE(S.str().find("out of range"), std::string::npos) << S.str();
+  // p4294967296 is 2^32: an index computed in a 32-bit int would wrap to
+  // p0 and be accepted.
+  for (const char *Reg : {"p99999", "p4294967296"}) {
+    SCOPED_TRACE(Reg);
+    MultiThreadProgram MTP =
+        parseMT(std::string(".thread t0\nmain:\n    imm  ") + Reg +
+                ", 1\n    storea 0x100, " + Reg + "\n    halt\n");
+    Status S = mapNamedPhysicalRegisters(MTP);
+    ASSERT_FALSE(S.ok());
+    EXPECT_EQ(S.code(), StatusCode::InvalidIR);
+    EXPECT_NE(S.str().find("out of range"), std::string::npos) << S.str();
+    EXPECT_NE(S.str().find(Reg + 1), std::string::npos) << S.str();
+  }
 }
 
 } // namespace

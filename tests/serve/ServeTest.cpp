@@ -32,6 +32,7 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
 #include <unistd.h>
 
 using namespace npral;
@@ -297,6 +298,109 @@ TEST(ServeTest, FuzzedFramesAlwaysGetClassifiedOutcomes) {
   ErrorOr<ServeResponse> R = C.alloc(Req);
   ASSERT_TRUE(R.ok()) << R.status().str();
   EXPECT_TRUE(R->Ok);
+
+  S->requestShutdown();
+  EXPECT_EQ(S->wait(), 0);
+}
+
+// At the cap, the server first reaps the connections whose peer hung up
+// with nothing left unread, so a burst of closed connections cannot get
+// the next one refused.
+TEST(ServeTest, HungUpConnectionsFreeTheirSlots) {
+  ServeOptions Opts;
+  Opts.MaxConnections = 4;
+  auto S = startServer(std::move(Opts));
+  for (int I = 0; I < 4; ++I) {
+    ServeClient C = connectOrDie(*S);
+    C.socket().shutdownBoth();
+  }
+  ServeClient C = connectOrDie(*S);
+  ErrorOr<ServeResponse> R = C.health();
+  ASSERT_TRUE(R.ok()) << R.status().str();
+  EXPECT_TRUE(R->Ok) << "[" << R->Stage << "/" << R->Code << "] "
+                     << R->Message;
+  EXPECT_EQ(S->stats().ConnectionsRejected.load(), 0);
+
+  S->requestShutdown();
+  EXPECT_EQ(S->wait(), 0);
+}
+
+// A connection counts until its reader ends. A client that pipelines
+// health frames until both socket buffers are full, shuts down its write
+// side and reads no reply leaves a reader with frames still to answer, so
+// its slot stays taken; once the client closes, the reader finishes and
+// the slot frees.
+TEST(ServeTest, HalfClosedPipelinesKeepTheirSlots) {
+  ServeOptions Opts;
+  Opts.MaxConnections = 4;
+  auto S = startServer(std::move(Opts));
+  std::vector<ServeClient> Held;
+  for (int I = 0; I < 4; ++I) {
+    Held.push_back(connectOrDie(*S));
+    const UnixSocket &Sock = Held.back().socket();
+    // The reader blocks writing a reply once the client's receive buffer
+    // is full; the client's writes then time out with frames unread.
+    Sock.setSendTimeoutMs(50);
+    int Sent = 0;
+    while (Sent < 100000 &&
+           writeFrame(Sock, Frame{static_cast<uint16_t>(FrameType::Health),
+                                  static_cast<uint64_t>(Sent + 1), ""})
+               .ok())
+      ++Sent;
+    ASSERT_LT(Sent, 100000);
+    ASSERT_EQ(::shutdown(Sock.fd(), SHUT_WR), 0);
+  }
+  {
+    ServeClient C = connectOrDie(*S);
+    ErrorOr<ServeResponse> R = C.health();
+    ASSERT_TRUE(R.ok()) << R.status().str();
+    EXPECT_FALSE(R->Ok);
+    EXPECT_EQ(R->Message, "connection limit reached");
+    EXPECT_EQ(S->stats().ConnectionsRejected.load(), 1);
+  }
+
+  // Closed, the clients fail every pending reply at once; the readers
+  // finish their frames, read EOF and free their slots.
+  Held.clear();
+  bool Served = false;
+  for (int Try = 0; Try < 500 && !Served; ++Try) {
+    ServeClient C = connectOrDie(*S);
+    ErrorOr<ServeResponse> R = C.health();
+    Served = R.ok() && R->Ok;
+    if (!Served)
+      std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  EXPECT_TRUE(Served);
+
+  S->requestShutdown();
+  EXPECT_EQ(S->wait(), 0);
+}
+
+// A connection past MaxConnections gets the server's connection-level
+// refusal, an Error frame with request id 0, and the client reports it as
+// the classified refusal with its retry hint, not as a transport error.
+TEST(ServeTest, ConnectionPastTheLimitIsRefusedWithRetryHint) {
+  ServeOptions Opts;
+  Opts.MaxConnections = 4;
+  Opts.RetryAfterMs = 25;
+  auto S = startServer(std::move(Opts));
+  std::vector<ServeClient> Held;
+  for (int I = 0; I < 4; ++I) {
+    Held.push_back(connectOrDie(*S));
+    // Answered, so the server has accepted and counted this connection.
+    ErrorOr<ServeResponse> R = Held.back().health();
+    ASSERT_TRUE(R.ok()) << R.status().str();
+    ASSERT_TRUE(R->Ok);
+  }
+  ServeClient C = connectOrDie(*S);
+  ErrorOr<ServeResponse> R = C.health();
+  ASSERT_TRUE(R.ok()) << R.status().str();
+  EXPECT_FALSE(R->Ok);
+  EXPECT_EQ(R->Code, "unavailable");
+  EXPECT_EQ(R->Stage, "admission");
+  EXPECT_EQ(R->Message, "connection limit reached");
+  EXPECT_EQ(R->RetryAfterMs, 25);
+  EXPECT_EQ(S->stats().ConnectionsRejected.load(), 1);
 
   S->requestShutdown();
   EXPECT_EQ(S->wait(), 0);

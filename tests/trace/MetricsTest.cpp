@@ -182,11 +182,11 @@ PipelineStats sampleStats() {
   S.CacheEnabled = true;
   S.CacheHits = 3;
   S.CacheMisses = 1;
-  S.ParseNs = 1'500'000;
-  S.AnalysisNs = 2'250'000;
-  S.BoundsNs = 0;
-  S.AllocNs = 500'000;
-  S.VerifyNs = 250'000;
+  S.StageNs[JobStage::Parse] = 1'500'000;
+  S.StageNs[JobStage::Analysis] = 2'250'000;
+  S.StageNs[JobStage::Bounds] = 0;
+  S.StageNs[JobStage::Alloc] = 500'000;
+  S.StageNs[JobStage::Verify] = 250'000;
   S.WallNs = 8'000'000;
   return S;
 }

@@ -468,7 +468,7 @@ int cmdAlloc(const std::string &Path, BatchOptions Opts,
   // cross-checks it against the result.
   AllocationDecisionLog Log;
   const BatchJobResult R = runSingleJob(Job, Opts, nullptr, 0, &Log);
-  if (R.FailStage == "parse" || R.FailStage == "analysis")
+  if (R.FailStage == JobStage::Parse || R.FailStage == JobStage::Analysis)
     return reportFailure(R);
   // Silently applying unit weights to code the profile never saw would
   // skew every weighted decision.
@@ -482,7 +482,7 @@ int cmdAlloc(const std::string &Path, BatchOptions Opts,
     Log.renderExplain(std::cout);
     std::cout << "\n";
   }
-  if (R.FailStage == "validate") {
+  if (R.FailStage == JobStage::Validate) {
     R.ValidateDiags.renderText(std::cerr);
     std::cerr << "translation validation FAILED\n";
     return 1;
