@@ -15,6 +15,13 @@
 
 using namespace npral;
 
+namespace {
+
+/// \p C rounded up to a multiple of \p H.
+int64_t boundaryAtOrAfter(int64_t C, int64_t H) { return (C + H - 1) / H * H; }
+
+} // namespace
+
 MicroEngine::MicroEngine(int Id, MultiThreadProgram Program,
                          const SimConfig &Config, int InitialCredits)
     : Id(Id), MTP(std::move(Program)), Sim(MTP, Config),
@@ -41,9 +48,13 @@ bool MicroEngine::tryAcquireWork(int Thread, int64_t Cycle) {
   return false;
 }
 
-void MicroEngine::onIterationComplete(int Thread, int64_t Cycle) {
+int64_t MicroEngine::onIterationComplete(int Thread, int64_t Cycle) {
   assert(Fabric && "iteration reported without an attached fabric");
   Fabric->send(MsgType::Completion, NodeId, IngressNode, Id, Thread, Cycle);
+  // The ingress takes the completion at the first boundary at or after its
+  // arrival and answers it there, so the engine stops at that boundary.
+  return boundaryAtOrAfter(Cycle + Fabric->latency(NodeId, IngressNode),
+                           Fabric->hopLatency());
 }
 
 void MicroEngine::deliverWork(int Thread, int64_t ArriveCycle) {
@@ -103,23 +114,22 @@ struct Lane {
   int64_t Stops = 0;
 };
 
-/// \p C rounded up to a multiple of \p H.
-int64_t boundaryAtOrAfter(int64_t C, int64_t H) { return (C + H - 1) / H * H; }
-
 /// Run engine \p ME on lane \p L. Boundaries are the multiples of the hop
 /// latency H; a lane delivers everything due at each boundary it stops at,
 /// in (ArriveCycle, Seq) order. The ingress end answers a Completion with
 /// a WorkDispatch stamped at the completion's arrival, so the reply lands
 /// one round trip after the send.
 ///
-/// From boundary B the engine advances straight to the earliest of: B +
-/// L_E, since anything the engine sends from B on arrives at least one
-/// one-way latency later and its reply later still; the first boundary at
-/// or after the earliest arrival still in flight; and, when \p Sampler is
-/// set, the next sample boundary. No delivery falls strictly between, so
-/// the engine runs exactly as if it had stopped at every boundary. Once the
-/// engine's run ends the lane keeps delivering until it is empty, so every
-/// message sent is delivered.
+/// From boundary B the engine advances to the earliest of: the first
+/// boundary at or after the earliest arrival still in flight; when \p
+/// Sampler is set, the next sample boundary; and, for each completion the
+/// engine sends on the way, the boundary at which the ingress takes it (the
+/// engine's port pulls the running advance's stop there). The lane goes on
+/// from the stop the advance actually ran to; going on from the planned one
+/// would take the completion that pulled the stop too late. Nothing is due
+/// strictly between two stops, so the engine runs exactly as if it had
+/// stopped at every boundary. Once the engine's run ends the lane keeps
+/// delivering until it is empty, so every message sent is delivered.
 void runLane(MicroEngine &ME, Lane &L, const TelemetrySampler *Sampler) {
   TraceSpan Span("grid", "EngineGrid::lane",
                  traceEnabled()
@@ -128,7 +138,6 @@ void runLane(MicroEngine &ME, Lane &L, const TelemetrySampler *Sampler) {
   Simulator &Sim = ME.sim();
   const int64_t H = L.Fabric.hopLatency();
   const int EngineNode = ME.id() + 1;
-  const int64_t OneWay = L.Fabric.latency(/*Src=*/0, EngineNode);
   int64_t NextDue = Sampler ? Sampler->nextDue() : 0;
   auto sampleNow = [&] {
     LaneSample S;
@@ -164,11 +173,11 @@ void runLane(MicroEngine &ME, Lane &L, const TelemetrySampler *Sampler) {
       Stop = std::min(Stop, boundaryAtOrAfter(Arrival, H));
     if (!Sim.runEnded()) {
       L.LastActive = B;
-      Stop = std::min(Stop, B + OneWay);
       Sim.advanceUntil(Stop);
-    } else if (Arrival < 0) {
-      break;
+      Stop = Sim.stopCycle();
     }
+    if (Sim.runEnded() && L.Fabric.nextArrival() < 0)
+      break;
     B = Stop;
   }
   L.Final = sampleNow();

@@ -18,13 +18,14 @@
 /// therefore gets a lane — its own Interconnect to the ingress, at the same
 /// chain distance — and the lanes run as independent tasks on a run-local
 /// ThreadPool. Delivery happens at multiples of the hop latency (the
-/// boundaries), ordered by (ArriveCycle, Seq). From boundary B a lane
-/// advances straight to the earliest of B + L_E (L_E, the one-way latency,
-/// bounds how soon anything sent from B on can land), the first boundary at
-/// or after its earliest in-flight arrival, and the next sample boundary.
-/// Since advanceUntil(a) then advanceUntil(b) equals advanceUntil(b) when
-/// nothing is delivered at a, every engine's run is exactly the one a
-/// global per-boundary lockstep would give (docs/grid.md).
+/// boundaries), ordered by (ArriveCycle, Seq). A lane stops only where
+/// something is due: the first boundary at or after its earliest in-flight
+/// arrival, the next sample boundary, and the boundary at which the ingress
+/// takes a completion the engine just sent (the engine's port pulls the
+/// running advance's stop there). Since advanceUntil(a) then
+/// advanceUntil(b) equals advanceUntil(b) when nothing is delivered at a,
+/// every engine's run is exactly the one a global per-boundary lockstep
+/// would give (docs/grid.md).
 ///
 /// A single-engine grid attaches no GridPort at all: the engine's run is
 /// the plain Simulator::run() sequence and its result is cycle-identical
@@ -74,8 +75,9 @@ public:
   /// Credit message.
   void deliverWork(int Thread, int64_t ArriveCycle);
 
-  // GridPort: called by the owned Simulator during advanceUntil().
-  void onIterationComplete(int Thread, int64_t Cycle) override;
+  // GridPort: called by the owned Simulator during advanceUntil(). A
+  // completion pulls the stop to the boundary at which the ingress takes it.
+  int64_t onIterationComplete(int Thread, int64_t Cycle) override;
   bool tryAcquireWork(int Thread, int64_t Cycle) override;
 
   /// Work tokens currently banked across all threads — the telemetry

@@ -338,7 +338,7 @@ bool Simulator::step(int T, int64_t &Clock, std::string &Error) {
     case Opcode::LoopEnd: {
       ++TSt.Iterations;
       if (Port)
-        Port->onIterationComplete(T, Clock);
+        RunStop = std::min(RunStop, Port->onIterationComplete(T, Clock));
       const bool AtTarget = Config.TargetIterations > 0 &&
                             TSt.Iterations == Config.TargetIterations;
       if (AtTarget) {
@@ -515,6 +515,7 @@ void Simulator::grantWork(int T, int64_t Cycle) {
 
 bool Simulator::advanceUntil(int64_t StopAt) {
   assert(Active && "advanceUntil without beginRun");
+  RunStop = StopAt;
   if (Ended)
     return false;
   const int Nthd = MTP.getNumThreads();
@@ -529,7 +530,7 @@ bool Simulator::advanceUntil(int64_t StopAt) {
       Sampler->value(TracePid, SamplePrefix + "ready", readyThreadCount());
       Sampler->endSample(RunClock);
     }
-    if (RunClock >= StopAt)
+    if (RunClock >= RunStop)
       return true;
     if (RunClock >= Config.MaxCycles) {
       failRun("cycle budget exhausted");
@@ -569,11 +570,11 @@ bool Simulator::advanceUntil(int64_t StopAt) {
       }
       // CPU idles until a memory op completes or, when only grid-blocked
       // threads remain, until control returns to the grid (which may then
-      // deliver a token). Clamp to the stop boundary so interconnect
-      // deliveries are observed; with StopAt = forever this is the
-      // pre-grid jump to EarliestReady.
-      int64_t Until = EarliestReady >= 0 ? std::min(EarliestReady, StopAt)
-                                         : StopAt;
+      // deliver a token). Clamp to the stop so interconnect deliveries are
+      // observed; with a stop of forever this is the pre-grid jump to
+      // EarliestReady.
+      int64_t Until = EarliestReady >= 0 ? std::min(EarliestReady, RunStop)
+                                         : RunStop;
       Until = std::min(Until, Config.MaxCycles);
       if (Until <= RunClock) {
         failRun("deadlock: all runnable threads are blocked on the "

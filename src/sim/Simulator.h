@@ -94,7 +94,10 @@ public:
   virtual ~GridPort() = default;
   /// Thread \p Thread finished a main-loop iteration at \p Cycle (its
   /// `loopend` retired). Typically sends a completion message upstream.
-  virtual void onIterationComplete(int Thread, int64_t Cycle) = 0;
+  /// Returns the cycle by which the port's owner must get control back to
+  /// act on what was sent: the running advanceUntil() lowers its stop to
+  /// it (a later cycle leaves the stop as it is).
+  virtual int64_t onIterationComplete(int Thread, int64_t Cycle) = 0;
   /// Consume a work token for thread \p Thread's next iteration. Returning
   /// false blocks the thread on the interconnect; the owner must later call
   /// Simulator::grantWork(Thread, cycle) when a token arrives.
@@ -233,6 +236,9 @@ public:
   /// the grid port or an empty channel, memory latency elapsed.
   int readyThreadCount() const;
 
+  /// Run to the end. A simulator with a grid port attached is driven
+  /// through the incremental interface below instead: its port may stop an
+  /// advance early.
   SimResult run();
 
   //===--- Incremental interface (engine grids) ---------------------------===//
@@ -246,9 +252,15 @@ public:
   /// Reset per-run state (clock, result accumulators) and arm the run.
   void beginRun();
   /// Advance the run until every thread is done, a simulation error occurs,
-  /// or the clock reaches \p StopAt. Returns true while the run is still in
-  /// progress (clock hit StopAt), false once it ended either way.
+  /// or the clock reaches the stop: \p StopAt, lowered by the grid port
+  /// whenever a completed iteration asks for an earlier one. The clock may
+  /// pass the stop inside the step that crossed it; an idle CPU never jumps
+  /// past it. Returns true while the run is still in progress (clock hit
+  /// the stop), false once it ended either way.
   bool advanceUntil(int64_t StopAt);
+  /// The stop of the last advanceUntil(): its StopAt, or the earlier cycle
+  /// the grid port lowered it to.
+  int64_t stopCycle() const { return RunStop; }
   /// Wake thread \p T, blocked on the grid port, with a work token that
   /// arrived at \p Cycle. Only legal between advanceUntil() calls.
   void grantWork(int T, int64_t Cycle);
@@ -319,6 +331,8 @@ private:
   //===--- Per-run state (between beginRun and takeResult) ----------------===//
   SimResult RunResult;
   int64_t RunClock = 0;
+  /// The running advanceUntil()'s stop (see stopCycle()).
+  int64_t RunStop = std::numeric_limits<int64_t>::max();
   int RunLastThread = -1;
   bool Active = false;
   bool Ended = false;

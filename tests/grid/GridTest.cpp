@@ -5,10 +5,11 @@
 // gives every engine exactly what allocating it on its own would, with the
 // traits step's analyses serving the allocation jobs; engines on their own
 // lanes run exactly as the global lockstep loop they replaced, telemetry
-// included; multi-engine runs are deterministic; a credit window tighter
-// than the interconnect round trip surfaces as InterconnectStall cycles
-// that keep the seven-bucket identity intact; and dispatches racing a
-// thread's halt bounce back as credits instead of leaking.
+// included, while stopping only where a message is due; multi-engine runs
+// are deterministic; a credit window tighter than the interconnect round
+// trip surfaces as InterconnectStall cycles that keep the seven-bucket
+// identity intact; and dispatches racing a thread's halt bounce back as
+// credits instead of leaking.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,6 +22,7 @@
 #include "support/Status.h"
 #include "support/ThreadPool.h"
 #include "trace/CycleTrace.h"
+#include "trace/MetricsRegistry.h"
 #include "trace/Telemetry.h"
 #include "workloads/Harness.h"
 
@@ -648,8 +650,9 @@ TEST(GridTest, TracedLanesMatchLockstepTelemetry) {
   // and phase totals, and flows that pair one-to-one with equal send and
   // delivery cycles (ids are renumbered). The configs cover periods off
   // the boundary grid, longer and shorter than a hop, HaltAtTarget
-  // bounces and drains, and 16 stalled engines that end far apart, so
-  // ended lanes carry their final state.
+  // bounces and drains, 16 stalled engines that end far apart, so ended
+  // lanes carry their final state, and the full 50-iteration run that
+  // `npralc grid s1 --engines 4 --trace-cycles` records by default.
   struct Traced {
     const char *Scenario;
     PlacementPolicy Policy;
@@ -658,12 +661,15 @@ TEST(GridTest, TracedLanesMatchLockstepTelemetry) {
     int Credits;
     bool HaltAtTarget;
     int64_t Period;
+    int64_t Iterations;
   };
   for (const Traced &C :
-       {Traced{"mixed", PlacementPolicy::Search, 4, 37, 1, false, 100},
-        Traced{"s3", PlacementPolicy::RoundRobin, 4, 37, 4, false, 16},
-        Traced{"s2", PlacementPolicy::Bounds, 2, 4, 4, true, 64},
-        Traced{"s1", PlacementPolicy::Bounds, 16, 3000, 1, false, 5000}}) {
+       {Traced{"mixed", PlacementPolicy::Search, 4, 37, 1, false, 100, 3},
+        Traced{"s3", PlacementPolicy::RoundRobin, 4, 37, 4, false, 16, 3},
+        Traced{"s2", PlacementPolicy::Bounds, 2, 4, 4, true, 64, 3},
+        Traced{"s1", PlacementPolicy::Bounds, 16, 3000, 1, false, 5000, 3},
+        // `npralc grid s1 --engines 4 --trace-cycles`'s defaults.
+        Traced{"s1", PlacementPolicy::Bounds, 4, 4, 4, false, 64, 50}}) {
     SCOPED_TRACE(std::string(C.Scenario) + " engines=" +
                  std::to_string(C.Engines));
     GridOptions Opts;
@@ -675,7 +681,7 @@ TEST(GridTest, TracedLanesMatchLockstepTelemetry) {
     ASSERT_EQ(Inputs.size(), static_cast<size_t>(C.Engines));
     SimConfig Sim =
         C.HaltAtTarget ? equivalenceConfig() : defaultExperimentConfig();
-    Sim.TargetIterations = 3;
+    Sim.TargetIterations = C.Iterations;
     Sim.RecordCtxTrace = true;
 
     CycleTrace RefTrace, LaneTrace;
@@ -708,6 +714,41 @@ TEST(GridTest, TracedLanesMatchLockstepTelemetry) {
                     RefTrace.phaseCycles(E + 1, T, ThreadPhase(P)))
               << "engine " << E << " thread " << T << " phase " << P;
   }
+}
+
+TEST(GridTest, LanesStopOnlyAtEvents) {
+  // Without a sampler a lane stops once at cycle 0 and after that only
+  // where a message is due: at an arrival in flight, or where the ingress
+  // takes a completion the engine just sent. Each of those stops delivers
+  // at least one message, so a run stops at most once per delivered
+  // message plus once per engine, however long its wire.
+  const MetricsRegistry &MR = MetricsRegistry::global();
+  for (const char *Scenario : {"s1", "s2", "s3", "mixed"})
+    for (int Engines : {2, 4, 16}) {
+      GridOptions Opts;
+      Opts.NumEngines = Engines;
+      std::vector<std::string> Pool;
+      ASSERT_TRUE(buildGridPool(Scenario, Engines, Pool));
+      const std::vector<EngineInput> Inputs = allocateEngines(Pool, Opts);
+      ASSERT_EQ(Inputs.size(), static_cast<size_t>(Engines)) << Scenario;
+      for (int HopLatency : {1, 4, 37, 3000})
+        for (int Credits : {1, 4})
+          for (bool HaltAtTarget : {false, true}) {
+            const std::string Name =
+                std::string(Scenario) + " engines=" + std::to_string(Engines) +
+                " hop=" + std::to_string(HopLatency) +
+                " credits=" + std::to_string(Credits) +
+                (HaltAtTarget ? " halt-at-target" : "");
+            const int64_t Before = MR.counterValue("grid.lane_stops");
+            const GridRunResult Run = runOnLanes(
+                Inputs, HopLatency, Credits,
+                HaltAtTarget ? equivalenceConfig() : Opts.Sim);
+            const int64_t Stops = MR.counterValue("grid.lane_stops") - Before;
+            ASSERT_TRUE(Run.Completed) << Name << ": " << Run.FailReason;
+            EXPECT_GT(Run.MessagesDelivered, 0) << Name;
+            EXPECT_LE(Stops, Run.MessagesDelivered + Engines) << Name;
+          }
+    }
 }
 
 TEST(GridTest, TraitAnalysesServeTheAllocationJobs) {
