@@ -112,8 +112,7 @@ int64_t measureBatchNs(const std::vector<BatchJob> &Jobs, int Rounds) {
 
 /// Cost of the cycle-domain tracing guard: a null member-pointer test.
 /// The volatile load forces the pointer to be re-read each iteration, so
-/// this upper-bounds the real guard (which keeps the pointer in a
-/// register across account()'s thread loop).
+/// this upper-bounds the real guard (a plain member load and branch).
 double measurePointerGuardNs() {
   constexpr int64_t Iters = 50'000'000;
   CycleTrace *volatile Ptr = nullptr;
@@ -175,12 +174,16 @@ int64_t measureSimNs(const MultiThreadProgram &MTP, int Rounds) {
 }
 
 /// Guard checks a tracing-disabled simulator run would execute, counted on
-/// a traced run of the same workload. Per account() call the disabled path
-/// evaluates one trace-pointer guard per thread, and the interval counter
-/// ticks at least Nthd times per call (every thread lands in a phase; a
-/// split memory interval ticks once more), so the interval count alone
-/// covers those. The sampler-pointer guard at the scheduler loop head runs
-/// at most once per account() call, i.e. at most intervals/Nthd more.
+/// a traced run of the same workload. The disabled run tests the trace
+/// pointer once per span it charges to a bucket, and once more to close
+/// the track at the end; a traced run records one interval per charged
+/// span, so those are intervals + 1. The sampler pointer is tested once per
+/// scheduler pass, and a pass dispatches a thread, idles, or ends the run.
+/// A dispatch charges at least two spans (the chosen thread's wait, even
+/// an empty one, and its run), so dispatches <= intervals / 2. Without a
+/// grid port an idle jump lands where a thread is ready, so the next pass
+/// dispatches or fails: idle jumps <= dispatches + 1. Hence passes <=
+/// 2 * dispatches + 2 <= intervals + 2, and the sum stays an upper bound.
 int64_t countSimGuardSites(const MultiThreadProgram &MTP) {
   Simulator Sim(MTP, simCorpusConfig());
   CycleTrace CT;
@@ -189,8 +192,7 @@ int64_t countSimGuardSites(const MultiThreadProgram &MTP) {
   if (!Result.Completed)
     reportFatalError("traced sim failed");
   const int64_t Intervals = CT.intervalCount();
-  const int64_t Nthd = std::max(1, MTP.getNumThreads());
-  return Intervals + (Intervals + Nthd - 1) / Nthd;
+  return (Intervals + 1) + (Intervals + 2);
 }
 
 } // namespace

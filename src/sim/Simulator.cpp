@@ -98,7 +98,7 @@ uint32_t &Simulator::storeWord(uint32_t Address) {
 bool Simulator::step(int T, int64_t &Clock, std::string &Error) {
   ThreadState &TS = Threads[static_cast<size_t>(T)];
   ThreadStats &TSt = Stats[static_cast<size_t>(T)];
-  std::vector<uint32_t> &R = *TS.Regs;
+  uint32_t *const R = TS.Regs->data();
   const Program &P = *TS.Prog;
 
   if (TS.HasPendingWrite) {
@@ -111,45 +111,56 @@ bool Simulator::step(int T, int64_t &Clock, std::string &Error) {
     Observer->onBlockEntered(T, TS.Block);
   }
 
+  // The clock, position and executed count live in locals until the thread
+  // yields; every return goes through yield(), which stores them back.
+  int64_t Now = Clock;
+  int Block = TS.Block;
+  int Index = TS.Index;
+  const BasicBlock *BB = &P.block(Block);
+  int64_t Executed = 0;
+  const int64_t MaxCycles = Config.MaxCycles;
+  auto yield = [&](bool Ok) {
+    Clock = Now;
+    TS.Block = Block;
+    TS.Index = Index;
+    TSt.InstrsExecuted += Executed;
+    return Ok;
+  };
+  auto fail = [&](std::string Reason) {
+    Error = std::move(Reason);
+    return yield(false);
+  };
   auto oob = [&](uint64_t Address) {
-    Error = formatString("thread %d: memory access out of range (0x%llx)", T,
-                         static_cast<unsigned long long>(Address));
-    return false;
+    return fail(formatString("thread %d: memory access out of range (0x%llx)",
+                             T, static_cast<unsigned long long>(Address)));
+  };
+  auto enter = [&](int Target) {
+    Block = Target;
+    Index = 0;
+    BB = &P.block(Block);
+    if (Observer)
+      Observer->onBlockEntered(T, Block);
   };
 
   for (;;) {
-    if (Clock >= Config.MaxCycles) {
-      Error = "cycle budget exhausted";
-      return false;
-    }
-    const BasicBlock &BB = P.block(TS.Block);
-    if (TS.Index >= static_cast<int>(BB.Instrs.size())) {
-      if (BB.FallThrough == NoBlock) {
-        Error = formatString("thread %d: fell off block '%s'", T,
-                             std::string(P.blockName(TS.Block)).c_str());
-        return false;
-      }
-      TS.Block = BB.FallThrough;
-      TS.Index = 0;
-      if (Observer)
-        Observer->onBlockEntered(T, TS.Block);
+    if (Now >= MaxCycles)
+      return fail("cycle budget exhausted");
+    if (Index >= static_cast<int>(BB->Instrs.size())) {
+      if (BB->FallThrough == NoBlock)
+        return fail(formatString("thread %d: fell off block '%s'", T,
+                                 std::string(P.blockName(Block)).c_str()));
+      enter(BB->FallThrough);
       continue;
     }
-    const Instruction &I = BB.Instrs[static_cast<size_t>(TS.Index)];
-    ++TS.Index;
-    ++TSt.InstrsExecuted;
+    const Instruction &I = BB->Instrs[static_cast<size_t>(Index)];
+    ++Index;
+    ++Executed;
     if (Observer && I.causesCtxSwitch())
-      Observer->onCtxSwitchPoint(T, TS.Block, TS.Index - 1);
+      Observer->onCtxSwitchPoint(T, Block, Index - 1);
 
     auto u32 = [&](Reg Slot) { return R[static_cast<size_t>(Slot)]; };
     auto setReg = [&](Reg Slot, uint32_t V) {
       R[static_cast<size_t>(Slot)] = V;
-    };
-    auto branchTo = [&](int Target) {
-      TS.Block = Target;
-      TS.Index = 0;
-      if (Observer)
-        Observer->onBlockEntered(T, TS.Block);
     };
 
     switch (I.Op) {
@@ -226,13 +237,13 @@ bool Simulator::step(int T, int64_t &Clock, std::string &Error) {
       TS.HasPendingWrite = true;
       TS.PendingReg = I.Def;
       TS.PendingValue = loadWord(static_cast<uint32_t>(Address));
-      ++Clock;
+      ++Now;
       ++TSt.MemOps;
       if (I.Op == Opcode::LoadA)
         ++TSt.AbsMemOps;
       ++TSt.CtxEvents;
-      TS.ReadyAt = Clock + Config.MemLatency;
-      return true;
+      TS.ReadyAt = Now + Config.MemLatency;
+      return yield(true);
     }
     case Opcode::Store:
     case Opcode::StoreA: {
@@ -245,190 +256,170 @@ bool Simulator::step(int T, int64_t &Clock, std::string &Error) {
         return oob(Address);
       Reg Value = I.Op == Opcode::Store ? I.Use2 : I.Use1;
       storeWord(static_cast<uint32_t>(Address)) = u32(Value);
-      ++Clock;
+      ++Now;
       ++TSt.MemOps;
       if (I.Op == Opcode::StoreA)
         ++TSt.AbsMemOps;
       ++TSt.CtxEvents;
-      TS.ReadyAt = Clock + Config.MemLatency;
-      return true;
+      TS.ReadyAt = Now + Config.MemLatency;
+      return yield(true);
     }
 
     case Opcode::Ctx:
-      ++Clock;
+      ++Now;
       ++TSt.CtxEvents;
-      TS.ReadyAt = Clock;
-      return true;
+      TS.ReadyAt = Now;
+      return yield(true);
 
     case Opcode::Signal: {
-      if (I.Imm < 0 || I.Imm >= Config.NumChannels) {
-        Error = formatString("thread %d: signal channel %lld out of range", T,
-                             static_cast<long long>(I.Imm));
-        return false;
-      }
+      if (I.Imm < 0 || I.Imm >= Config.NumChannels)
+        return fail(formatString("thread %d: signal channel %lld out of range",
+                                 T, static_cast<long long>(I.Imm)));
       ++Channels[static_cast<size_t>(I.Imm)];
-      ++Clock;
+      ++Now;
       ++TSt.CtxEvents;
-      TS.ReadyAt = Clock;
-      return true;
+      TS.ReadyAt = Now;
+      return yield(true);
     }
     case Opcode::Wait: {
-      if (I.Imm < 0 || I.Imm >= Config.NumChannels) {
-        Error = formatString("thread %d: wait channel %lld out of range", T,
-                             static_cast<long long>(I.Imm));
-        return false;
-      }
-      ++Clock;
+      if (I.Imm < 0 || I.Imm >= Config.NumChannels)
+        return fail(formatString("thread %d: wait channel %lld out of range",
+                                 T, static_cast<long long>(I.Imm)));
+      ++Now;
       ++TSt.CtxEvents;
       // The token is consumed by the scheduler when it finds the channel
       // non-empty and wakes this thread.
       TS.WaitingChannel = static_cast<int>(I.Imm);
-      TS.ReadyAt = Clock;
-      return true;
+      TS.ReadyAt = Now;
+      return yield(true);
     }
 
     case Opcode::Br:
-      ++Clock;
-      branchTo(I.Target);
+      ++Now;
+      enter(I.Target);
       continue;
     case Opcode::BrEq:
-      ++Clock;
+      ++Now;
       if (u32(I.Use1) == u32(I.Use2))
-        branchTo(I.Target);
+        enter(I.Target);
       continue;
     case Opcode::BrNe:
-      ++Clock;
+      ++Now;
       if (u32(I.Use1) != u32(I.Use2))
-        branchTo(I.Target);
+        enter(I.Target);
       continue;
     case Opcode::BrLt:
-      ++Clock;
+      ++Now;
       if (static_cast<int32_t>(u32(I.Use1)) <
           static_cast<int32_t>(u32(I.Use2)))
-        branchTo(I.Target);
+        enter(I.Target);
       continue;
     case Opcode::BrGe:
-      ++Clock;
+      ++Now;
       if (static_cast<int32_t>(u32(I.Use1)) >=
           static_cast<int32_t>(u32(I.Use2)))
-        branchTo(I.Target);
+        enter(I.Target);
       continue;
     case Opcode::BrZ:
-      ++Clock;
+      ++Now;
       if (u32(I.Use1) == 0)
-        branchTo(I.Target);
+        enter(I.Target);
       continue;
     case Opcode::BrNz:
-      ++Clock;
+      ++Now;
       if (u32(I.Use1) != 0)
-        branchTo(I.Target);
+        enter(I.Target);
       continue;
 
     case Opcode::Call:
     case Opcode::Ret:
-      Error = formatString("thread %d: unexpanded call/ret reached the "
-                           "simulator", T);
-      return false;
+      return fail(formatString("thread %d: unexpanded call/ret reached the "
+                               "simulator", T));
 
     case Opcode::Halt:
       TS.Halted = true;
-      Stats[static_cast<size_t>(T)].Halted = true;
-      return true;
+      TSt.Halted = true;
+      return yield(true);
 
     case Opcode::LoopEnd: {
       ++TSt.Iterations;
       if (Port)
-        RunStop = std::min(RunStop, Port->onIterationComplete(T, Clock));
+        RunStop = std::min(RunStop, Port->onIterationComplete(T, Now));
       const bool AtTarget = Config.TargetIterations > 0 &&
                             TSt.Iterations == Config.TargetIterations;
       if (AtTarget) {
-        TSt.CyclesAtTarget = Clock;
+        TSt.CyclesAtTarget = Now;
         if (Config.HaltAtTarget) {
           TS.Halted = true;
           TSt.Halted = true;
-          return true;
+          return yield(true);
         }
       }
       // With a grid port attached, the next iteration consumes one work
       // token; a thread with no token yields and blocks on the
       // interconnect (InterconnectStall bucket) until grantWork().
-      if (Port && !Port->tryAcquireWork(T, Clock)) {
+      if (Port && !Port->tryAcquireWork(T, Now)) {
         TS.GridBlocked = true;
-        TS.ReadyAt = Clock;
+        TS.ReadyAt = Now;
         ++TSt.CtxEvents;
-        return true;
+        return yield(true);
       }
       if (AtTarget) {
         // Yield (at no cost) so the scheduler can notice that every thread
         // has reached its target even when this thread never touches
         // memory.
-        TS.ReadyAt = Clock;
-        return true;
+        TS.ReadyAt = Now;
+        return yield(true);
       }
       continue;
     }
 
     case Opcode::Nop:
-      ++Clock;
+      ++Now;
       continue;
     }
     // Non-control instructions cost one cycle and fall through here.
-    ++Clock;
+    ++Now;
   }
 }
 
-// Attribute the interval [C0, C1) to one cycle bucket of every thread:
-// the running thread gets Run (or SwitchPenalty), each other thread is
-// classified by its state at C0 — halted, grid-blocked, channel-blocked,
-// memory-blocked up to its ReadyAt (the remainder of the interval counts as
-// ready-wait), or simply waiting for the CPU. Every RunClock advance in
-// advanceUntil() and in step() flows through here exactly once, so per
-// thread the buckets sum to TotalCycles.
-void Simulator::account(int Running, int64_t C0, int64_t C1, bool Penalty) {
-  if (C1 <= C0)
-    return;
-  const int64_t Span = C1 - C0;
-  const int Nthd = MTP.getNumThreads();
-  for (int T = 0; T < Nthd; ++T) {
-    ThreadStats &S = Stats[static_cast<size_t>(T)];
-    const ThreadState &TS = Threads[static_cast<size_t>(T)];
-    if (T == Running) {
-      (Penalty ? S.SwitchPenaltyCycles : S.RunCycles) += Span;
-      if (Trace)
-        Trace->extendPhase(TracePid, T,
-                           Penalty ? ThreadPhase::SwitchPenalty
-                                   : ThreadPhase::Run,
-                           C0, C1);
-      continue;
-    }
-    if (TS.Halted) {
-      S.HaltedCycles += Span;
-      if (Trace)
-        Trace->extendPhase(TracePid, T, ThreadPhase::Halted, C0, C1);
-      continue;
-    }
-    if (TS.GridBlocked) {
-      S.InterconnectStallCycles += Span;
-      if (Trace)
-        Trace->extendPhase(TracePid, T, ThreadPhase::InterconnectStall, C0,
-                           C1);
-      continue;
-    }
-    if (TS.WaitingChannel >= 0) {
-      S.ChannelWaitCycles += Span;
-      if (Trace)
-        Trace->extendPhase(TracePid, T, ThreadPhase::ChannelWait, C0, C1);
-      continue;
-    }
-    const int64_t Mem = std::min(C1, std::max(TS.ReadyAt, C0)) - C0;
-    S.MemStallCycles += Mem;
-    S.ReadyWaitCycles += Span - Mem;
-    if (Trace) {
-      if (Mem > 0)
-        Trace->extendPhase(TracePid, T, ThreadPhase::MemStall, C0, C0 + Mem);
-      if (Span - Mem > 0)
-        Trace->extendPhase(TracePid, T, ThreadPhase::ReadyWait, C0 + Mem, C1);
-    }
+namespace {
+
+/// The ThreadStats bucket of each ThreadPhase, in enumerator order.
+constexpr int64_t ThreadStats::*PhaseBucket[NumThreadPhases] = {
+    &ThreadStats::RunCycles,
+    &ThreadStats::SwitchPenaltyCycles,
+    &ThreadStats::MemStallCycles,
+    &ThreadStats::ChannelWaitCycles,
+    &ThreadStats::InterconnectStallCycles,
+    &ThreadStats::ReadyWaitCycles,
+    &ThreadStats::HaltedCycles,
+};
+
+} // namespace
+
+void Simulator::charge(int T, ThreadPhase P, int64_t C0, int64_t C1) {
+  Stats[static_cast<size_t>(T)].*PhaseBucket[static_cast<size_t>(P)] +=
+      C1 - C0;
+  if (Trace)
+    Trace->extendPhase(TracePid, T, P, C0, C1);
+}
+
+// Why settling is exact: see the bucket docs on ThreadStats.
+void Simulator::settle(int T) {
+  ThreadState &TS = Threads[static_cast<size_t>(T)];
+  const int64_t C0 = TS.Settled;
+  TS.Settled = RunClock;
+  if (TS.Halted) {
+    charge(T, ThreadPhase::Halted, C0, RunClock);
+  } else if (TS.GridBlocked) {
+    charge(T, ThreadPhase::InterconnectStall, C0, RunClock);
+  } else if (TS.WaitingChannel >= 0) {
+    charge(T, ThreadPhase::ChannelWait, C0, RunClock);
+  } else {
+    const int64_t MemEnd = std::min(RunClock, std::max(TS.ReadyAt, C0));
+    charge(T, ThreadPhase::MemStall, C0, MemEnd);
+    charge(T, ThreadPhase::ReadyWait, MemEnd, RunClock);
   }
 }
 
@@ -453,32 +444,24 @@ int Simulator::readyThreadCount() const {
   return N;
 }
 
-bool Simulator::allDone() const {
-  for (const ThreadStats &TSt : Stats) {
-    bool Done = TSt.Halted ||
-                (Config.TargetIterations > 0 && TSt.CyclesAtTarget >= 0);
-    if (!Done)
-      return false;
-  }
-  return true;
+void Simulator::endRun() {
+  for (int T = 0; T < MTP.getNumThreads(); ++T)
+    settle(T);
+  RunResult.TotalCycles = RunClock;
+  RunResult.Threads = Stats;
+  Ended = true;
+  if (Trace)
+    Trace->closeTrack(TracePid);
 }
 
 void Simulator::failRun(const std::string &Reason) {
   RunResult.FailReason = Reason;
-  RunResult.TotalCycles = RunClock;
-  RunResult.Threads = Stats;
-  Ended = true;
-  if (Trace)
-    Trace->closeTrack(TracePid);
+  endRun();
 }
 
 void Simulator::completeRun() {
   RunResult.Completed = true;
-  RunResult.TotalCycles = RunClock;
-  RunResult.Threads = Stats;
-  Ended = true;
-  if (Trace)
-    Trace->closeTrack(TracePid);
+  endRun();
   for (int T = 0; T < MTP.getNumThreads(); ++T) {
     assert(Stats[static_cast<size_t>(T)].accountedCycles() == RunClock &&
            "cycle breakdown does not sum to total cycles");
@@ -502,6 +485,11 @@ void Simulator::beginRun() {
   RunResult = SimResult();
   RunClock = 0;
   RunLastThread = -1;
+  RunFinished = 0;
+  for (size_t T = 0; T < Threads.size(); ++T) {
+    Threads[T].Settled = 0;
+    RunFinished += finished(Stats[T]) ? 1 : 0;
+  }
   Active = true;
   Ended = false;
 }
@@ -509,6 +497,7 @@ void Simulator::beginRun() {
 void Simulator::grantWork(int T, int64_t Cycle) {
   ThreadState &TS = Threads[static_cast<size_t>(T)];
   assert(TS.GridBlocked && "grantWork on a thread not blocked on the grid");
+  settle(T);
   TS.GridBlocked = false;
   TS.ReadyAt = Cycle;
 }
@@ -520,7 +509,7 @@ bool Simulator::advanceUntil(int64_t StopAt) {
     return false;
   const int Nthd = MTP.getNumThreads();
   std::string Error;
-  while (!allDone()) {
+  while (RunFinished < Nthd) {
     if (Sampler && Sampler->due(RunClock)) {
       // Sample on the period grid (ts = the due cycle) with the machine
       // state the scheduler sees now, then skip past any periods the last
@@ -540,8 +529,9 @@ bool Simulator::advanceUntil(int64_t StopAt) {
     int Chosen = -1;
     int64_t EarliestReady = -1;
     bool AnyGridBlocked = false;
-    for (int Off = 1; Off <= Nthd; ++Off) {
-      int T = (RunLastThread + Off) % Nthd;
+    for (int Left = Nthd, T = RunLastThread; Left > 0; --Left) {
+      if (++T == Nthd)
+        T = 0;
       const ThreadState &TS = Threads[static_cast<size_t>(T)];
       if (TS.Halted)
         continue;
@@ -572,7 +562,8 @@ bool Simulator::advanceUntil(int64_t StopAt) {
       // threads remain, until control returns to the grid (which may then
       // deliver a token). Clamp to the stop so interconnect deliveries are
       // observed; with a stop of forever this is the pre-grid jump to
-      // EarliestReady.
+      // EarliestReady. No thread changes state here, so none is charged:
+      // each settles the idle span with the rest of its wait.
       int64_t Until = EarliestReady >= 0 ? std::min(EarliestReady, RunStop)
                                          : RunStop;
       Until = std::min(Until, Config.MaxCycles);
@@ -582,37 +573,36 @@ bool Simulator::advanceUntil(int64_t StopAt) {
         return false;
       }
       RunResult.IdleCycles += Until - RunClock;
-      account(-1, RunClock, Until, false);
       RunClock = Until;
       continue;
     }
-    {
-      ThreadState &TS = Threads[static_cast<size_t>(Chosen)];
-      if (TS.WaitingChannel >= 0) {
-        --Channels[static_cast<size_t>(TS.WaitingChannel)];
-        TS.WaitingChannel = -1;
-      }
+    // The chosen thread's wait ends here: charge it under the state it
+    // waited in, before the dispatch takes its channel token.
+    ThreadState &TS = Threads[static_cast<size_t>(Chosen)];
+    settle(Chosen);
+    if (TS.WaitingChannel >= 0) {
+      --Channels[static_cast<size_t>(TS.WaitingChannel)];
+      TS.WaitingChannel = -1;
     }
     if (RunLastThread >= 0 && Chosen != RunLastThread) {
       const int64_t PenaltyStart = RunClock;
       RunClock += Config.CtxSwitchPenalty;
-      account(Chosen, PenaltyStart, RunClock, true);
+      charge(Chosen, ThreadPhase::SwitchPenalty, PenaltyStart, RunClock);
     }
-    if (Chosen != RunLastThread) {
-      if (Config.RecordCtxTrace)
-        RunResult.CtxTrace.push_back({RunClock, Chosen});
-      NPRAL_TRACE_INSTANT("sim", "ctx-switch",
-                          {{"thread", std::to_string(Chosen)},
-                           {"cycle", std::to_string(RunClock)}});
-    }
+    if (Config.RecordCtxTrace && Chosen != RunLastThread)
+      RunResult.CtxTrace.push_back({RunClock, Chosen});
     RunLastThread = Chosen;
+    const bool WasFinished = finished(Stats[static_cast<size_t>(Chosen)]);
     const int64_t StepStart = RunClock;
     const bool StepOk = step(Chosen, RunClock, Error);
-    account(Chosen, StepStart, RunClock, false);
+    charge(Chosen, ThreadPhase::Run, StepStart, RunClock);
+    TS.Settled = RunClock;
     if (!StepOk) {
       failRun(Error);
       return false;
     }
+    if (!WasFinished && finished(Stats[static_cast<size_t>(Chosen)]))
+      ++RunFinished;
   }
   completeRun();
   return false;

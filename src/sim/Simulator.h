@@ -39,6 +39,7 @@ namespace npral {
 
 class CycleTrace;
 class TelemetrySampler;
+enum class ThreadPhase;
 
 struct SimConfig {
   /// Cycles until a memory operation completes (paper: ~20).
@@ -131,8 +132,8 @@ struct ThreadStats {
 
   /// Cycle breakdown: every simulated cycle lands in exactly one bucket per
   /// thread, so for a completed run the seven buckets sum to
-  /// SimResult::TotalCycles (asserted by the simulator). A cycle interval
-  /// is classified by the thread's state at its start:
+  /// SimResult::TotalCycles (asserted by the simulator). A cycle is
+  /// classified by the thread's state at that cycle:
   ///  * RunCycles          — this thread was executing on the CPU;
   ///  * SwitchPenaltyCycles— the CPU charged the context-switch penalty to
   ///                         dispatch this thread;
@@ -146,6 +147,18 @@ struct ThreadStats {
   ///  * ReadyWaitCycles    — runnable, but another thread held the CPU
   ///                         (the paper's switch-wait component);
   ///  * HaltedCycles       — already halted while others kept running.
+  ///
+  /// The simulator charges a thread when its own state changes, not at
+  /// every clock advance. Off the CPU, a thread's bucket depends only on
+  /// its Halted, GridBlocked and WaitingChannel flags and its ReadyAt
+  /// cycle, and only its own dispatch or a grantWork() for it changes
+  /// them. So the simulator settles a thread at those two points and at
+  /// the run's end: the span [S, now) since its last settle goes to one
+  /// bucket or, for a thread that is neither halted nor blocked on the
+  /// grid or a channel, splits at its ReadyAt: MemStall gets
+  /// min(now, max(ReadyAt, S)) - S and ReadyWait the rest. Cutting the
+  /// span at every clock advance in between and classifying each piece
+  /// gives the same totals, because every piece splits at the same cycle.
   int64_t RunCycles = 0;
   int64_t SwitchPenaltyCycles = 0;
   int64_t MemStallCycles = 0;
@@ -209,11 +222,11 @@ public:
   /// detaches; the default). The port must outlive every subsequent run.
   void setGridPort(GridPort *P) { Port = P; }
 
-  /// Attach a cycle-domain trace (trace/CycleTrace.h): every accounted
-  /// cycle interval is mirrored as a thread-state slice on process track
-  /// \p Pid (tid = thread index), so per-thread slice durations sum to the
-  /// seven cycle buckets by construction. Null detaches; the default.
-  /// Disabled cost is one branch per thread per accounting interval
+  /// Attach a cycle-domain trace (trace/CycleTrace.h): every cycle span
+  /// charged to a thread's bucket is mirrored as a thread-state slice on
+  /// process track \p Pid (tid = thread index), so per-thread slice
+  /// durations sum to the seven cycle buckets by construction. Null
+  /// detaches; the default. Disabled cost is one branch per charged span
   /// (bounded by bench/trace_overhead).
   void setCycleTrace(CycleTrace *T, int64_t Pid) {
     Trace = T;
@@ -307,6 +320,8 @@ private:
     uint32_t PendingValue = 0;
     /// Register file: shared (all threads alias one) or private.
     std::vector<uint32_t> *Regs = nullptr;
+    /// The cycle up to which this thread's buckets are charged.
+    int64_t Settled = 0;
   };
 
   const MultiThreadProgram &MTP;
@@ -334,6 +349,8 @@ private:
   /// The running advanceUntil()'s stop (see stopCycle()).
   int64_t RunStop = std::numeric_limits<int64_t>::max();
   int RunLastThread = -1;
+  /// Threads that halted or reached the target iteration count.
+  int RunFinished = 0;
   bool Active = false;
   bool Ended = false;
 
@@ -349,15 +366,25 @@ private:
   /// a simulation error (\p Error set).
   bool step(int T, int64_t &Clock, std::string &Error);
 
-  /// Attribute the cycle interval [C0, C1) to one breakdown bucket of every
-  /// thread (\p Running holds the CPU; -1 = idle interval).
-  void account(int Running, int64_t C0, int64_t C1, bool Penalty);
-  bool allDone() const;
+  /// Charge [\p C0, \p C1) to thread \p T's bucket for phase \p P and
+  /// mirror it to the cycle trace: the one path into the buckets.
+  void charge(int T, ThreadPhase P, int64_t C0, int64_t C1);
+  /// Charge thread \p T, off the CPU, from its Settled cycle to RunClock
+  /// by its current state (see ThreadStats). Call before that state
+  /// changes.
+  void settle(int T);
+  /// A finished thread no longer keeps the run going: it halted or
+  /// reached the target iteration count.
+  bool finished(const ThreadStats &S) const {
+    return S.Halted || (Config.TargetIterations > 0 && S.CyclesAtTarget >= 0);
+  }
   /// Terminate the run with \p Reason (Completed stays false).
   void failRun(const std::string &Reason);
   /// Terminate the run successfully: asserts the breakdown invariant and
   /// publishes the sim.thread<T>.* metrics.
   void completeRun();
+  /// Settle every thread at the final clock and publish the result.
+  void endRun();
 };
 
 } // namespace npral

@@ -17,8 +17,10 @@
 ///    thread's state machine (Run / SwitchPenalty / MemStall / ChannelWait /
 ///    InterconnectStall / ReadyWait / Halted). Per thread the slices
 ///    partition the timeline, so their durations sum exactly to the seven
-///    sim.thread<T>.*_cycles buckets; the simulator feeds every interval it
-///    accounts through extendPhase() and the cross-check is pinned by test.
+///    sim.thread<T>.*_cycles buckets; the simulator feeds every span it
+///    charges to a bucket through extendPhase() and the cross-check is
+///    pinned by test. A thread's waiting span is charged when the thread
+///    settles, so slices of different threads need not come in time order.
 ///
 ///  * Counter tracks — 'C' events with one numeric `value` arg, sampled on
 ///    a fixed cycle period by a TelemetrySampler (trace/Telemetry.h):
@@ -77,7 +79,7 @@ public:
   /// [\p C0, \p C1). Contiguous same-phase intervals coalesce into one
   /// slice; a phase change (or a gap) flushes the open slice as an 'X'
   /// event. Intervals must arrive in non-decreasing time order per track,
-  /// which the simulator's accounting guarantees.
+  /// which the simulator guarantees by settling each thread forward only.
   void extendPhase(int64_t Pid, int64_t Tid, ThreadPhase P, int64_t C0,
                    int64_t C1);
 
@@ -111,10 +113,10 @@ public:
     return Events;
   }
 
-  /// extendPhase invocations recorded (pre-coalescing) — a proxy for the
-  /// number of times the simulator's accounting reached its tracing guard,
-  /// which is what bench/trace_overhead multiplies by the per-guard cost
-  /// to bound the tracing-disabled overhead of a run.
+  /// extendPhase invocations recorded (pre-coalescing): one per span the
+  /// simulator charged, each behind one tracing guard. bench/trace_overhead
+  /// derives the guard count of an untraced run from it to bound the
+  /// tracing-disabled overhead.
   int64_t intervalCount() const { return Intervals; }
 
   /// Total cycles recorded for (\p Pid, \p Tid) in phase \p P, including

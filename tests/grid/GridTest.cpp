@@ -24,6 +24,7 @@
 #include "trace/CycleTrace.h"
 #include "trace/MetricsRegistry.h"
 #include "trace/Telemetry.h"
+#include "trace/TraceEngine.h"
 #include "workloads/Harness.h"
 
 #include "gtest/gtest.h"
@@ -700,9 +701,10 @@ TEST(GridTest, TracedLanesMatchLockstepTelemetry) {
     EXPECT_EQ(LaneSampler.nextDue(), RefSampler.nextDue());
 
     EXPECT_EQ(LaneTrace.eventCount(), RefTrace.eventCount());
-    // Lanes stop at a subset of the lockstep boundaries, so they split
-    // fewer idle intervals: the tracing-guard count can only drop.
-    EXPECT_LE(LaneTrace.intervalCount(), RefTrace.intervalCount());
+    // Lanes stop at a subset of the lockstep boundaries, but a stop only
+    // adds idle jumps, which charge no thread: the spans charged, and so
+    // the tracing-guard counts, are the same.
+    EXPECT_EQ(LaneTrace.intervalCount(), RefTrace.intervalCount());
     EXPECT_EQ(trackContents(LaneTrace), trackContents(RefTrace));
     const std::vector<std::array<int64_t, 6>> Flows = flowPairs(RefTrace);
     EXPECT_FALSE(Flows.empty());
@@ -802,6 +804,32 @@ TEST(GridTest, MultiEngineRunsAreDeterministic) {
   EXPECT_GT(A.MessagesSent, 0);
   EXPECT_EQ(A.MessagesDelivered, A.MessagesSent);
   expectBucketsAccount(A);
+}
+
+TEST(GridTest, TracedGridRecordsNoSimInstants) {
+  // A thread switch is recorded by the cycle trace's slices and the
+  // sim.thread<T>.ctx_events counters; the wall trace keeps its spans and
+  // gets no per-switch instant from the simulator.
+  GridOptions Opts = fastOptions();
+  Opts.NumEngines = 4;
+  std::vector<std::string> Pool;
+  ASSERT_TRUE(buildGridPool("s1", 4, Pool));
+  TraceEngine &TE = TraceEngine::global();
+  TE.setEnabled(false);
+  TE.clear();
+  TE.setEnabled(true);
+  GridReport Report = runKernelPoolGrid("s1", Pool, Opts);
+  TE.setEnabled(false);
+  const std::vector<TraceEvent> Events = TE.events();
+  TE.clear();
+  ASSERT_TRUE(Report.Success) << Report.FailReason;
+  int SimInstants = 0, Lanes = 0;
+  for (const TraceEvent &E : Events) {
+    SimInstants += E.Cat == "sim" && E.Ph == 'i' ? 1 : 0;
+    Lanes += E.Ph == 'B' && E.Name == "EngineGrid::lane" ? 1 : 0;
+  }
+  EXPECT_EQ(SimInstants, 0);
+  EXPECT_EQ(Lanes, Opts.NumEngines);
 }
 
 TEST(GridTest, TightCreditsSurfaceAsInterconnectStall) {

@@ -141,8 +141,8 @@ TEST(CycleTraceTest, PlainRunSlicesPartitionTheSevenBuckets) {
   for (size_t T = 0; T < R.Threads.size(); ++T) {
     const ThreadStats &TS = R.Threads[T];
     const int64_t Tid = static_cast<int64_t>(T);
-    // Slice emission mirrors the bucket accounting branch for branch, so
-    // each per-phase total equals its bucket exactly — not just the sum.
+    // Slices and buckets are fed by the same charge of each span, so each
+    // per-phase total equals its bucket exactly — not just the sum.
     EXPECT_EQ(CT.phaseCycles(1, Tid, ThreadPhase::Run), TS.RunCycles);
     EXPECT_EQ(CT.phaseCycles(1, Tid, ThreadPhase::SwitchPenalty),
               TS.SwitchPenaltyCycles);
