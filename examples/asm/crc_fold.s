@@ -1,8 +1,8 @@
 ; A xor-folding checksum next to a byte-swapper: the CRC thread folds the
 ; running value with shifted copies of each word (xor-heavy straight-line
-; code), the swapper rotates halves with shifts and or. Exercises the
-; validator's algebraic xor interpretation on *matched* instructions, not
-; just on allocator-inserted swap idioms.
+; code), the swapper rotates halves with shifts and or. The validator
+; matches each computed xor like any other instruction, operands in order,
+; and reads only allocator-inserted swaps as copy code.
 ;
 ;   npralc alloc  examples/asm/crc_fold.s -nreg 10
 ;   npralc verify examples/asm/crc_fold.s -nreg 10

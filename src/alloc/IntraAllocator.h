@@ -125,7 +125,6 @@ public:
   int getMaxR() const { return Bounds.MaxR; }
   const Program &getProgram() const { return Original; }
   const ThreadAnalysis &getAnalysis() const { return TA; }
-  const CostModel &getCostModel() const { return CM; }
 
 private:
   /// The renamed program, when the allocator made it itself (the

@@ -9,19 +9,6 @@
 
 using namespace npral;
 
-BitVector LivenessInfo::instrLiveIn(const Program &P, int B, int I) const {
-  BitVector Live(instrLiveOut(B, I));
-  const Instruction &Inst =
-      P.block(B).Instrs[static_cast<size_t>(I)];
-  if (Inst.Def != NoReg)
-    Live.reset(Inst.Def);
-  std::array<Reg, 2> Uses;
-  int N = Inst.getUses(Uses);
-  for (int U = 0; U < N; ++U)
-    Live.set(Uses[static_cast<size_t>(U)]);
-  return Live;
-}
-
 LivenessInfo npral::computeLiveness(const Program &P) {
   LivenessInfo LI;
   const int NumBlocks = P.getNumBlocks();

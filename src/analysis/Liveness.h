@@ -48,8 +48,6 @@ public:
                     static_cast<size_t>(WordsPerSet),
             NumRegs};
   }
-  /// Live registers just before instruction \p I of block \p B (computed).
-  BitVector instrLiveIn(const Program &P, int B, int I) const;
 
   /// Maximum register pressure over all program points: the paper's RegPmax
   /// (the lower bound MinR). Counts a definition as occupying its register

@@ -60,7 +60,6 @@ public:
   MicroEngine &operator=(const MicroEngine &) = delete;
 
   int id() const { return Id; }
-  int numThreads() const { return static_cast<int>(Credits.size()); }
   Simulator &sim() { return Sim; }
   const Simulator &sim() const { return Sim; }
 
@@ -139,7 +138,6 @@ public:
 
   MicroEngine &addEngine(MultiThreadProgram Program, const SimConfig &Config);
 
-  int numEngines() const { return static_cast<int>(Engines.size()); }
   MicroEngine &engine(int Id) { return *Engines[static_cast<size_t>(Id)]; }
 
   /// Attach cycle-domain telemetry for the next run(). \p Trace receives

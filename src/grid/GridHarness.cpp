@@ -78,14 +78,6 @@ bool npral::buildGridPool(const std::string &ScenarioName, int NumEngines,
   return true;
 }
 
-GridReport npral::runScenarioGrid(const Scenario &S, const GridOptions &Opts) {
-  std::vector<std::string> Pool;
-  const size_t Want = static_cast<size_t>(Opts.NumEngines) * 4;
-  for (size_t I = 0; I < Want; ++I)
-    Pool.push_back(S.Kernels[I % S.Kernels.size()]);
-  return runKernelPoolGrid(S.Name, Pool, Opts);
-}
-
 GridReport npral::runKernelPoolGrid(const std::string &Name,
                                     const std::vector<std::string> &Pool,
                                     const GridOptions &Opts) {

@@ -111,10 +111,6 @@ GridReport runKernelPoolGrid(const std::string &Name,
                              const std::vector<std::string> &Pool,
                              const GridOptions &Opts);
 
-/// Replicate scenario \p S's 4-kernel template across Opts.NumEngines
-/// engines and run the grid.
-GridReport runScenarioGrid(const Scenario &S, const GridOptions &Opts);
-
 /// Build the kernel pool for a named grid scenario: "s1"/"s2"/"s3" (the
 /// Table-3 scenarios, template replicated) or "mixed" (the three templates
 /// concatenated cyclically). Returns false on an unknown name.

@@ -39,8 +39,6 @@ public:
     CurBlock = BlockId;
   }
 
-  int getInsertBlock() const { return CurBlock; }
-
   /// Create a block and switch to it.
   int startBlock(const std::string &Name = std::string()) {
     int B = createBlock(Name);
@@ -92,9 +90,6 @@ public:
   }
   void ctx() { insert(Instruction::makeCtx()); }
   void br(int Target) { insert(Instruction::makeBr(Target)); }
-  void condBr(Opcode Op, Reg Rs1, Reg Rs2, int Target) {
-    insert(Instruction::makeCondBr(Op, Rs1, Rs2, Target));
-  }
   void condBrZ(Opcode Op, Reg Rs, int Target) {
     insert(Instruction::makeCondBrZ(Op, Rs, Target));
   }

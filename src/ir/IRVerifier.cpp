@@ -158,10 +158,3 @@ private:
 } // namespace
 
 Status npral::verifyProgram(const Program &P) { return Verifier(P).run(); }
-
-Status npral::verifyMultiThreadProgram(const MultiThreadProgram &MTP) {
-  for (const Program &P : MTP.Threads)
-    if (Status S = verifyProgram(P); !S.ok())
-      return S;
-  return Status::success();
-}

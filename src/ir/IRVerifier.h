@@ -24,9 +24,6 @@ namespace npral {
 ///  * the entry block exists.
 Status verifyProgram(const Program &P);
 
-/// Verify every thread of \p MTP.
-Status verifyMultiThreadProgram(const MultiThreadProgram &MTP);
-
 } // namespace npral
 
 #endif // NPRAL_IR_IRVERIFIER_H

@@ -45,8 +45,6 @@ struct Instruction {
   bool isBranch() const { return info().IsBranch; }
   bool isTerminator() const { return info().IsTerminator; }
 
-  bool hasDef() const { return Def != NoReg; }
-
   /// Collect the (up to two) used registers into \p Out; returns the count.
   int getUses(std::array<Reg, 2> &Out) const {
     int N = 0;
@@ -121,16 +119,6 @@ struct Instruction {
     return I;
   }
   static Instruction makeCtx() { return Instruction(Opcode::Ctx); }
-  static Instruction makeSignal(int64_t Channel) {
-    Instruction I(Opcode::Signal);
-    I.Imm = Channel;
-    return I;
-  }
-  static Instruction makeWait(int64_t Channel) {
-    Instruction I(Opcode::Wait);
-    I.Imm = Channel;
-    return I;
-  }
   static Instruction makeBr(int Target) {
     Instruction I(Opcode::Br);
     I.Target = Target;

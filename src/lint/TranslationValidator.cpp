@@ -9,7 +9,6 @@
 #include <array>
 #include <cstdint>
 #include <deque>
-#include <iterator>
 #include <map>
 #include <set>
 #include <string>
@@ -20,23 +19,26 @@ using namespace npral;
 
 namespace {
 
-/// A symbolic value is the xor-combination of a set of value numbers. To
-/// keep states flat (the validator runs on every batch job under
-/// --validate, so state copies dominate its cost) each value is stored as
-/// one int32 encoding:
-///   * kUnknown        — nothing is known about the location;
-///   * kZero           — the empty xor-set, i.e. the constant zero;
-///   * 0 <= E < kMulti — the singleton set {E} (the overwhelmingly common
-///                       case: every fresh definition is a singleton);
-///   * E >= kMulti     — a multi-element set (xor swap idioms), interned
-///                       in the pool at index E - kMulti.
-/// Interning keeps encodings canonical: equal encodings iff equal sets.
+/// Every location holds one value number, or kUnknown when nothing is
+/// known about it. Equal numbers mean equal values; a fresh number is a
+/// value no other location holds yet.
 constexpr int32_t kUnknown = -1;
-constexpr int32_t kZero = -2;
-constexpr int32_t kMulti = 1 << 30;
 
-/// Sorted value-number set; only materialised for pooled multi-sets.
-using ValueSet = std::vector<int32_t>;
+/// True when \p Instrs[I..I+2] is the register swap `xor A, A, B;
+/// xor B, A, B; xor A, A, B` with A != B (what appendXorSwap writes). The
+/// three instructions exchange the values of A and B, whatever they are.
+bool isXorSwap(const std::vector<Instruction> &Instrs, size_t I) {
+  if (I + 2 >= Instrs.size())
+    return false;
+  const Instruction &X = Instrs[I];
+  const Instruction &Y = Instrs[I + 1];
+  const Instruction &Z = Instrs[I + 2];
+  const Reg A = X.Def;
+  const Reg B = X.Use2;
+  return A != B && X.Op == Opcode::Xor && X.Use1 == A &&
+         Y.Op == Opcode::Xor && Y.Def == B && Y.Use1 == A && Y.Use2 == B &&
+         Z.Op == Opcode::Xor && Z.Def == A && Z.Use1 == A && Z.Use2 == B;
+}
 
 /// Symbolic state at one program point of one thread: what every virtual
 /// register, physical register, and spill scratch slot is known to hold.
@@ -79,10 +81,9 @@ struct SymState {
 };
 
 /// Minimal open-addressing hash map from a packed 64-bit key to an int32
-/// id, with O(1) epoch-based clear. The validator's two hot maps — join
-/// signature groups and two-element xor-set interning — both have keys
-/// that pack into one uint64; std::map with vector keys dominated the
-/// profile before this.
+/// id, with O(1) epoch-based clear. It groups the two-predecessor join
+/// signatures, whose two value numbers pack into one uint64; a std::map
+/// with vector keys dominated the profile before this.
 class FlatMap64 {
 public:
   void clear() {
@@ -190,14 +191,8 @@ private:
   std::vector<int64_t> BlockMatched;
   std::vector<int64_t> BlockCopies;
 
-  /// Interned multi-element sets (xor chains); singletons and the empty
-  /// set live entirely in their encoding. Two-element sets — the common
-  /// case by far — are memoized in the flat PairIds table; MultiIds only
-  /// holds the rare larger sets.
-  std::vector<ValueSet> MultiSets;
-  std::map<ValueSet, int32_t> MultiIds;
-  FlatMap64 PairIds;
   FlatMap64 JoinGroups;
+  SymState SwapUndo; ///< state before a swap whose xors are being matched
 
   int32_t NextVN = 0;
   int32_t MaxVNEver = 0; ///< upper bound on any value number ever minted
@@ -244,69 +239,11 @@ private:
     return NextVN++;
   }
 
-  const ValueSet &multi(int32_t E) const {
-    return MultiSets[static_cast<size_t>(E - kMulti)];
-  }
-  int32_t internMulti(ValueSet V) {
-    if (V.size() == 2) {
-      // Elements are value numbers in [0, kMulti) and V is sorted, so the
-      // pair packs injectively into one uint64.
-      const uint64_t Key =
-          static_cast<uint64_t>(static_cast<uint32_t>(V[0])) << 32 |
-          static_cast<uint32_t>(V[1]);
-      int32_t Next = static_cast<int32_t>(MultiSets.size());
-      const int32_t Id = PairIds.findOrInsert(Key, Next);
-      if (Id == static_cast<int32_t>(MultiSets.size()))
-        MultiSets.push_back(std::move(V));
-      return kMulti + Id;
-    }
-    auto [It, Inserted] =
-        MultiIds.emplace(std::move(V), static_cast<int32_t>(MultiSets.size()));
-    if (Inserted)
-      MultiSets.push_back(It->first);
-    return kMulti + It->second;
-  }
-  int32_t encode(ValueSet V) {
-    if (V.empty())
-      return kZero;
-    if (V.size() == 1)
-      return V[0];
-    return internMulti(std::move(V));
-  }
-  void decode(int32_t E, ValueSet &Out) const {
-    Out.clear();
-    if (E == kZero)
-      return;
-    if (E < kMulti)
-      Out.push_back(E);
-    else
-      Out = multi(E);
-  }
-
-  /// Xor of two known values.
-  int32_t symDiffEnc(int32_t A, int32_t B) {
-    if (A == kZero)
-      return B;
-    if (B == kZero)
-      return A;
-    if (A == B)
-      return kZero;
-    if (A < kMulti && B < kMulti)
-      return internMulti({std::min(A, B), std::max(A, B)});
-    ValueSet Av, Bv, R;
-    decode(A, Av);
-    decode(B, Bv);
-    std::set_symmetric_difference(Av.begin(), Av.end(), Bv.begin(), Bv.end(),
-                                  std::back_inserter(R));
-    return encode(std::move(R));
-  }
-
   /// Renumber the value numbers of \p S to 0..k-1 in first-occurrence
   /// order over the deterministic location iteration (VV index ascending,
-  /// then PV, then Slots; within a set, ascending old numbers). Two states
-  /// are equivalent up to value-number renaming iff their canonical forms
-  /// are equal. Writes into \p C (capacity is reused across calls; \p C
-  /// must not alias \p S).
+  /// then PV, then Slots). Two states are equivalent up to value-number
+  /// renaming iff their canonical forms are equal. Writes into \p C
+  /// (capacity is reused across calls; \p C must not alias \p S).
   void canonicalizeInto(const SymState &S, SymState &C) {
     // Flat epoch-stamped renumber table instead of a map: old value
     // numbers are bounded by MaxVNEver.
@@ -317,31 +254,22 @@ private:
     ++RenumCur;
     int32_t Count = 0;
     auto renum = [&](int32_t N) {
-      if (RenumEpoch[static_cast<size_t>(N)] != RenumCur) {
-        RenumEpoch[static_cast<size_t>(N)] = RenumCur;
-        RenumVal[static_cast<size_t>(N)] = Count++;
+      if (N == kUnknown)
+        return N;
+      const auto I = static_cast<size_t>(N);
+      if (RenumEpoch[I] != RenumCur) {
+        RenumEpoch[I] = RenumCur;
+        RenumVal[I] = Count++;
       }
-      return RenumVal[static_cast<size_t>(N)];
-    };
-    ValueSet Tmp;
-    auto mapEnc = [&](int32_t E) -> int32_t {
-      if (E == kUnknown || E == kZero)
-        return E;
-      if (E < kMulti)
-        return renum(E);
-      Tmp = multi(E);
-      for (int32_t &N : Tmp)
-        N = renum(N);
-      std::sort(Tmp.begin(), Tmp.end());
-      return encode(std::move(Tmp));
+      return RenumVal[I];
     };
     C = S; // copy-assign: reuses C's buffers once they are warm
     for (int32_t &E : C.VV)
-      E = mapEnc(E);
+      E = renum(E);
     for (int32_t &E : C.PV)
-      E = mapEnc(E);
+      E = renum(E);
     for (auto &KV : C.Slots)
-      KV.second = mapEnc(KV.second);
+      KV.second = renum(KV.second);
     LastVNCount = Count;
     MaxVNEver = std::max(MaxVNEver, Count);
   }
@@ -500,7 +428,7 @@ void ThreadValidator::joinStates(const std::vector<const SymState *> &Preds,
   R.Slots.clear();
   if (Preds.size() == 2) {
     // Two predecessors is the overwhelmingly common join shape; the
-    // signature is two encodings, which pack into one uint64 keyed into
+    // signature is two value numbers, which pack into one uint64 keyed into
     // the flat JoinGroups table instead of a map of vectors.
     JoinGroups.clear();
     if (static_cast<int32_t>(DiagVal.size()) < MaxVNEver) {
@@ -515,17 +443,13 @@ void ThreadValidator::joinStates(const std::vector<const SymState *> &Preds,
       if (Av == kUnknown || Bv == kUnknown)
         return kUnknown;
       if (Av == Bv) {
-        if (Av == kZero)
-          return kZero; // constant zero everywhere stays constant zero
-        if (Av < kMulti) {
-          // Diagonal signature: direct table instead of the hash probe.
-          const auto I = static_cast<size_t>(Av);
-          if (DiagEpoch[I] != DiagCur) {
-            DiagEpoch[I] = DiagCur;
-            DiagVal[I] = NumGroups++;
-          }
-          return DiagVal[I];
+        // Diagonal signature: direct table instead of the hash probe.
+        const auto I = static_cast<size_t>(Av);
+        if (DiagEpoch[I] != DiagCur) {
+          DiagEpoch[I] = DiagCur;
+          DiagVal[I] = NumGroups++;
         }
+        return DiagVal[I];
       }
       const uint64_t Key =
           static_cast<uint64_t>(static_cast<uint32_t>(Av)) << 32 |
@@ -549,22 +473,18 @@ void ThreadValidator::joinStates(const std::vector<const SymState *> &Preds,
   }
   std::map<std::vector<int32_t>, int32_t> Groups;
   std::vector<int32_t> Sig(Preds.size());
-  // Returns the joined encoding for one location; kUnknown when unknown in
-  // any predecessor.
+  // Returns the joined value number for one location; kUnknown when
+  // unknown in any predecessor.
   auto joinLoc = [&](int32_t First, auto lookup) -> int32_t {
     if (First == kUnknown)
       return kUnknown;
     Sig[0] = First;
-    bool AllZero = First == kZero;
     for (size_t P = 1; P < Preds.size(); ++P) {
       int32_t V = lookup(*Preds[P]);
       if (V == kUnknown)
         return kUnknown;
       Sig[P] = V;
-      AllZero = AllZero && V == kZero;
     }
-    if (AllZero)
-      return kZero; // constant zero everywhere stays constant zero
     auto [It, Inserted] =
         Groups.emplace(Sig, static_cast<int32_t>(Groups.size()));
     (void)Inserted;
@@ -606,27 +526,43 @@ void ThreadValidator::transfer(SymState &S, int B) {
     return R >= 0 && R < PVSize ? S.PV[static_cast<size_t>(R)] : kUnknown;
   };
 
-  // Consume the virtual instructions the allocator is allowed to erase or
-  // reshape: moves (MoveElimination deletes them), xors (ParallelCopy's
-  // swap idiom realises them algebraically), nops.
+  // A known virtual value constrains the physical register read in its
+  // place; an unknown one (a possibly-uninitialised read) is refined by
+  // any physical value.
+  auto carries = [&](Reg VR, Reg PR) {
+    const int32_t A = vvGet(VR);
+    return A == kUnknown || A == pvGet(PR);
+  };
+
+  // Consume the virtual instructions the allocator is allowed to erase:
+  // moves (MoveElimination deletes them) and nops.
   auto drainVirtual = [&] {
     while (VB && VI < VB->Instrs.size()) {
       const Instruction &I = VB->Instrs[VI];
-      if (I.Op == Opcode::Nop) {
-        ++VI;
-      } else if (I.Op == Opcode::Mov) {
+      if (I.Op == Opcode::Mov)
         S.VV[static_cast<size_t>(I.Def)] = vvGet(I.Use1);
-        ++VI;
-      } else if (I.Op == Opcode::Xor) {
-        int32_t A = vvGet(I.Use1);
-        int32_t Bv = vvGet(I.Use2);
-        S.VV[static_cast<size_t>(I.Def)] =
-            A != kUnknown && Bv != kUnknown ? symDiffEnc(A, Bv) : kUnknown;
-        ++VI;
-      } else {
+      else if (I.Op != Opcode::Nop)
         break;
-      }
+      ++VI;
     }
+  };
+
+  // Match physical xor \p P to the pending virtual instruction without
+  // reporting: it must be a xor whose operands carry the same values, in
+  // order, and both defs then share one fresh value.
+  auto matchXor = [&](const Instruction &P) {
+    drainVirtual();
+    if (!VB || VI >= VB->Instrs.size())
+      return false;
+    const Instruction &V = VB->Instrs[VI];
+    if (V.Op != Opcode::Xor || !carries(V.Use1, P.Use1) ||
+        !carries(V.Use2, P.Use2))
+      return false;
+    const int32_t VN = freshVN();
+    S.VV[static_cast<size_t>(V.Def)] = VN;
+    S.PV[static_cast<size_t>(P.Def)] = VN;
+    ++VI;
+    return true;
   };
 
   // A context-switch boundary hands the register file's shared portion to
@@ -650,12 +586,29 @@ void ThreadValidator::transfer(SymState &S, int B) {
       ++BlockCopies[static_cast<size_t>(B)];
       continue;
     }
-    if (PI.Op == Opcode::Xor) {
-      int32_t A = pvGet(PI.Use1);
-      int32_t Bv = pvGet(PI.Use2);
-      S.PV[static_cast<size_t>(PI.Def)] =
-          A != kUnknown && Bv != kUnknown ? symDiffEnc(A, Bv) : kUnknown;
-      ++BlockCopies[static_cast<size_t>(B)];
+    // A swap is read as a whole before any of its xors is matched alone.
+    // Its three xors are matched like any other instructions when the
+    // pending virtual instructions compute the same swap (live-range
+    // renaming may give each xor its own registers); otherwise the swap is
+    // copy code and exchanges the two registers. Matching its first xor
+    // alone would be wrong where a copy swap precedes a virtual xor whose
+    // operands sit in the two swapped registers.
+    if (isXorSwap(PB.Instrs, PIdx)) {
+      SwapUndo = S;
+      const size_t VI0 = VI;
+      const int32_t NextVN0 = NextVN;
+      if (matchXor(PI) && matchXor(PB.Instrs[PIdx + 1]) &&
+          matchXor(PB.Instrs[PIdx + 2])) {
+        BlockMatched[static_cast<size_t>(B)] += 3;
+      } else {
+        std::swap(S, SwapUndo);
+        VI = VI0;
+        NextVN = NextVN0;
+        std::swap(S.PV[static_cast<size_t>(PI.Def)],
+                  S.PV[static_cast<size_t>(PI.Use2)]);
+        BlockCopies[static_cast<size_t>(B)] += 3;
+      }
+      PIdx += 2;
       continue;
     }
     // Absolute accesses outside every virtual thread's address set are
@@ -741,29 +694,20 @@ void ThreadValidator::transfer(SymState &S, int B) {
       continue;
     }
     auto checkOperand = [&](Reg VR, Reg PR) {
-      if (VR == NoReg && PR == NoReg)
+      if (VR == NoReg ? PR == NoReg : carries(VR, PR))
         return;
-      const int32_t A = VR == NoReg ? kUnknown : vvGet(VR);
-      // Refinement: when the *virtual* program reads an undefined value
-      // (possible-uninit paths), any physical value refines it — there is
-      // nothing to preserve. Only a known virtual value constrains the
-      // physical operand.
-      if (VR != NoReg && A == kUnknown)
-        return;
-      const int32_t Bv = PR == NoReg ? kUnknown : pvGet(PR);
-      if (A == kUnknown || Bv == kUnknown || A != Bv)
-        reportLazy(
-            B, PIdxI,
-            [&] {
-              return "operand '" +
-                     (PR == NoReg ? std::string("<none>")
-                                  : Phys.getRegName(PR)) +
-                     "' does not carry the value of virtual '" +
-                     (VR == NoReg ? std::string("<none>")
-                                  : Virt.getRegName(VR)) +
-                     "'";
-            },
-            [&] { return makeWitness(B, &PI, &VIn); });
+      reportLazy(
+          B, PIdxI,
+          [&] {
+            return "operand '" +
+                   (PR == NoReg ? std::string("<none>")
+                                : Phys.getRegName(PR)) +
+                   "' does not carry the value of virtual '" +
+                   (VR == NoReg ? std::string("<none>")
+                                : Virt.getRegName(VR)) +
+                   "'";
+          },
+          [&] { return makeWitness(B, &PI, &VIn); });
     };
     checkOperand(VIn.Use1, PI.Use1);
     if (!(VIn.Use2 == VIn.Use1 && PI.Use2 == PI.Use1))

@@ -9,16 +9,18 @@
 ///
 /// The checker simulates each thread block-by-block over a symbolic state
 /// mapping virtual registers, physical registers, and spill scratch slots
-/// to xor-sets of value numbers. Copies the allocator is allowed to insert
-/// (`mov`, the 3-`xor` parallel-copy swap idiom, and absolute-addressed
-/// spill `loada`/`storea`) are *interpreted* — they transfer symbolic
-/// values. Everything else must pair 1:1, in order, with an original
-/// virtual instruction of the same opcode/immediate/target whose operands
-/// carry identical value sets. Context-switch boundaries clobber physical
-/// registers referenced by other threads and scratch slots written by other
-/// threads, so a value the allocator wrongly kept in a shared register
-/// across a CSB fails the proof exactly where the paper's invariant is
-/// violated.
+/// to one value number each (or unknown). Copies the allocator is allowed
+/// to insert (`mov`, the 3-`xor` register swap `appendXorSwap` writes, and
+/// absolute-addressed spill `loada`/`storea`) are *interpreted* — they
+/// transfer value numbers, and a swap exchanges two registers'. Everything
+/// else, every other `xor` included, must pair 1:1, in order, with an
+/// original virtual instruction of the same opcode/immediate/target whose
+/// operands carry the same value numbers; a swap is matched that way only
+/// when the pending virtual instructions compute the same swap. Context-
+/// switch boundaries clobber physical registers referenced by other threads
+/// and scratch slots written by other threads, so a value the allocator
+/// wrongly kept in a shared register across a CSB fails the proof exactly
+/// where the paper's invariant is violated.
 ///
 /// Loops are handled by a worklist fixpoint over the physical CFG with an
 /// intersection-style join (locations agreeing in every predecessor keep a

@@ -83,9 +83,6 @@ public:
 
   int32_t size() const { return static_cast<int32_t>(Offsets.size()); }
 
-  /// Total interned bytes (arena footprint; used by tests/metrics).
-  size_t arenaBytes() const { return Bytes.size(); }
-
 private:
   static uint64_t hashBytes(std::string_view S) {
     uint64_t H = 1469598103934665603ull; // FNV-1a

@@ -51,7 +51,3 @@ bool Rng::nextChance(uint64_t Num, uint64_t Den) {
   assert(Den > 0 && "zero denominator");
   return nextBelow(Den) < Num;
 }
-
-double Rng::nextDouble() {
-  return static_cast<double>(next() >> 11) * (1.0 / 9007199254740992.0);
-}

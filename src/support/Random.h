@@ -35,9 +35,6 @@ public:
   /// Bernoulli draw: true with probability Num/Den.
   bool nextChance(uint64_t Num, uint64_t Den);
 
-  /// Uniform double in [0, 1).
-  double nextDouble();
-
 private:
   uint64_t State0 = 0;
   uint64_t State1 = 0;

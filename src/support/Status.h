@@ -92,8 +92,6 @@ public:
 
   /// Classification of a failed status; Ok on success.
   StatusCode code() const { return Code; }
-  /// Stable name of code() — see statusCodeName.
-  const char *codeName() const { return statusCodeName(Code); }
 
   /// Message of a failed status; empty on success.
   const std::string &message() const { return Message; }

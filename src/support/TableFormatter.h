@@ -49,8 +49,6 @@ public:
   /// each line (for embedding in a larger document).
   void printJSON(std::ostream &OS, const std::string &Indent = "") const;
 
-  size_t numRows() const { return Rows.size(); }
-
 private:
   std::vector<std::string> Header;
   std::vector<std::vector<std::string>> Rows;

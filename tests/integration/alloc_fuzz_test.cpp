@@ -16,8 +16,9 @@
 //    finite move overhead (the partitioned allocation is one of its
 //    feasible points). Any divergence dumps both allocations.
 //
-// A last, unparameterised property runs the same corpus through the job
-// path under 1 ms and 5 ms deadlines (see AllocFuzzDeadlineTest below).
+// Two unparameterised properties run through the job path: every swap the
+// allocator writes must prove (AllocFuzzSwapTest), and the corpus must
+// hold 1 ms and 5 ms deadlines (AllocFuzzDeadlineTest).
 //
 // Every assertion message carries the failing seed. Each test's gtest
 // parameter IS the seed, so a failure like "AllocFuzz/AllocFuzzTest.X/137"
@@ -334,6 +335,66 @@ TEST_P(AllocFuzzTest, BitIdenticalToPreRewriteGoldens) {
 // --gtest_filter='*AllocFuzzTest*/<seed>'.
 INSTANTIATE_TEST_SUITE_P(AllocFuzz, AllocFuzzTest,
                          ::testing::Range<uint64_t>(0, 200));
+
+namespace {
+
+/// True when \p MTP holds the register swap appendXorSwap writes:
+/// `xor A, A, B; xor B, A, B; xor A, A, B` with A != B, in one block.
+bool containsXorSwap(const MultiThreadProgram &MTP) {
+  for (const Program &T : MTP.Threads)
+    for (const BasicBlock &BB : T.Blocks)
+      for (size_t I = 0; I + 2 < BB.Instrs.size(); ++I) {
+        const Instruction &X = BB.Instrs[I];
+        const Instruction &Y = BB.Instrs[I + 1];
+        const Instruction &Z = BB.Instrs[I + 2];
+        const Reg A = X.Def;
+        const Reg B = X.Use2;
+        if (A != B && X.Op == Opcode::Xor && X.Use1 == A &&
+            Y.Op == Opcode::Xor && Y.Def == B && Y.Use1 == A &&
+            Y.Use2 == B && Z.Op == Opcode::Xor && Z.Def == A &&
+            Z.Use1 == A && Z.Use2 == B)
+          return true;
+      }
+  return false;
+}
+
+} // namespace
+
+// Every swap the allocator writes must prove on the job path. Small seeds
+// 0..119 at every third budget from 4 registers per thread up to 40,
+// spilling on even budgets, put swaps in front of xors whose operands sit
+// in the two swapped registers (seed 26 at Nreg 22): reading such a swap's
+// first xor as the image of the virtual xor refutes a correct allocation.
+TEST(AllocFuzzSwapTest, EverySwapProves) {
+  int Jobs = 0, Proved = 0, ProvedWithSwap = 0;
+  for (uint64_t Seed = 0; Seed < 120; ++Seed) {
+    const FuzzCase C = makeCase(Seed, /*SmallPrograms=*/true);
+    for (int Nreg = 4 * C.Nthd; Nreg <= 40; Nreg += 3) {
+      BatchJob Job;
+      Job.Name = "seed " + std::to_string(Seed) + " at Nreg " +
+                 std::to_string(Nreg);
+      Job.Program = C.Virtual;
+      BatchOptions Opts;
+      Opts.Nreg = Nreg;
+      Opts.AllowSpill = Nreg % 2 == 0;
+      Opts.MaxSpills = 256;
+      Opts.Validate = true;
+      Opts.KeepPhysical = true;
+      const BatchJobResult R = runSingleJob(Job, Opts);
+      ++Jobs;
+      EXPECT_FALSE(R.FailStage == JobStage::Validate)
+          << Job.Name << ": " << R.failureSummary() << "\n"
+          << dumpDiagnostics(R.ValidateDiags);
+      if (R.Success) {
+        ++Proved;
+        ProvedWithSwap += containsXorSwap(R.Physical);
+      }
+    }
+  }
+  EXPECT_EQ(Jobs, 1207);
+  EXPECT_GE(ProvedWithSwap, 150)
+      << "of " << Proved << " proved outputs, too few carry a swap";
+}
 
 namespace {
 

@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <utility>
 
 using namespace npral;
 using namespace npral::test;
@@ -53,6 +54,31 @@ std::string renderDiags(DiagnosticEngine &Engine) {
   std::ostringstream OS;
   Engine.renderText(OS);
   return OS.str();
+}
+
+/// Split a paired program (virtual threads followed by as many
+/// hand-written physical threads with p<N> register names) into its two
+/// halves, as `npralc verify --paired` does.
+std::pair<MultiThreadProgram, MultiThreadProgram>
+splitPaired(const std::string &Asm) {
+  MultiThreadProgram All = parseMT(Asm);
+  EXPECT_EQ(All.getNumThreads() % 2, 0) << "paired program needs equal halves";
+  const int Half = All.getNumThreads() / 2;
+  MultiThreadProgram Virt, Phys;
+  Virt.Name = All.Name;
+  Phys.Name = All.Name;
+  for (int T = 0; T < All.getNumThreads(); ++T)
+    (T < Half ? Virt : Phys)
+        .Threads.push_back(All.Threads[static_cast<size_t>(T)]);
+  EXPECT_TRUE(mapNamedPhysicalRegisters(Phys).ok());
+  return {std::move(Virt), std::move(Phys)};
+}
+
+/// Validate the physical half of a paired program against its virtual half.
+ValidationResult validatePaired(const std::string &Asm,
+                                DiagnosticEngine &Engine) {
+  auto [Virt, Phys] = splitPaired(Asm);
+  return validateTranslation(Virt, Phys, Engine);
 }
 
 const char *TwoThreadsAsm = R"(
@@ -264,26 +290,9 @@ TEST(TranslationValidator, ProvesAllExampleProgramsAllPaths) {
 }
 
 TEST(TranslationValidator, RejectsBadSwapFixture) {
-  const std::string Path =
-      std::string(NPRAL_EXAMPLES_ASM_DIR) + "/bad_swap.s";
-  ErrorOr<MultiThreadProgram> Parsed = parseAssembly(readFile(Path));
-  ASSERT_TRUE(Parsed.ok()) << Parsed.status().str();
-  MultiThreadProgram All = Parsed.take();
-  ASSERT_EQ(All.getNumThreads() % 2, 0)
-      << "paired fixture needs equal halves";
-  const int Half = All.getNumThreads() / 2;
-
-  MultiThreadProgram Virt, Phys;
-  Virt.Name = All.Name;
-  Phys.Name = All.Name;
-  for (int T = 0; T < Half; ++T)
-    Virt.Threads.push_back(All.Threads[static_cast<size_t>(T)]);
-  for (int T = Half; T < All.getNumThreads(); ++T)
-    Phys.Threads.push_back(All.Threads[static_cast<size_t>(T)]);
-  ASSERT_TRUE(mapNamedPhysicalRegisters(Phys).ok());
-
   DiagnosticEngine Engine;
-  ValidationResult V = validateTranslation(Virt, Phys, Engine);
+  ValidationResult V = validatePaired(
+      readFile(std::string(NPRAL_EXAMPLES_ASM_DIR) + "/bad_swap.s"), Engine);
   EXPECT_FALSE(V.Proved);
   ASSERT_TRUE(Engine.hasErrors());
   const Diagnostic *D = Engine.firstError();
@@ -291,6 +300,143 @@ TEST(TranslationValidator, RejectsBadSwapFixture) {
   EXPECT_NE(D->Message.find("does not carry the value"), std::string::npos)
       << "bad_swap must fail as an operand value mismatch, got: "
       << D->Message;
+}
+
+// A copy swap in front of a xor of the two swapped values: the swap is read
+// as an exchange before any xor is matched, though its first xor carries
+// the operand values of the pending virtual xor.
+TEST(TranslationValidator, CopySwapBeforeXorOfSwappedValuesProves) {
+  DiagnosticEngine Engine;
+  ValidationResult V = validatePaired(
+      readFile(std::string(NPRAL_EXAMPLES_ASM_DIR) +
+               "/paired/xor_swap_paired.s"),
+      Engine);
+  EXPECT_TRUE(V.Proved) << renderDiags(Engine);
+  EXPECT_EQ(V.InstructionsMatched, 6);
+  EXPECT_EQ(V.CopiesInterpreted, 3);
+}
+
+// A swap in the virtual program is matched by its physical image like any
+// other three instructions: whole, with a copy inside it, and when the
+// virtual swap computes into fresh registers that the image colors back
+// into the swap idiom.
+TEST(TranslationValidator, VirtualSwapMatchesItsImage) {
+  const std::string Virtual = R"(
+.thread swap
+.entrylive a, b, out
+main:
+    xor  a, a, b
+    xor  b, a, b
+    xor  a, a, b
+    sub  d, a, b
+    store [out+0], d
+    loopend
+    halt
+)";
+  auto physical = [](const char *Copy) {
+    return std::string(R"(
+.thread swap.phys
+.entrylive p0, p1, p2
+main:
+    xor  p0, p0, p1
+)") + Copy + R"(
+    xor  p1, p0, p1
+    xor  p0, p0, p1
+    sub  p3, p0, p1
+    store [p2+0], p3
+    loopend
+    halt
+)";
+  };
+
+  DiagnosticEngine Whole;
+  ValidationResult V = validatePaired(Virtual + physical(""), Whole);
+  EXPECT_TRUE(V.Proved) << renderDiags(Whole);
+  EXPECT_EQ(V.InstructionsMatched, 7);
+  EXPECT_EQ(V.CopiesInterpreted, 0);
+
+  DiagnosticEngine Split;
+  V = validatePaired(Virtual + physical("    mov  p4, p2"), Split);
+  EXPECT_TRUE(V.Proved) << renderDiags(Split);
+  EXPECT_EQ(V.InstructionsMatched, 7);
+  EXPECT_EQ(V.CopiesInterpreted, 1);
+
+  const std::string Computed = R"(
+.thread swap
+.entrylive a, b, out
+main:
+    xor  c, a, b
+    xor  e, c, b
+    xor  f, c, e
+    sub  d, f, e
+    store [out+0], d
+    loopend
+    halt
+)";
+  DiagnosticEngine Colored;
+  V = validatePaired(Computed + physical(""), Colored);
+  EXPECT_TRUE(V.Proved) << renderDiags(Colored);
+  EXPECT_EQ(V.InstructionsMatched, 7);
+  EXPECT_EQ(V.CopiesInterpreted, 0);
+}
+
+// Xor is matched like add, operands in order: the commuted operands compute
+// the same value, but only the allocator's own swap is read algebraically.
+TEST(TranslationValidator, RejectsCommutedXorOperands) {
+  DiagnosticEngine Engine;
+  ValidationResult V = validatePaired(R"(
+.thread cx
+.entrylive b, a, out
+main:
+    xor  d, a, b
+    store [out+0], d
+    loopend
+    halt
+
+.thread cx.phys
+.entrylive p0, p1, p3
+main:
+    xor  p2, p0, p1
+    store [p3+0], p2
+    loopend
+    halt
+)",
+                                      Engine);
+  EXPECT_FALSE(V.Proved);
+  ASSERT_TRUE(Engine.hasErrors());
+  const Diagnostic *D = Engine.firstError();
+  EXPECT_EQ(D->Message, "operand 'p0' does not carry the value of virtual 'a'");
+  EXPECT_EQ(D->Witness,
+            "physical `xor p2, p0, p1` | virtual `xor d, a, b` | path: main");
+}
+
+// Two xors that cancel leave p0 as it was, but they are neither a swap nor
+// the image of a virtual xor.
+TEST(TranslationValidator, RejectsCancellingXors) {
+  DiagnosticEngine Engine;
+  ValidationResult V = validatePaired(R"(
+.thread cancel
+.entrylive a, b, out
+main:
+    store [out+0], a
+    loopend
+    halt
+
+.thread cancel.phys
+.entrylive p0, p1, p2
+main:
+    xor  p0, p0, p1
+    xor  p0, p0, p1
+    store [p2+0], p0
+    loopend
+    halt
+)",
+                                      Engine);
+  EXPECT_FALSE(V.Proved);
+  ASSERT_TRUE(Engine.hasErrors());
+  EXPECT_EQ(Engine.firstError()->Message,
+            "physical instruction does not match the pending virtual "
+            "instruction");
 }
 
 TEST(TranslationValidator, MoveEliminationOutputStillProves) {
