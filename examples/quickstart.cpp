@@ -118,6 +118,6 @@ loop:
   for (int I = 0; I < 8; ++I)
     std::cout << Sim.readMemoryWord(0x280 + static_cast<uint32_t>(I)) << " ";
   std::cout << "\n\nFirst thread, allocated form:\n\n";
-  printProgram(std::cout, R.Physical.Threads[0]);
+  std::cout << programToString(R.Physical.Threads[0]);
   return 0;
 }

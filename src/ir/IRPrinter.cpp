@@ -2,91 +2,147 @@
 
 #include "ir/IRPrinter.h"
 
-#include <sstream>
+#include "support/StringUtils.h"
 
 using namespace npral;
 
-static std::string blockLabel(const Program &P, int BlockId) {
-  if (BlockId == NoBlock)
-    return "<none>";
-  // The verifier formats malformed instructions, so a dangling target must
-  // render instead of indexing out of range.
-  if (BlockId < 0 || BlockId >= P.getNumBlocks())
-    return "<invalid:" + std::to_string(BlockId) + ">";
-  return std::string(P.blockName(BlockId));
+static void appendBlockLabel(std::string &Out, const Program &P,
+                             int BlockId) {
+  if (BlockId == NoBlock) {
+    Out += "<none>";
+  } else if (BlockId < 0 || BlockId >= P.getNumBlocks()) {
+    // The verifier formats malformed instructions, so a dangling target
+    // must render instead of indexing out of range.
+    Out += "<invalid:";
+    appendInteger(Out, BlockId);
+    Out += '>';
+  } else {
+    Out += P.blockName(BlockId);
+  }
 }
 
-std::string npral::formatInstruction(const Program &P, const Instruction &I) {
+void npral::appendInstruction(std::string &Out, const Program &P,
+                              const Instruction &I) {
   const OpcodeInfo &Info = I.info();
-  std::ostringstream OS;
-  OS << Info.Mnemonic;
+  Out += Info.Mnemonic;
 
-  auto reg = [&](Reg R) { return P.getRegName(R); };
+  auto reg = [&](Reg R) { P.appendRegName(Out, R); };
+  auto imm = [&] { appendInteger(Out, I.Imm); };
+  auto target = [&] { appendBlockLabel(Out, P, I.Target); };
 
   switch (Info.Shape) {
   case OperandShape::None:
     break;
   case OperandShape::DefImm:
-    OS << ' ' << reg(I.Def) << ", " << I.Imm;
+    Out += ' ';
+    reg(I.Def);
+    Out += ", ";
+    imm();
     break;
   case OperandShape::DefUse:
-    OS << ' ' << reg(I.Def) << ", " << reg(I.Use1);
+    Out += ' ';
+    reg(I.Def);
+    Out += ", ";
+    reg(I.Use1);
     break;
   case OperandShape::DefUseUse:
-    OS << ' ' << reg(I.Def) << ", " << reg(I.Use1) << ", " << reg(I.Use2);
+    Out += ' ';
+    reg(I.Def);
+    Out += ", ";
+    reg(I.Use1);
+    Out += ", ";
+    reg(I.Use2);
     break;
   case OperandShape::DefUseImm:
-    if (I.Op == Opcode::Load)
-      OS << ' ' << reg(I.Def) << ", [" << reg(I.Use1) << '+' << I.Imm << ']';
-    else
-      OS << ' ' << reg(I.Def) << ", " << reg(I.Use1) << ", " << I.Imm;
+    Out += ' ';
+    reg(I.Def);
+    if (I.Op == Opcode::Load) {
+      Out += ", [";
+      reg(I.Use1);
+      Out += '+';
+      imm();
+      Out += ']';
+    } else {
+      Out += ", ";
+      reg(I.Use1);
+      Out += ", ";
+      imm();
+    }
     break;
   case OperandShape::UseUseImm:
-    OS << " [" << reg(I.Use1) << '+' << I.Imm << "], " << reg(I.Use2);
+    Out += " [";
+    reg(I.Use1);
+    Out += '+';
+    imm();
+    Out += "], ";
+    reg(I.Use2);
     break;
   case OperandShape::UseImm:
-    OS << ' ' << I.Imm << ", " << reg(I.Use1);
+    Out += ' ';
+    imm();
+    Out += ", ";
+    reg(I.Use1);
     break;
   case OperandShape::ImmOnly:
-    OS << ' ' << I.Imm;
+    Out += ' ';
+    imm();
     break;
   case OperandShape::Target:
-    OS << ' ' << blockLabel(P, I.Target);
+    Out += ' ';
+    target();
     break;
   case OperandShape::UseUseTarget:
-    OS << ' ' << reg(I.Use1) << ", " << reg(I.Use2) << ", "
-       << blockLabel(P, I.Target);
+    Out += ' ';
+    reg(I.Use1);
+    Out += ", ";
+    reg(I.Use2);
+    Out += ", ";
+    target();
     break;
   case OperandShape::UseTarget:
-    OS << ' ' << reg(I.Use1) << ", " << blockLabel(P, I.Target);
+    Out += ' ';
+    reg(I.Use1);
+    Out += ", ";
+    target();
     break;
   }
-  return OS.str();
 }
 
-void npral::printProgram(std::ostream &OS, const Program &P) {
-  OS << ".thread " << (P.Name.empty() ? "unnamed" : P.Name) << '\n';
-  if (!P.EntryLiveRegs.empty()) {
-    OS << ".entrylive";
-    for (size_t I = 0; I < P.EntryLiveRegs.size(); ++I)
-      OS << (I ? ", " : " ") << P.getRegName(P.EntryLiveRegs[I]);
-    OS << '\n';
-  }
-  for (int B = 0; B < P.getNumBlocks(); ++B) {
-    const BasicBlock &BB = P.block(B);
-    OS << P.blockName(B) << ":\n";
-    for (const Instruction &I : BB.Instrs)
-      OS << "    " << formatInstruction(P, I) << '\n';
-    // Make fallthrough explicit when it is not the next block in layout
-    // order; the parser re-derives implicit fallthrough from layout.
-    bool EndsWithTerm = !BB.Instrs.empty() && BB.Instrs.back().isTerminator();
-    if (!EndsWithTerm && BB.FallThrough != NoBlock && BB.FallThrough != B + 1)
-      OS << "    br " << P.blockName(BB.FallThrough) << '\n';
-  }
+std::string npral::formatInstruction(const Program &P, const Instruction &I) {
+  std::string Out;
+  appendInstruction(Out, P, I);
+  return Out;
 }
 
 std::string npral::programToString(const Program &P) {
-  std::ostringstream OS;
-  printProgram(OS, P);
-  return OS.str();
+  std::string Out = ".thread ";
+  Out += P.Name.empty() ? std::string_view("unnamed") : P.Name;
+  Out += '\n';
+  if (!P.EntryLiveRegs.empty()) {
+    Out += ".entrylive";
+    for (size_t I = 0; I < P.EntryLiveRegs.size(); ++I) {
+      Out += I ? ", " : " ";
+      P.appendRegName(Out, P.EntryLiveRegs[I]);
+    }
+    Out += '\n';
+  }
+  for (int B = 0; B < P.getNumBlocks(); ++B) {
+    const BasicBlock &BB = P.block(B);
+    Out += P.blockName(B);
+    Out += ":\n";
+    for (const Instruction &I : BB.Instrs) {
+      Out += "    ";
+      appendInstruction(Out, P, I);
+      Out += '\n';
+    }
+    // Make fallthrough explicit when it is not the next block in layout
+    // order; the parser re-derives implicit fallthrough from layout.
+    bool EndsWithTerm = !BB.Instrs.empty() && BB.Instrs.back().isTerminator();
+    if (!EndsWithTerm && BB.FallThrough != NoBlock && BB.FallThrough != B + 1) {
+      Out += "    br ";
+      Out += P.blockName(BB.FallThrough);
+      Out += '\n';
+    }
+  }
+  return Out;
 }

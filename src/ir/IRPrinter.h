@@ -11,19 +11,19 @@
 
 #include "ir/Program.h"
 
-#include <ostream>
 #include <string>
 
 namespace npral {
 
-/// Render one instruction (no trailing newline). Branch targets are printed
-/// as block names.
+/// Append one instruction (no trailing newline) to \p Out. Branch targets
+/// are printed as block names. The one place an instruction's text is made.
+void appendInstruction(std::string &Out, const Program &P,
+                       const Instruction &I);
+
+/// appendInstruction into a fresh string.
 std::string formatInstruction(const Program &P, const Instruction &I);
 
-/// Print a whole program in parseable assembly.
-void printProgram(std::ostream &OS, const Program &P);
-
-/// Convenience: printProgram into a string.
+/// A whole program in parseable assembly.
 std::string programToString(const Program &P);
 
 } // namespace npral

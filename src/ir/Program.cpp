@@ -2,6 +2,8 @@
 
 #include "ir/Program.h"
 
+#include "support/StringUtils.h"
+
 #include <algorithm>
 #include <cassert>
 
@@ -48,12 +50,21 @@ Reg Program::addReg(std::string_view Name) {
 }
 
 std::string Program::getRegName(Reg R) const {
-  if (R == NoReg)
-    return "<none>";
-  if (static_cast<size_t>(R) < RegNameIds.size() &&
-      RegNameIds[static_cast<size_t>(R)] != NoStr)
-    return std::string(Strings.view(RegNameIds[static_cast<size_t>(R)]));
-  return (IsPhysical ? "p" : "r") + std::to_string(R);
+  std::string Name;
+  appendRegName(Name, R);
+  return Name;
+}
+
+void Program::appendRegName(std::string &Out, Reg R) const {
+  if (R == NoReg) {
+    Out += "<none>";
+  } else if (static_cast<size_t>(R) < RegNameIds.size() &&
+             RegNameIds[static_cast<size_t>(R)] != NoStr) {
+    Out += Strings.view(RegNameIds[static_cast<size_t>(R)]);
+  } else {
+    Out += IsPhysical ? 'p' : 'r';
+    appendInteger(Out, R);
+  }
 }
 
 SuccessorList Program::successors(int BlockId) const {

@@ -120,6 +120,9 @@ public:
   /// Debug name of \p R ("r<N>" when unnamed).
   std::string getRegName(Reg R) const;
 
+  /// Append getRegName(\p R) to \p Out.
+  void appendRegName(std::string &Out, Reg R) const;
+
   /// Label of block \p B (view into the program's arena).
   std::string_view blockName(int B) const {
     const BasicBlock &BB = block(B);

@@ -320,8 +320,8 @@ void Server::processRequest(Pending &P) {
   Resp.Degraded = R.UsedSpilling;
   Resp.Validated = R.Validated;
   // Body: the allocated physical assembly, composed exactly as `npralc
-  // alloc`'s print section renders it (printProgram per thread, one blank
-  // separator after each) — the byte-identity tests depend on this.
+  // alloc`'s print section renders it (programToString per thread, one
+  // blank separator after each) — the byte-identity tests depend on this.
   for (const Program &T : R.Physical.Threads) {
     Resp.Body += programToString(T);
     Resp.Body += "\n";

@@ -3,6 +3,7 @@
 #include "support/StringUtils.h"
 
 #include <cctype>
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
@@ -74,6 +75,11 @@ std::optional<int64_t> npral::parseInteger(std::string_view S) {
     Value = Value * Base + Digit;
   }
   return static_cast<int64_t>(Negative ? 0 - Value : Value);
+}
+
+void npral::appendInteger(std::string &Out, int64_t V) {
+  char Buf[24];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
 }
 
 bool npral::isIdentifier(std::string_view S) {

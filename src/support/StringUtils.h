@@ -31,6 +31,10 @@ std::vector<std::string_view> split(std::string_view S, char Sep);
 /// or a value outside the int64_t range.
 std::optional<int64_t> parseInteger(std::string_view S);
 
+/// Append \p V in decimal to \p Out, exactly as `std::ostream << V` writes
+/// it.
+void appendInteger(std::string &Out, int64_t V);
+
 /// True if \p S is a valid identifier: [A-Za-z_.][A-Za-z0-9_.]*.
 bool isIdentifier(std::string_view S);
 

@@ -11,11 +11,16 @@
 // instruction counts index different per-instruction live sets). One round
 // trip normalises; after that the hash is a fixed point too.
 //
+// The fixtures are every examples/asm file and the three Table-3 scenarios
+// as printed programs (~2,500 instructions each), the largest texts the
+// serve daemon parses and prints.
+//
 //===----------------------------------------------------------------------===//
 
 #include "asmparse/AsmParser.h"
 #include "driver/AnalysisCache.h"
 #include "ir/IRPrinter.h"
+#include "workloads/Harness.h"
 #include "workloads/ProgramGenerator.h"
 
 #include "gtest/gtest.h"
@@ -25,12 +30,16 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 using namespace npral;
 
 namespace {
 
+constexpr std::string_view Table3Prefix = "table3/";
+
+/// examples/asm paths, then "table3/<scenario>" for each Table-3 scenario.
 std::vector<std::string> collectFixtures() {
   std::vector<std::string> Paths;
   for (const auto &Entry :
@@ -38,6 +47,8 @@ std::vector<std::string> collectFixtures() {
     if (Entry.path().extension() == ".s")
       Paths.push_back(Entry.path().string());
   std::sort(Paths.begin(), Paths.end());
+  for (const Scenario &S : getAraScenarios())
+    Paths.push_back(std::string(Table3Prefix) + S.Name);
   return Paths;
 }
 
@@ -49,13 +60,32 @@ std::string readFile(const std::string &Path) {
   return OS.str();
 }
 
+/// The text of fixture \p Path: the file, or the scenario's threads
+/// printed one after another.
+std::string fixtureText(const std::string &Path) {
+  if (Path.rfind(Table3Prefix, 0) != 0)
+    return readFile(Path);
+  const std::string Name = Path.substr(Table3Prefix.size());
+  for (const Scenario &S : getAraScenarios()) {
+    if (S.Name != Name)
+      continue;
+    std::string Text;
+    for (const Program &P :
+         toMultiThreadProgram(buildScenarioWorkloads(S), S.Name).Threads)
+      Text += programToString(P) + "\n";
+    return Text;
+  }
+  ADD_FAILURE() << "no scenario " << Name;
+  return {};
+}
+
 } // namespace
 
 class RoundTripGoldenTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(RoundTripGoldenTest, PrintParseFixedPoint) {
   const std::string Path = GetParam();
-  ErrorOr<MultiThreadProgram> First = parseAssembly(readFile(Path));
+  ErrorOr<MultiThreadProgram> First = parseAssembly(fixtureText(Path));
   ASSERT_TRUE(First.ok()) << Path << ": " << First.status().message();
 
   for (const Program &P : (*First).Threads) {
@@ -87,14 +117,14 @@ TEST_P(RoundTripGoldenTest, PrintParseFixedPoint) {
 
 TEST_P(RoundTripGoldenTest, WholeFileReassembles) {
   const std::string Path = GetParam();
-  ErrorOr<MultiThreadProgram> First = parseAssembly(readFile(Path));
+  ErrorOr<MultiThreadProgram> First = parseAssembly(fixtureText(Path));
   ASSERT_TRUE(First.ok()) << Path << ": " << First.status().message();
 
   // Concatenate every thread's printed form and reparse the whole file.
-  std::ostringstream Whole;
+  std::string Whole;
   for (const Program &P : (*First).Threads)
-    printProgram(Whole, P);
-  ErrorOr<MultiThreadProgram> Again = parseAssembly(Whole.str());
+    Whole += programToString(P);
+  ErrorOr<MultiThreadProgram> Again = parseAssembly(Whole);
   ASSERT_TRUE(Again.ok()) << Path << ": " << Again.status().message();
   ASSERT_EQ((*Again).getNumThreads(),
             (*First).getNumThreads());
@@ -128,15 +158,21 @@ TEST(RoundTripGoldenCorpus, GeneratedProgramsReparse) {
 }
 
 TEST(RoundTripGoldenCorpus, FindsAllFixtures) {
-  // Keep the glob honest: the shipped corpus has at least these fixtures.
-  EXPECT_GE(collectFixtures().size(), 5u);
+  // Keep the glob honest: the shipped corpus has at least these fixtures,
+  // besides the three Table-3 scenarios.
+  EXPECT_GE(collectFixtures().size(), 8u);
 }
 
 INSTANTIATE_TEST_SUITE_P(ExamplesAsm, RoundTripGoldenTest,
                          ::testing::ValuesIn(collectFixtures()),
                          [](const ::testing::TestParamInfo<std::string> &I) {
                            std::string Name =
-                               std::filesystem::path(I.param).stem().string();
+                               I.param.rfind(Table3Prefix, 0) == 0
+                                   ? "table3_" + I.param.substr(
+                                                     Table3Prefix.size())
+                                   : std::filesystem::path(I.param)
+                                         .stem()
+                                         .string();
                            std::replace_if(
                                Name.begin(), Name.end(),
                                [](char C) { return !std::isalnum(C); }, '_');

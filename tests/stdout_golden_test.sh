@@ -3,6 +3,7 @@
 # no arguments in a scratch directory and diffs its stdout against
 # GOLDEN_DIR/<basename of BIN>.golden. A program that exits non-zero fails
 # the test. Every program runs, so one failure does not hide the others.
+# A relative BIN is taken from the current directory.
 #
 #   sh stdout_golden_test.sh GOLDEN_DIR BIN...           # diff each golden
 #   sh stdout_golden_test.sh --update GOLDEN_DIR BIN...  # rewrite them
@@ -19,6 +20,10 @@ trap 'rm -rf "$Work"' EXIT
 
 Status=0
 for Bin in "$@"; do
+  case $Bin in
+  /*) ;;
+  *) Bin=$PWD/$Bin ;;
+  esac
   Name=$(basename "$Bin")
   Code=0
   (cd "$Work" && "$Bin" > "$Work/$Name.out") || Code=$?

@@ -526,10 +526,8 @@ int cmdAlloc(const std::string &Path, BatchOptions Opts,
               << (Prof ? "collected profile" : "static estimate") << ")\n";
   if (!Explain) {
     std::cout << "\n";
-    for (const Program &T : R.Physical.Threads) {
-      printProgram(std::cout, T);
-      std::cout << "\n";
-    }
+    for (const Program &T : R.Physical.Threads)
+      std::cout << programToString(T) << "\n";
   }
   return 0;
 }
