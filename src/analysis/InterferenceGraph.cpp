@@ -2,6 +2,8 @@
 
 #include "analysis/InterferenceGraph.h"
 
+#include "ir/CFGUtils.h"
+
 #include <algorithm>
 #include <cassert>
 
@@ -169,6 +171,14 @@ ThreadAnalysis npral::analyzeThread(const Program &P) {
     }
   }
   TA.GIG.addClique(TA.Liveness.blockLiveIn(P.getEntryBlock()));
+  // No def reaches a block no path reaches, so registers co-live only in
+  // unreachable code would get no edge, while RegPmax (the MinR bound)
+  // still counts those points. Registers live into an unreachable block
+  // act as defined together at its entry, like entry-live registers.
+  const std::vector<char> Reached = findReachableBlocks(P);
+  for (int B = 0; B < P.getNumBlocks(); ++B)
+    if (!Reached[static_cast<size_t>(B)])
+      TA.GIG.addClique(TA.Liveness.blockLiveIn(B));
 
   // Boundary classification and BIG edges: everything crossing one CSB
   // forms a clique, word-parallel per boundary.

@@ -2,7 +2,6 @@
 
 #include "driver/BatchPipeline.h"
 
-#include "alloc/AllocationVerifier.h"
 #include "analysis/LiveRangeRenaming.h"
 #include "asmparse/AsmParser.h"
 #include "driver/AnalysisCache.h"
@@ -30,9 +29,9 @@ using Clock = InterAllocLimits::Clock;
 /// Every stage a job times, in pipeline order (Internal never is). The
 /// stats renderers list all but Validate in their stage line; validation
 /// has a line of its own.
-constexpr JobStage TimedStages[] = {JobStage::Parse,  JobStage::Analysis,
+constexpr JobStage TimedStages[] = {JobStage::Parse, JobStage::Analysis,
                                     JobStage::Bounds, JobStage::Alloc,
-                                    JobStage::Verify, JobStage::Validate};
+                                    JobStage::Validate};
 
 int64_t nsBetween(Clock::time_point From, Clock::time_point To) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(To - From)
@@ -181,40 +180,32 @@ void processOne(const BatchJob &In, const BatchOptions &Opts,
   R.TotalMoveCost = Alloc.TotalMoveCost;
   R.TotalWeightedCost = Alloc.TotalWeightedCost;
 
-  // Independent cross-thread safety verification.
-  if (Opts.Verify &&
-      !Job.stage(JobStage::Verify, {},
-                 [&] { return Job.verifySafety(Alloc.Physical); }))
+  // Translation validation, the job's one physical-program check: prove
+  // the physical output computes exactly what the renamed virtual program
+  // (still held in MTP; allocation does not mutate its input) computes and
+  // keeps every register live across a CSB private. Spill-degraded outputs
+  // are proved against the same pre-spill reference. A strict run's
+  // decision log describes its one allocation attempt, so it must also
+  // agree with the result it explains.
+  if (!Job.stage(JobStage::Validate, {}, [&] {
+        MetricsRegistry *Metrics = &MetricsRegistry::global();
+        DiagnosticEngine &Diags = R.ValidateDiags;
+        R.Validation = validateTranslation(MTP, Alloc.Physical, Diags, Metrics);
+        const int LogMismatches =
+            Log && !Opts.AllowSpill
+                ? crossCheckDecisionLog(*Log, Alloc, Diags, Metrics)
+                : 0;
+        Diags.sortByPosition();
+        if (R.Validation.Proved && LogMismatches == 0)
+          return true;
+        const Diagnostic *First = Diags.firstError();
+        return Job.fail(StatusCode::Internal,
+                        "translation validation refuted the allocation: " +
+                            (First ? First->Message
+                                   : std::string("program shape mismatch")));
+      }))
     return;
-
-  // Translation validation — prove the physical output computes exactly
-  // what the renamed virtual program (still held in MTP; allocation does
-  // not mutate its input) computes. Spill-degraded outputs are proved
-  // against the same pre-spill reference. A strict run's decision log
-  // describes its one allocation attempt, so it must also agree with the
-  // result it explains.
-  if (Opts.Validate) {
-    if (!Job.stage(JobStage::Validate, {}, [&] {
-          MetricsRegistry *Metrics = &MetricsRegistry::global();
-          DiagnosticEngine &Diags = R.ValidateDiags;
-          R.Validation =
-              validateTranslation(MTP, Alloc.Physical, Diags, Metrics);
-          const int LogMismatches =
-              Log && !Opts.AllowSpill
-                  ? crossCheckDecisionLog(*Log, Alloc, Diags, Metrics)
-                  : 0;
-          Diags.sortByPosition();
-          if (R.Validation.Proved && LogMismatches == 0)
-            return true;
-          const Diagnostic *First = Diags.firstError();
-          return Job.fail(StatusCode::Internal,
-                          "translation validation refuted the allocation: " +
-                              (First ? First->Message
-                                     : std::string("program shape mismatch")));
-        }))
-      return;
-    R.Validated = true;
-  }
+  R.Validated = true;
 
   R.Threads = std::move(Alloc.Threads);
   R.SharedBase = Alloc.SharedBase;
@@ -280,18 +271,6 @@ bool JobRun::fail(StatusCode Code, std::string Reason) {
         "deadline of " + std::to_string(Opts.DeadlineMs) + " ms exceeded";
   }
   return false;
-}
-
-bool JobRun::verifySafety(const MultiThreadProgram &Physical) {
-  DiagnosticEngine Safety;
-  collectAllocationSafety(Physical, Safety);
-  const Diagnostic *First = Safety.firstError();
-  if (!First)
-    return true;
-  for (const Diagnostic &D : Safety.diagnostics())
-    R.ValidateDiags.report(D);
-  R.ValidateDiags.sortByPosition();
-  return fail(StatusCode::Internal, "unsafe allocation: " + First->Message);
 }
 
 BatchJobResult npral::runSingleJob(const BatchJob &In,
@@ -417,12 +396,9 @@ void PipelineStats::renderText(std::ostream &OS) const {
     OS << formatString(
         "harden: %d degraded, %d deadline-exceeded, %d faults injected\n",
         Degraded, DeadlineExceeded, FaultsInjected);
-  // Same convention for the validation line: only --validate runs have
-  // nonzero counters, so plain runs keep their historical output.
-  if (Validated || ValidateFailed)
-    OS << formatString("validate: %d proved, %d refuted (%.2f ms)\n",
-                       Validated, ValidateFailed,
-                       ms(StageNs[JobStage::Validate]));
+  OS << formatString("validate: %d proved, %d refuted (%.2f ms)\n",
+                     Validated, ValidateFailed,
+                     ms(StageNs[JobStage::Validate]));
   OS << formatString("wall: %.2f ms (%.1f programs/s)\n", ms(WallNs),
                      throughput());
 }
@@ -449,10 +425,9 @@ void PipelineStats::renderJSON(std::ostream &OS) const {
     OS << "  \"harden\": {\"degraded\": " << Degraded
        << ", \"deadline_exceeded\": " << DeadlineExceeded
        << ", \"faults_injected\": " << FaultsInjected << "},\n";
-  if (Validated || ValidateFailed)
-    OS << "  \"validate\": {\"proved\": " << Validated
-       << ", \"refuted\": " << ValidateFailed
-       << ", \"ns\": " << StageNs[JobStage::Validate] << "},\n";
+  OS << "  \"validate\": {\"proved\": " << Validated
+     << ", \"refuted\": " << ValidateFailed
+     << ", \"ns\": " << StageNs[JobStage::Validate] << "},\n";
   // Job-latency percentiles come from the batch.job_wall_ns histogram and
   // only exist for real runs; synthetic stats keep their golden output.
   if (JobWallCount > 0)

@@ -56,8 +56,7 @@ enum class JobStage {
   Analysis, ///< per thread: check, rename, analyze (through the cache)
   Bounds,   ///< per cache-missed thread: the §5 register bounds
   Alloc,    ///< Fig. 8 inter-thread allocation, spill fallback included
-  Verify,   ///< the CSB-privacy safety verifier
-  Validate, ///< the translation validator
+  Validate, ///< the translation validator, CSB privacy included
   Internal, ///< an exception escaped a stage; never timed
 };
 
@@ -66,7 +65,7 @@ inline constexpr size_t NumJobStages =
 
 inline const char *jobStageName(JobStage S) {
   constexpr const char *Names[NumJobStages] = {
-      "parse", "analysis", "bounds", "alloc", "verify", "validate", "internal"};
+      "parse", "analysis", "bounds", "alloc", "validate", "internal"};
   return Names[static_cast<size_t>(S)];
 }
 
@@ -90,17 +89,10 @@ struct BatchOptions {
   /// Callers passing their own AnalysisCache configure the bound on it
   /// directly.
   int64_t CacheBytes = 0;
-  /// Run the AllocationVerifier over every successful allocation.
-  bool Verify = true;
-  /// Run the translation validator over every successful allocation: a
-  /// symbolic value-flow proof that the physical program computes exactly
-  /// what the renamed virtual program computes (lint/TranslationValidator.h),
-  /// at roughly one extra dataflow pass per job. It catches miscompiles
-  /// Verify cannot see, but it does not subsume Verify: a value kept in a
-  /// shared register across a CSB whose only later use is a dead copy
-  /// proves, yet breaks CSB privacy (docs/validation.md). A refuted job
-  /// fails in JobStage::Validate.
-  bool Validate = false;
+  /// Inert, kept for npral-bench/: no job runs a separate verifier pass.
+  bool Verify = false;
+  /// Inert, kept for npral-bench/: every job is validated.
+  bool Validate = true;
   /// Retain each job's physical program in its result (costs memory;
   /// `npralc batch` leaves it off, `alloc`, `run`, serve and the tests turn
   /// it on).
@@ -162,7 +154,8 @@ struct BatchJobResult {
   StatusCode FailCode = StatusCode::Ok;
   /// True when the job's allocation came from the spill fallback.
   bool UsedSpilling = false;
-  /// True when translation validation ran and proved the job's output.
+  /// True when the translation validator proved the job's output (every
+  /// successful job).
   bool Validated = false;
   /// Live ranges demoted to memory by the spill fallback, the spill
   /// instructions it inserted, and its allocateInterThread attempts
@@ -189,11 +182,10 @@ struct BatchJobResult {
   int64_t CacheMisses = 0;
   /// Wall clock of each stage the job ran, failed ones included.
   StageTimes StageNs;
-  /// Translation-validation counts, and the diagnostics of the checks that
-  /// judged the job, sorted by program position: the validator's (plus the
-  /// decision-log cross-check's when runSingleJob got a log) whenever the
-  /// validate stage ran, refuted or not, and the safety verifier's when it
-  /// refused.
+  /// Translation-validation counts, and the diagnostics of the validator
+  /// (plus the decision-log cross-check's when runSingleJob got a log)
+  /// whenever the validate stage ran, refuted or not, sorted by program
+  /// position.
   ValidationResult Validation;
   DiagnosticEngine ValidateDiags;
   /// Filled when BatchOptions::KeepPhysical.
@@ -227,8 +219,7 @@ struct PipelineStats {
   int Degraded = 0;        ///< Succeeded jobs that the spill fallback fit.
   int DeadlineExceeded = 0; ///< Jobs that failed with DeadlineExceeded.
   int FaultsInjected = 0;  ///< Jobs failed by an injected fault.
-  /// Translation-validation counters; like the robustness counters they
-  /// stay zero (and unrendered) unless BatchOptions::Validate was on.
+  /// Translation-validation counters, rendered on every run.
   int Validated = 0;       ///< Jobs whose output the validator proved.
   int ValidateFailed = 0;  ///< Jobs the validator refuted.
   /// Per-job latency percentiles from the batch.job_wall_ns histogram
@@ -309,10 +300,10 @@ BatchResult runBatch(const std::vector<BatchJob> &Inputs,
 ///
 /// \p Log, when non-null, receives the allocation decision log (of the
 /// final attempt when the spill fallback retried). It only observes: the
-/// allocation is the same with or without it. With Opts.Validate on and
-/// spilling off, the validate stage also cross-checks the log against the
-/// result (crossCheckDecisionLog), and a mismatch refutes the job like a
-/// failed proof.
+/// allocation is the same with or without it. With spilling off, the
+/// validate stage also cross-checks the log against the result
+/// (crossCheckDecisionLog), and a mismatch refutes the job like a failed
+/// proof.
 BatchJobResult runSingleJob(const BatchJob &In, const BatchOptions &Opts,
                             AnalysisCache *Cache = nullptr,
                             uint64_t ProfileHash = 0,

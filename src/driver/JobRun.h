@@ -54,12 +54,6 @@ public:
   bool fail(StatusCode Code, std::string Reason);
   bool fail(const Status &St) { return fail(St.code(), St.str()); }
 
-  /// The Verify stage's body on both job paths: the CSB-privacy safety
-  /// verifier over \p Physical. A refusal fails the job with the first
-  /// error and adds every diagnostic of the check to R.ValidateDiags, which
-  /// stays sorted by program position.
-  bool verifySafety(const MultiThreadProgram &Physical);
-
 private:
   TraceArgs spanArgs(std::string_view Thread) const;
 

@@ -16,18 +16,18 @@ using namespace npral;
 
 namespace {
 
-/// True when the file stopped before a check could judge it. A file the
-/// validator refutes or the safety verifier refuses is rejected instead.
+/// True when the file stopped before the validator could judge it. A file
+/// the validator refutes is rejected instead.
 bool isError(const BatchJobResult &F) {
-  return !F.Success && F.FailStage != JobStage::Validate &&
-         F.FailStage != JobStage::Verify;
+  return !F.Success && F.FailStage != JobStage::Validate;
 }
 
 /// Check one file in paired mode through the job stages: parse, then the
-/// translation validator and the CSB-privacy verifier on the physical
-/// half. Both checks always run, so a rejection lists the diagnostics of
-/// every check that refused, sorted by program position (independent of
-/// worker scheduling); the verdict names the first refusing check.
+/// translation validator, CSB privacy included, on the physical half. The
+/// parser has already checked every thread's structure (verifyProgram), and
+/// mapping the p<N> names keeps it. A rejection lists the validator's
+/// diagnostics sorted by program position (independent of worker
+/// scheduling).
 BatchJobResult verifyPaired(const std::string &Path, const BatchOptions &Opts) {
   BatchJobResult R;
   R.Name = Path;
@@ -59,7 +59,7 @@ BatchJobResult verifyPaired(const std::string &Path, const BatchOptions &Opts) {
       }))
     return R;
 
-  Job.stage(JobStage::Validate, {}, [&] {
+  R.Success = Job.stage(JobStage::Validate, {}, [&] {
     R.Validation = validateTranslation(Virt, Phys, R.ValidateDiags,
                                        &MetricsRegistry::global());
     R.ValidateDiags.sortByPosition();
@@ -71,8 +71,6 @@ BatchJobResult verifyPaired(const std::string &Path, const BatchOptions &Opts) {
                         (First ? First->Message
                                : std::string("program shape mismatch")));
   });
-  Job.stage(JobStage::Verify, {}, [&] { return Job.verifySafety(Phys); });
-  R.Success = !R.FailStage;
   return R;
 }
 
@@ -92,7 +90,6 @@ VerifyResult npral::runVerify(const std::vector<std::string> &Paths,
     std::vector<BatchJob> Jobs(Paths.size());
     for (size_t I = 0; I < Paths.size(); ++I)
       Jobs[I].Path = Paths[I];
-    Opts.Validate = true;
     Out.Files = runBatch(Jobs, Opts).Results;
   }
   for (const BatchJobResult &F : Out.Files)

@@ -4,21 +4,22 @@
 /// The `npralc verify` pipeline as a library: for each input file, run the
 /// translation validator (lint/TranslationValidator.h), which proves — or
 /// refutes, with a structured witness — that a physical program computes
-/// exactly what its renamed virtual program computes.
+/// exactly what its renamed virtual program computes and keeps every
+/// register live across a CSB private.
 ///
 /// Two modes per file:
-///   - allocate mode (default): one runBatch call with validation on, so
-///     every file takes the shared job path — parse, rename live ranges,
-///     reject use of undefined registers, allocate (with optional spill
-///     fallback and PGO weighting), run the safety verifier, and validate
-///     the allocator's own output against the renamed input;
+///   - allocate mode (default): one runBatch call, so every file takes the
+///     shared job path — parse, rename live ranges, reject use of undefined
+///     registers, allocate (with optional spill fallback and PGO
+///     weighting), and validate the allocator's own output against the
+///     renamed input;
 ///   - paired mode: the file itself carries both halves of the proof
 ///     obligation — the first half of its threads is the virtual program,
 ///     the second half a hand-written physical program (registers named
-///     p<N>, mapped by mapNamedPhysicalRegisters). The validator checks
-///     the physical half against the virtual one, and the safety verifier
-///     checks its CSB privacy, which the validator alone can miss. This is
-///     how deliberate miscompiles like examples/asm/bad_swap.s are checked.
+///     p<N>, mapped by mapNamedPhysicalRegisters). The job runs parse and
+///     validate only: the validator checks the physical half against the
+///     virtual one. This is how deliberate miscompiles like
+///     examples/asm/bad_swap.s are checked.
 ///
 /// Either way each file yields one BatchJobResult, whose stages run
 /// through JobRun like every job's, and the report is rendered from those.
@@ -41,15 +42,13 @@ namespace npral {
 
 struct VerifyResult {
   /// One result per input, in input order regardless of worker scheduling.
-  /// A file is proved when every check passed, and rejected when a check
-  /// refused it (it failed in JobStage::Validate or JobStage::Verify). Any
-  /// other failure never reached the checks and counts as an error.
-  /// Validated keeps the validator's own verdict, so a paired file the
-  /// verifier alone refuses is rejected with Validated set.
+  /// A file is proved when the validator proved it, and rejected when the
+  /// validator refuted it (it failed in JobStage::Validate). Any other
+  /// failure never reached the validator and counts as an error.
   std::vector<BatchJobResult> Files;
-  int Proved = 0;   ///< Files every check passed.
-  int Rejected = 0; ///< Files a check refused.
-  int Errors = 0;   ///< Files that never reached the checks.
+  int Proved = 0;   ///< Files the validator proved.
+  int Rejected = 0; ///< Files the validator refuted.
+  int Errors = 0;   ///< Files that never reached the validator.
 
   bool allProved() const { return Rejected == 0 && Errors == 0; }
   /// Warning-severity check diagnostics across all files (for --Werror).
@@ -63,7 +62,7 @@ struct VerifyResult {
 };
 
 /// Run the verify pipeline over \p Paths on Opts.Jobs workers. Allocate
-/// mode is one runBatch call with \p Opts and validation on. With
+/// mode is one runBatch call with \p Opts. With
 /// \p Paired, each file's threads are split in half and the second
 /// (physical) half is checked against the first instead of allocating;
 /// only Opts.Jobs and Opts.Faults apply there.

@@ -122,8 +122,6 @@ GridReport npral::runKernelPoolGrid(const std::string &Name,
   BatchOptions JobOpts;
   JobOpts.Nreg = Opts.Nreg;
   JobOpts.AllowSpill = true;
-  JobOpts.Verify = true;
-  JobOpts.Validate = true;
   JobOpts.KeepPhysical = true;
   struct BinAllocation {
     std::vector<Workload> Workloads;

@@ -7,7 +7,7 @@
 /// allocate every engine's bin through the batch pipeline's job path
 /// (runSingleJob: the paper's inter-thread allocator with the spill
 /// fallback engaged, as each engine has its own GPR file, then the
-/// CSB-privacy verifier and the translation validator), and simulate the
+/// translation validator, CSB privacy included), and simulate the
 /// engines, each on its own lane to the ingress over the modeled
 /// interconnect.
 ///

@@ -95,6 +95,24 @@ std::vector<std::pair<int, int>> npral::findBackEdges(const Program &P) {
   return BackEdges;
 }
 
+std::vector<char> npral::findReachableBlocks(const Program &P) {
+  std::vector<char> Reached(static_cast<size_t>(P.getNumBlocks()), 0);
+  if (Reached.empty())
+    return Reached;
+  std::vector<int> Worklist{P.getEntryBlock()};
+  Reached[static_cast<size_t>(P.getEntryBlock())] = 1;
+  while (!Worklist.empty()) {
+    const int B = Worklist.back();
+    Worklist.pop_back();
+    for (int S : P.successors(B))
+      if (!Reached[static_cast<size_t>(S)]) {
+        Reached[static_cast<size_t>(S)] = 1;
+        Worklist.push_back(S);
+      }
+  }
+  return Reached;
+}
+
 std::vector<int> npral::computeLoopDepths(const Program &P) {
   const int N = P.getNumBlocks();
   std::vector<int> Depth(static_cast<size_t>(N), 0);

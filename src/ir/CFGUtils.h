@@ -4,8 +4,8 @@
 /// CFG mutation utilities used by the allocators when inserting move
 /// instructions: edge splitting (for moves that must execute on exactly one
 /// CFG edge) and point-wise instruction insertion. Also the CFG *analysis*
-/// helpers the profile subsystem builds on: dominators, back edges and loop
-/// nesting depths.
+/// helpers: reachability, and the dominators, back edges and loop nesting
+/// depths the profile subsystem builds on.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -43,6 +43,9 @@ void insertAt(Program &P, ProgramPoint Point, const Instruction &I);
 /// br/halt), or the block size when the block ends by fallthrough. Useful
 /// for "append at end but before branches" insertions.
 int getTerminatorGroupBegin(const BasicBlock &BB);
+
+/// Per block, 1 when some path from the entry block reaches it, else 0.
+std::vector<char> findReachableBlocks(const Program &P);
 
 /// Immediate dominator of every block (Cooper-Harvey-Kennedy over the RPO).
 /// The entry block's idom is itself; blocks unreachable from the entry get

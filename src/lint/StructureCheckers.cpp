@@ -1,5 +1,6 @@
 //===- StructureCheckers.cpp - structure, unreachable-block, moves --------===//
 
+#include "ir/CFGUtils.h"
 #include "ir/IRPrinter.h"
 #include "lint/Checkers.h"
 #include "lint/Lint.h"
@@ -34,18 +35,7 @@ void lintchecks::checkUnreachableBlocks(LintContext &Ctx) {
     if (!Ctx.state(T).HasDataflow)
       continue;
     const Program &P = Ctx.thread(T);
-    std::vector<char> Reached(static_cast<size_t>(P.getNumBlocks()), 0);
-    std::vector<int> Worklist{P.getEntryBlock()};
-    Reached[static_cast<size_t>(P.getEntryBlock())] = 1;
-    while (!Worklist.empty()) {
-      int B = Worklist.back();
-      Worklist.pop_back();
-      for (int S : P.successors(B))
-        if (!Reached[static_cast<size_t>(S)]) {
-          Reached[static_cast<size_t>(S)] = 1;
-          Worklist.push_back(S);
-        }
-    }
+    const std::vector<char> Reached = findReachableBlocks(P);
     for (int B = 0; B < P.getNumBlocks(); ++B)
       if (!Reached[static_cast<size_t>(B)])
         Ctx.emit(Severity::Warning, "unreachable-block", T, B, -1,

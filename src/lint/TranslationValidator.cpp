@@ -21,8 +21,12 @@ namespace {
 
 /// Every location holds one value number, or kUnknown when nothing is
 /// known about it. Equal numbers mean equal values; a fresh number is a
-/// value no other location holds yet.
+/// value no other location holds yet. A physical register can also be
+/// kClobbered: a CSB of this thread handed it to another thread that
+/// references it, and no def has written it since. Reading it breaks CSB
+/// privacy. A join keeps kClobbered when any incoming path carries it.
 constexpr int32_t kUnknown = -1;
+constexpr int32_t kClobbered = -2;
 
 /// True when \p Instrs[I..I+2] is the register swap `xor A, A, B;
 /// xor B, A, B; xor A, A, B` with A != B (what appendXorSwap writes). The
@@ -150,17 +154,29 @@ private:
 /// block's final transfer failed — a reporting pass in reverse post order.
 class ThreadValidator {
 public:
-  ThreadValidator(const Program &Virt, const Program &Phys,
-                  const BitVector &OtherRefs,
+  /// Validates thread \p T of \p PhysAll against \p Virt. \p Refs holds
+  /// the physical registers each thread references, entry-live ones
+  /// included.
+  ThreadValidator(const Program &Virt, const MultiThreadProgram &PhysAll,
+                  int T, const std::vector<BitVector> &Refs,
                   const std::set<int64_t> &OtherSlotWrites,
                   const std::vector<int64_t> &VirtualAbsAddrs,
                   DiagnosticEngine &Engine)
-      : Virt(Virt), Phys(Phys), VirtualAbsAddrs(VirtualAbsAddrs),
-        Engine(Engine), NV(Virt.getNumBlocks()),
-        VVSize(maxRegPlusOne(Virt)), PVSize(maxRegPlusOne(Phys)) {
-    for (int P = 0; P < std::min<int>(PVSize, OtherRefs.size()); ++P)
-      if (OtherRefs.test(P))
-        ClobberRegs.push_back(P);
+      : Virt(Virt), PhysAll(PhysAll),
+        Phys(PhysAll.Threads[static_cast<size_t>(T)]),
+        VirtualAbsAddrs(VirtualAbsAddrs), Engine(Engine),
+        NV(Virt.getNumBlocks()), VVSize(maxRegPlusOne(Virt)),
+        PVSize(maxRegPlusOne(Phys)),
+        ClobberOwner(static_cast<size_t>(PVSize), -1) {
+    for (int P = 0; P < PVSize; ++P)
+      for (int U = 0; U < static_cast<int>(Refs.size()); ++U) {
+        const BitVector &R = Refs[static_cast<size_t>(U)];
+        if (U != T && P < R.size() && R.test(P)) {
+          ClobberRegs.push_back(P);
+          ClobberOwner[static_cast<size_t>(P)] = U;
+          break;
+        }
+      }
     ClobberSlots.assign(OtherSlotWrites.begin(), OtherSlotWrites.end());
   }
 
@@ -171,6 +187,7 @@ public:
 
 private:
   const Program &Virt;
+  const MultiThreadProgram &PhysAll;
   const Program &Phys;
   const std::vector<int64_t> &VirtualAbsAddrs; ///< sorted, deduplicated
   DiagnosticEngine &Engine;
@@ -178,6 +195,7 @@ private:
   const int VVSize;
   const int PVSize;
   std::vector<Reg> ClobberRegs;       ///< physical regs other threads touch
+  std::vector<int> ClobberOwner;      ///< phys reg -> first such thread, or -1
   std::vector<int64_t> ClobberSlots;  ///< scratch words other threads write
 
   std::vector<SuccessorList> Succs;     ///< physical successor lists
@@ -254,7 +272,7 @@ private:
     ++RenumCur;
     int32_t Count = 0;
     auto renum = [&](int32_t N) {
-      if (N == kUnknown)
+      if (N < 0) // kUnknown, kClobbered
         return N;
       const auto I = static_cast<size_t>(N);
       if (RenumEpoch[I] != RenumCur) {
@@ -277,6 +295,12 @@ private:
   SymState makeEntryState();
   void joinStates(const std::vector<const SymState *> &Preds, SymState &R);
   void transfer(SymState &S, int B);
+  /// Refute each operand of \p PI (instruction \p PIdx of block \p B) that
+  /// reads a register \p S holds clobbered. Out of line: a proved thread
+  /// never calls it, and inlined it slows the transfer loop.
+  [[gnu::cold, gnu::noinline]] void
+  reportPrivacyBreach(const SymState &S, int B, const Instruction &PI,
+                      int PIdx);
 
   /// Follow a chain of allocator-inserted blocks (ID >= NV: spill
   /// pre-entry, edge splits holding parallel copies) to the paired block
@@ -417,8 +441,9 @@ void ThreadValidator::joinStates(const std::vector<const SymState *> &Preds,
                                  SymState &R) {
   // Intersection-style unification: a location survives the join when it is
   // known in every predecessor; locations with identical per-predecessor
-  // value signatures share one fresh value. The output is already in
-  // canonical form (group numbers in first-occurrence order).
+  // value signatures share one fresh value. A register clobbered on any
+  // incoming path stays clobbered. The output is already in canonical form
+  // (group numbers in first-occurrence order).
   if (Preds.size() == 1) {
     canonicalizeInto(*Preds[0], R);
     return;
@@ -440,8 +465,8 @@ void ThreadValidator::joinStates(const std::vector<const SymState *> &Preds,
     const SymState &A = *Preds[0];
     const SymState &B = *Preds[1];
     auto joinLoc2 = [&](int32_t Av, int32_t Bv) -> int32_t {
-      if (Av == kUnknown || Bv == kUnknown)
-        return kUnknown;
+      if (Av < 0 || Bv < 0)
+        return std::min(Av, Bv); // kClobbered wins over kUnknown
       if (Av == Bv) {
         // Diagonal signature: direct table instead of the hash probe.
         const auto I = static_cast<size_t>(Av);
@@ -473,18 +498,19 @@ void ThreadValidator::joinStates(const std::vector<const SymState *> &Preds,
   }
   std::map<std::vector<int32_t>, int32_t> Groups;
   std::vector<int32_t> Sig(Preds.size());
-  // Returns the joined value number for one location; kUnknown when
-  // unknown in any predecessor.
-  auto joinLoc = [&](int32_t First, auto lookup) -> int32_t {
-    if (First == kUnknown)
-      return kUnknown;
+  // Returns the joined value number for one location; kClobbered when
+  // clobbered in any predecessor, else kUnknown when unknown in any.
+  // \p Floor is the least state the location can hold (kClobbered for a
+  // physical register, kUnknown otherwise): once reached, it is the join.
+  auto joinLoc = [&](int32_t First, auto lookup, int32_t Floor) -> int32_t {
+    int32_t Least = First;
     Sig[0] = First;
-    for (size_t P = 1; P < Preds.size(); ++P) {
-      int32_t V = lookup(*Preds[P]);
-      if (V == kUnknown)
-        return kUnknown;
-      Sig[P] = V;
+    for (size_t P = 1; P < Preds.size() && Least > Floor; ++P) {
+      Sig[P] = lookup(*Preds[P]);
+      Least = std::min(Least, Sig[P]);
     }
+    if (Least < 0)
+      return Least;
     auto [It, Inserted] =
         Groups.emplace(Sig, static_cast<int32_t>(Groups.size()));
     (void)Inserted;
@@ -493,21 +519,44 @@ void ThreadValidator::joinStates(const std::vector<const SymState *> &Preds,
   for (int I = 0; I < VVSize; ++I)
     R.VV[static_cast<size_t>(I)] =
         joinLoc(Preds[0]->VV[static_cast<size_t>(I)],
-                [I](const SymState &S) { return S.VV[static_cast<size_t>(I)]; });
+                [I](const SymState &S) { return S.VV[static_cast<size_t>(I)]; },
+                kUnknown);
   for (int I = 0; I < PVSize; ++I)
     R.PV[static_cast<size_t>(I)] =
         joinLoc(Preds[0]->PV[static_cast<size_t>(I)],
-                [I](const SymState &S) { return S.PV[static_cast<size_t>(I)]; });
+                [I](const SymState &S) { return S.PV[static_cast<size_t>(I)]; },
+                kClobbered);
   for (const auto &[A, V] : Preds[0]->Slots) {
     const int64_t Addr = A;
-    int32_t J = joinLoc(V, [Addr](const SymState &S) {
-      return S.slotGet(Addr);
-    });
+    int32_t J = joinLoc(
+        V, [Addr](const SymState &S) { return S.slotGet(Addr); }, kUnknown);
     if (J != kUnknown)
       R.Slots.push_back({Addr, J}); // sorted: Preds[0]->Slots is sorted
   }
   LastVNCount = static_cast<int32_t>(Groups.size());
   MaxVNEver = std::max(MaxVNEver, LastVNCount);
+}
+
+void ThreadValidator::reportPrivacyBreach(const SymState &S, int B,
+                                          const Instruction &PI, int PIdx) {
+  std::array<Reg, 2> Uses;
+  const int N = PI.getUses(Uses);
+  for (int U = 0; U < N; ++U) {
+    const Reg R = Uses[static_cast<size_t>(U)];
+    if (R >= PVSize || S.PV[static_cast<size_t>(R)] != kClobbered ||
+        (U == 1 && R == Uses[0]))
+      continue;
+    reportLazy(
+        B, PIdx,
+        [&] {
+          const int Owner = ClobberOwner[static_cast<size_t>(R)];
+          return "register " + Phys.getRegName(R) +
+                 " is live across a CSB of thread '" + Phys.Name +
+                 "' but referenced by thread '" +
+                 PhysAll.Threads[static_cast<size_t>(Owner)].Name + "'";
+        },
+        [&] { return makeWitness(B, &PI, nullptr); });
+  }
 }
 
 void ThreadValidator::transfer(SymState &S, int B) {
@@ -524,6 +573,12 @@ void ThreadValidator::transfer(SymState &S, int B) {
   };
   auto pvGet = [&](Reg R) {
     return R >= 0 && R < PVSize ? S.PV[static_cast<size_t>(R)] : kUnknown;
+  };
+  // What a copy reads: a clobbered register holds nothing known (the read
+  // itself is refuted by checkPrivacy).
+  auto pvRead = [&](Reg R) {
+    const int32_t V = pvGet(R);
+    return V == kClobbered ? kUnknown : V;
   };
 
   // A known virtual value constrains the physical register read in its
@@ -566,11 +621,11 @@ void ThreadValidator::transfer(SymState &S, int B) {
   };
 
   // A context-switch boundary hands the register file's shared portion to
-  // the other threads: forget every physical register another thread
-  // references and every scratch word another thread writes.
+  // the other threads: clobber every physical register another thread
+  // references and forget every scratch word another thread writes.
   auto clobber = [&] {
     for (Reg P : ClobberRegs)
-      S.PV[static_cast<size_t>(P)] = kUnknown;
+      S.PV[static_cast<size_t>(P)] = kClobbered;
     for (int64_t A : ClobberSlots)
       S.slotErase(A);
   };
@@ -581,8 +636,13 @@ void ThreadValidator::transfer(SymState &S, int B) {
 
     if (PI.Op == Opcode::Nop)
       continue;
+    // CSB privacy: a register live across a CSB must be private. Any read
+    // of a clobbered register refutes the thread, copies and spill stores
+    // included, whether or not the value reaches a checked operand.
+    if (pvGet(PI.Use1) == kClobbered || pvGet(PI.Use2) == kClobbered)
+      reportPrivacyBreach(S, B, PI, PIdxI);
     if (PI.Op == Opcode::Mov) {
-      S.PV[static_cast<size_t>(PI.Def)] = pvGet(PI.Use1);
+      S.PV[static_cast<size_t>(PI.Def)] = pvRead(PI.Use1);
       ++BlockCopies[static_cast<size_t>(B)];
       continue;
     }
@@ -604,8 +664,9 @@ void ThreadValidator::transfer(SymState &S, int B) {
         std::swap(S, SwapUndo);
         VI = VI0;
         NextVN = NextVN0;
-        std::swap(S.PV[static_cast<size_t>(PI.Def)],
-                  S.PV[static_cast<size_t>(PI.Use2)]);
+        const int32_t A = pvRead(PI.Def);
+        S.PV[static_cast<size_t>(PI.Def)] = pvRead(PI.Use2);
+        S.PV[static_cast<size_t>(PI.Use2)] = A;
         BlockCopies[static_cast<size_t>(B)] += 3;
       }
       PIdx += 2;
@@ -625,7 +686,7 @@ void ThreadValidator::transfer(SymState &S, int B) {
     if (PI.Op == Opcode::StoreA &&
         !std::binary_search(VirtualAbsAddrs.begin(), VirtualAbsAddrs.end(),
                             PI.Imm)) {
-      int32_t V = pvGet(PI.Use1);
+      int32_t V = pvRead(PI.Use1);
       clobber();
       if (V != kUnknown)
         S.slotSet(PI.Imm, V);
@@ -694,8 +755,9 @@ void ThreadValidator::transfer(SymState &S, int B) {
       continue;
     }
     auto checkOperand = [&](Reg VR, Reg PR) {
-      if (VR == NoReg ? PR == NoReg : carries(VR, PR))
-        return;
+      if (VR == NoReg ? PR == NoReg
+                      : carries(VR, PR) || pvGet(PR) == kClobbered)
+        return; // a clobbered read is already refuted by checkPrivacy
       reportLazy(
           B, PIdxI,
           [&] {
@@ -989,15 +1051,19 @@ ValidationResult npral::validateTranslation(const MultiThreadProgram &Virt,
       VirtualAbsAddrs.end());
 
   // Per-thread clobber sets: physical registers the *other* threads
-  // reference and scratch words they write.
+  // reference (entry-live ones included, as the safety verifier counts
+  // them) and scratch words they write.
   int MaxPhysRegs = 1;
   for (const Program &T : Phys.Threads)
     MaxPhysRegs = std::max(MaxPhysRegs, T.NumRegs);
   std::vector<BitVector> Refs(static_cast<size_t>(Nthd),
                               BitVector(MaxPhysRegs));
   std::vector<std::set<int64_t>> SlotWrites(static_cast<size_t>(Nthd));
-  for (int T = 0; T < Nthd; ++T)
-    for (const BasicBlock &BB : Phys.Threads[static_cast<size_t>(T)].Blocks)
+  for (int T = 0; T < Nthd; ++T) {
+    const Program &P = Phys.Threads[static_cast<size_t>(T)];
+    for (Reg E : P.EntryLiveRegs)
+      Refs[static_cast<size_t>(T)].set(E);
+    for (const BasicBlock &BB : P.Blocks)
       for (const Instruction &I : BB.Instrs) {
         if (I.Def != NoReg)
           Refs[static_cast<size_t>(T)].set(I.Def);
@@ -1008,20 +1074,16 @@ ValidationResult npral::validateTranslation(const MultiThreadProgram &Virt,
         if (I.Op == Opcode::StoreA)
           SlotWrites[static_cast<size_t>(T)].insert(I.Imm);
       }
+  }
 
   R.Proved = true;
   for (int T = 0; T < Nthd; ++T) {
-    BitVector OtherRefs(MaxPhysRegs);
     std::set<int64_t> OtherSlotWrites;
-    for (int U = 0; U < Nthd; ++U) {
-      if (U == T)
-        continue;
-      OtherRefs.unionWith(Refs[static_cast<size_t>(U)]);
-      OtherSlotWrites.insert(SlotWrites[static_cast<size_t>(U)].begin(),
-                             SlotWrites[static_cast<size_t>(U)].end());
-    }
-    ThreadValidator TV(Virt.Threads[static_cast<size_t>(T)],
-                       Phys.Threads[static_cast<size_t>(T)], OtherRefs,
+    for (int U = 0; U < Nthd; ++U)
+      if (U != T)
+        OtherSlotWrites.insert(SlotWrites[static_cast<size_t>(U)].begin(),
+                               SlotWrites[static_cast<size_t>(U)].end());
+    ThreadValidator TV(Virt.Threads[static_cast<size_t>(T)], Phys, T, Refs,
                        OtherSlotWrites, VirtualAbsAddrs, Engine);
     if (TV.run())
       ++R.ThreadsProved;

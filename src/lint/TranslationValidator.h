@@ -16,11 +16,21 @@
 /// else, every other `xor` included, must pair 1:1, in order, with an
 /// original virtual instruction of the same opcode/immediate/target whose
 /// operands carry the same value numbers; a swap is matched that way only
-/// when the pending virtual instructions compute the same swap. Context-
-/// switch boundaries clobber physical registers referenced by other threads
-/// and scratch slots written by other threads, so a value the allocator
-/// wrongly kept in a shared register across a CSB fails the proof exactly
-/// where the paper's invariant is violated.
+/// when the pending virtual instructions compute the same swap.
+///
+/// The walk also enforces CSB privacy (the paper's §2, property 5). At a
+/// context-switch boundary every physical register another thread
+/// references (entry-live ones included) becomes *clobbered*, and every
+/// scratch slot another thread writes is forgotten. A def clears the
+/// clobbered state, and a join keeps it when any incoming path carries it.
+/// Any physical instruction that reads a clobbered register refutes the
+/// thread, a copy or spill store whose value is never used included, with
+/// a diagnostic naming the register, the thread and one other thread that
+/// references it. On reachable code this is exactly the safety verifier's
+/// rule (alloc/AllocationVerifier.h): a register in LiveOut \ Def of a CSB
+/// that another thread references. One gap remains: a CSB in a block no
+/// path reaches is never walked, so a breach there goes unreported; such
+/// code never runs.
 ///
 /// Loops are handled by a worklist fixpoint over the physical CFG with an
 /// intersection-style join (locations agreeing in every predecessor keep a

@@ -166,7 +166,6 @@ std::string npral::encodeAllocRequest(const AllocRequest &R) {
   Out += "nreg=" + std::to_string(R.Nreg) + "\n";
   Out += "allow-spill=" + std::string(R.AllowSpill ? "1" : "0") + "\n";
   Out += "max-spills=" + std::to_string(R.MaxSpills) + "\n";
-  Out += "validate=" + std::string(R.Validate ? "1" : "0") + "\n";
   Out += "deadline-ms=" + std::to_string(R.DeadlineMs) + "\n";
   Out += "profile-hash=" + std::to_string(R.ProfileHash) + "\n";
   Out += "\n";
@@ -181,7 +180,7 @@ ErrorOr<AllocRequest> npral::parseAllocRequest(const std::string &Payload) {
                               /*RequireBlank=*/true);
       !S.ok())
     return S;
-  bool Seen[6] = {};
+  bool Seen[5] = {};
   for (const auto &[Key, Value] : KVs) {
     int Idx;
     bool OkV;
@@ -194,14 +193,11 @@ ErrorOr<AllocRequest> npral::parseAllocRequest(const std::string &Payload) {
     } else if (Key == "max-spills") {
       Idx = 2;
       OkV = parseInt(Value, R.MaxSpills);
-    } else if (Key == "validate") {
-      Idx = 3;
-      OkV = parseBool(Value, R.Validate);
     } else if (Key == "deadline-ms") {
-      Idx = 4;
+      Idx = 3;
       OkV = parseInt(Value, R.DeadlineMs);
     } else if (Key == "profile-hash") {
-      Idx = 5;
+      Idx = 4;
       OkV = parseU64(Value, R.ProfileHash);
     } else {
       return parseError("unknown request option '" + Key + "'");

@@ -88,6 +88,7 @@ struct AllocRequest {
   int Nreg = 128;
   bool AllowSpill = false;
   int MaxSpills = 64;
+  /// Inert, kept for npral-bench/: every request is validated.
   bool Validate = false;
   /// Per-request deadline in ms (BatchOptions::DeadlineMs); 0 = the
   /// server's default.

@@ -278,7 +278,6 @@ void Server::workerLoop() {
 void Server::processRequest(Pending &P) {
   BatchOptions BO;
   BO.Nreg = P.Req.Nreg;
-  BO.Validate = P.Req.Validate;
   BO.KeepPhysical = true;
   BO.AllowSpill = P.Req.AllowSpill;
   BO.MaxSpills = P.Req.MaxSpills;

@@ -3,18 +3,22 @@
 // The parser must never crash and must return a Status for any byte soup:
 // random printable garbage, truncations of valid programs, and random
 // line-level mutations. When it does accept an input, the result must
-// verify.
+// verify, and the job path must return for it.
 //
 //===----------------------------------------------------------------------===//
 
 #include "asmparse/AsmParser.h"
 
+#include "TextMutations.h"
+
+#include "driver/BatchPipeline.h"
 #include "ir/IRVerifier.h"
 #include "support/Random.h"
 
 #include "gtest/gtest.h"
 
 #include <string>
+#include <vector>
 
 using namespace npral;
 
@@ -98,4 +102,24 @@ TEST(ParserFuzzTest, DeterministicAcceptance) {
   EXPECT_EQ(A->Threads[0].countInstructions(),
             B->Threads[0].countInstructions());
   EXPECT_EQ(A->Threads[0].NumRegs, B->Threads[0].NumRegs);
+}
+
+// Every mutation of the parse/print golden's corpus that the parser
+// accepts goes through the job path and returns, whatever its verdict. A
+// mutation can leave a block no path reaches (a swapped label), which once
+// aborted the bounds estimator.
+TEST(ParserFuzzTest, EveryAcceptedMutationReturnsFromTheJobPath) {
+  const std::vector<textmut::Input> Inputs = textmut::corpus();
+  int Accepted = 0;
+  for (size_t I = textmut::baseCount(Inputs); I < Inputs.size(); ++I) {
+    BatchJob Job;
+    Job.Name = Inputs[I].Label;
+    Job.Text = Inputs[I].Text;
+    BatchOptions Opts;
+    Opts.AllowSpill = true;
+    const BatchJobResult R = runSingleJob(Job, Opts);
+    Accepted += R.FailStage != JobStage::Parse;
+  }
+  // tests/asmparse/parse_print.golden records 991 accepted mutations.
+  EXPECT_EQ(Accepted, 991);
 }

@@ -14,7 +14,10 @@
 #    abort), and an input path that names a directory is an I/O error,
 #    not empty text;
 #  * lint --physical refuses a register index past the ceiling however
-#    many digits it has.
+#    many digits it has;
+#  * no subcommand takes --validate (every job is validated);
+#  * a block no path reaches gets an analysis and an allocation, from
+#    npralc and from the daemon, which keeps serving.
 #
 # usage: npralc_usage_test.sh <path/to/npralc> <examples/asm directory>
 set -u
@@ -66,6 +69,13 @@ expect_usage --profile-hash client --socket "$TMP/s" --health --profile-hash -1
 expect_usage --retry-degraded batch "$F" --retry-degraded
 grep -q '^error: --retry-degraded: unknown flag$' "$TMP/err" ||
   fail "npralc batch --retry-degraded: not an unknown flag"
+for Cmd in analyze alloc run baseline sra lint verify profile batch \
+  trace-validate report; do
+  expect_usage --validate $Cmd "$F" --validate
+done
+expect_usage --validate grid s1 --validate
+expect_usage --validate serve --socket "$TMP/v" --validate
+expect_usage --validate client --socket "$TMP/v" "$F" --validate
 
 expect 0 alloc "$F" -nreg 12
 expect 0 alloc "$F" -nreg 0x10
@@ -114,6 +124,22 @@ expect 1 lint "$TMP/wrap.s" --physical
 grep -q 'out of range' "$TMP/err" ||
   fail "npralc lint --physical p4294967296: not out of range"
 
+# hash_probe.s with `beq cur, k, hit` and `hit:` swapped leaves a block no
+# path reaches; registers co-live only there once aborted the bounds
+# estimator (exit 134).
+sed -e 's/^    beq  cur, k, hit$/@HIT@/' -e 's/^hit:$/    beq  cur, k, hit/' \
+  -e 's/^@HIT@$/hit:/' "$ASM/hash_probe.s" >"$TMP/unreachable.s"
+cmp -s "$ASM/hash_probe.s" "$TMP/unreachable.s" &&
+  fail "hash_probe.s: the unreachable-block mutant is unchanged"
+expect 0 analyze "$TMP/unreachable.s"
+for Nreg in 128 16; do
+  expect 0 alloc "$TMP/unreachable.s" -nreg $Nreg
+done
+expect 1 alloc "$TMP/unreachable.s" -nreg 8
+grep -q -F '[alloc/infeasible]' "$TMP/err" ||
+  fail "npralc alloc unreachable.s -nreg 8: no [alloc/infeasible] verdict"
+expect 0 alloc "$TMP/unreachable.s" -nreg 8 --allow-spill
+
 # One verdict for lint_buggy.s from every front end that allocates.
 for Cmd in alloc run verify batch; do
   expect 1 $Cmd "$BUGGY"
@@ -131,6 +157,12 @@ done
 expect 1 client --socket "$TMP/sock" "$BUGGY"
 grep -q use-of-undef "$TMP/err" ||
   fail "serve lint_buggy.s: no use-of-undef verdict"
+expect 0 client --socket "$TMP/sock" "$TMP/unreachable.s"
+grep -q 'validated=1' "$TMP/err" ||
+  fail "serve unreachable.s: not validated"
+expect 0 client --socket "$TMP/sock" --health
+grep -q 'state=serving' "$TMP/out" ||
+  fail "serve: no health answer after unreachable.s"
 kill -TERM $Daemon
 wait $Daemon || fail "serve did not drain cleanly"
 

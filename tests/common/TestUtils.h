@@ -15,6 +15,7 @@
 #include "ir/IRVerifier.h"
 #include "ir/Program.h"
 #include "sim/Simulator.h"
+#include "support/StringUtils.h"
 #include "workloads/Harness.h"
 
 #include "gtest/gtest.h"
@@ -24,6 +25,25 @@
 
 namespace npral {
 namespace test {
+
+/// examples/asm/hash_probe.s with its lines `    beq  cur, k, hit` and
+/// `hit:` swapped, which leaves `beq cur, k, hit; store [outp+0], k`
+/// unreachable after `br next`. Registers co-live only in that code once
+/// had no interference edge, and the bounds estimator aborted on it.
+inline std::string hashProbeWithUnreachableBlock() {
+  ErrorOr<std::string> Read =
+      readTextFile(std::string(NPRAL_EXAMPLES_ASM_DIR) + "/hash_probe.s");
+  EXPECT_TRUE(Read.ok()) << Read.status().str();
+  std::string Text = Read.ok() ? Read.take() : std::string();
+  const std::string Beq = "\n    beq  cur, k, hit\n", Hit = "\nhit:\n";
+  const size_t B = Text.find(Beq), H = Text.find(Hit);
+  EXPECT_TRUE(B != std::string::npos && H != std::string::npos && B < H);
+  if (B == std::string::npos || H == std::string::npos || B > H)
+    return Text;
+  Text.replace(H, Hit.size(), Beq);
+  Text.replace(B, Beq.size(), Hit);
+  return Text;
+}
 
 /// The assembly text of Table-3 scenario \p Index (0 = s1), every thread
 /// printed with one blank line after it: the text a serve client sends.

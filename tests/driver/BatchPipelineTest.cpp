@@ -7,6 +7,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "alloc/AllocationVerifier.h"
 #include "driver/AnalysisCache.h"
 #include "driver/BatchPipeline.h"
 #include "ir/IRPrinter.h"
@@ -237,11 +238,12 @@ TEST(BatchPipelineTest, StatsRenderersEmitExpectedKeys) {
                                               << S;
 }
 
+// Every job is validated, and both renderers show the validate line on
+// every run.
 TEST(BatchPipelineTest, ValidateProvesJobsAndFillsStats) {
   std::vector<BatchJob> Jobs = makeCorpus(4);
   BatchOptions Opts;
   Opts.Jobs = 2;
-  Opts.Validate = true;
   BatchResult R = runBatch(Jobs, Opts);
 
   ASSERT_TRUE(R.allSucceeded());
@@ -266,16 +268,29 @@ TEST(BatchPipelineTest, ValidateProvesJobsAndFillsStats) {
       << JSON.str();
 }
 
-TEST(BatchPipelineTest, ValidateOffKeepsStatsOutputByteStable) {
-  std::vector<BatchJob> Jobs = makeCorpus(2);
-  BatchResult R = runBatch(Jobs, BatchOptions{});
-  EXPECT_EQ(R.Stats.Validated, 0);
-  EXPECT_EQ(R.Stats.ValidateFailed, 0);
-  std::ostringstream Text, JSON;
-  R.Stats.renderText(Text);
-  R.Stats.renderJSON(JSON);
-  EXPECT_EQ(Text.str().find("validate"), std::string::npos) << Text.str();
-  EXPECT_EQ(JSON.str().find("\"validate\""), std::string::npos) << JSON.str();
+// A block no path reaches no longer aborts the job: every budget returns a
+// proved allocation, or, without spilling, an infeasible verdict.
+TEST(BatchPipelineTest, UnreachableBlockGetsAProofOrAVerdict) {
+  BatchJob Job;
+  Job.Name = "hash_probe_unreachable";
+  Job.Text = test::hashProbeWithUnreachableBlock();
+  for (int Nreg : {128, 16, 8})
+    for (bool Spill : {false, true}) {
+      SCOPED_TRACE("Nreg " + std::to_string(Nreg) +
+                   (Spill ? " with spilling" : ""));
+      BatchOptions Opts;
+      Opts.Nreg = Nreg;
+      Opts.AllowSpill = Spill;
+      Opts.KeepPhysical = true;
+      const BatchJobResult R = runSingleJob(Job, Opts);
+      if (!R.Success) {
+        EXPECT_EQ(R.FailCode, StatusCode::Infeasible) << R.failureSummary();
+        EXPECT_FALSE(Spill);
+        continue;
+      }
+      EXPECT_TRUE(R.Validated);
+      EXPECT_TRUE(verifyAllocationSafety(R.Physical).ok());
+    }
 }
 
 // batch.deadline_exceeded counts jobs that failed with DeadlineExceeded,
@@ -399,7 +414,6 @@ TEST(JobStageTest, StageSpansMatchStageTimesAndVerdicts) {
   }
 
   BatchOptions Plain;
-  Plain.Validate = true;
   BatchOptions Cached = Plain;
   Cached.UseCache = true;
   BatchOptions Faulted = Plain;

@@ -18,7 +18,10 @@
 //
 // Two unparameterised properties run through the job path: every swap the
 // allocator writes must prove (AllocFuzzSwapTest), and the corpus must
-// hold 1 ms and 5 ms deadlines (AllocFuzzDeadlineTest).
+// hold 1 ms and 5 ms deadlines (AllocFuzzDeadlineTest). A third mutates
+// allocations and checks that the translation validator refutes every
+// mutant the safety verifier refuses for a race at a reachable CSB
+// (AllocFuzzPrivacyTest).
 //
 // Every assertion message carries the failing seed. Each test's gtest
 // parameter IS the seed, so a failure like "AllocFuzz/AllocFuzzTest.X/137"
@@ -29,8 +32,10 @@
 #include "FuzzCaseFactory.h"
 
 #include "alloc/AllocationVerifier.h"
+#include "analysis/NSR.h"
 #include "baseline/ChaitinAllocator.h"
 #include "driver/BatchPipeline.h"
+#include "ir/CFGUtils.h"
 #include "lint/Lint.h"
 #include "lint/TranslationValidator.h"
 
@@ -378,7 +383,6 @@ TEST(AllocFuzzSwapTest, EverySwapProves) {
       Opts.Nreg = Nreg;
       Opts.AllowSpill = Nreg % 2 == 0;
       Opts.MaxSpills = 256;
-      Opts.Validate = true;
       Opts.KeepPhysical = true;
       const BatchJobResult R = runSingleJob(Job, Opts);
       ++Jobs;
@@ -394,6 +398,195 @@ TEST(AllocFuzzSwapTest, EverySwapProves) {
   EXPECT_EQ(Jobs, 1207);
   EXPECT_GE(ProvedWithSwap, 150)
       << "of " << Proved << " proved outputs, too few carry a swap";
+}
+
+namespace {
+
+/// The ways AllocFuzzPrivacyTest breaks an allocation.
+enum class Mutation {
+  /// Re-point a register one thread keeps live across a CSB at one another
+  /// thread references.
+  Repoint,
+  /// Delete one inserted mov.
+  DropMove,
+  /// Swap two adjacent non-branch instructions.
+  SwapAdjacent,
+};
+constexpr Mutation Mutations[] = {Mutation::Repoint, Mutation::DropMove,
+                                  Mutation::SwapAdjacent};
+constexpr const char *MutationNames[] = {"repoint", "drop-move",
+                                         "swap-adjacent"};
+
+/// Registers \p P names in an instruction or holds entry-live.
+BitVector referencedRegs(const Program &P) {
+  BitVector Refs(P.NumRegs);
+  for (Reg R : P.EntryLiveRegs)
+    Refs.set(R);
+  for (const BasicBlock &BB : P.Blocks)
+    for (const Instruction &I : BB.Instrs) {
+      std::array<Reg, 2> Uses;
+      const int N = I.getUses(Uses);
+      for (int U = 0; U < N; ++U)
+        Refs.set(Uses[static_cast<size_t>(U)]);
+      if (I.Def != NoReg)
+        Refs.set(I.Def);
+    }
+  return Refs;
+}
+
+/// Apply \p M to allocation \p Phys at the site \p Seed picks among the
+/// candidates; false when the allocation has none.
+bool mutateAllocation(MultiThreadProgram &Phys, Mutation M, uint64_t Seed) {
+  struct Site {
+    int Thread, Block, Instr;
+  };
+  std::vector<Site> Sites;
+  for (int T = 0; T < Phys.getNumThreads(); ++T) {
+    const Program &P = Phys.Threads[static_cast<size_t>(T)];
+    if (M == Mutation::Repoint) {
+      // A site here is a register (Block holds it) live across a CSB.
+      BitVector Across(P.NumRegs);
+      forEachCSB(P, computeLiveness(P),
+                 [&](int, int, const BitVector &X) { Across.unionWith(X); });
+      Across.forEach([&](int R) { Sites.push_back({T, R, -1}); });
+      continue;
+    }
+    for (int B = 0; B < P.getNumBlocks(); ++B) {
+      const std::vector<Instruction> &Is = P.block(B).Instrs;
+      for (int I = 0; I < static_cast<int>(Is.size()); ++I) {
+        const Instruction &X = Is[static_cast<size_t>(I)];
+        if (M == Mutation::DropMove ? X.Op == Opcode::Mov
+                                    : I + 1 < static_cast<int>(Is.size()) &&
+                                          !X.isBranch() && !X.isTerminator() &&
+                                          !Is[static_cast<size_t>(I) + 1]
+                                               .isBranch() &&
+                                          !Is[static_cast<size_t>(I) + 1]
+                                               .isTerminator())
+          Sites.push_back({T, B, I});
+      }
+    }
+  }
+  if (Sites.empty())
+    return false;
+  const Site S = Sites[static_cast<size_t>(Seed % Sites.size())];
+  Program &P = Phys.Threads[static_cast<size_t>(S.Thread)];
+  if (M == Mutation::DropMove) {
+    std::vector<Instruction> &Is = P.block(S.Block).Instrs;
+    Is.erase(Is.begin() + S.Instr);
+    return true;
+  }
+  if (M == Mutation::SwapAdjacent) {
+    std::vector<Instruction> &Is = P.block(S.Block).Instrs;
+    std::swap(Is[static_cast<size_t>(S.Instr)],
+              Is[static_cast<size_t>(S.Instr) + 1]);
+    return true;
+  }
+  // Re-point: the lowest register another thread references and this one
+  // does not, else any other thread's register but this one.
+  const Reg From = S.Block;
+  const BitVector Own = referencedRegs(P);
+  Reg To = NoReg, Fallback = NoReg;
+  for (int U = 0; U < Phys.getNumThreads(); ++U) {
+    if (U == S.Thread)
+      continue;
+    referencedRegs(Phys.Threads[static_cast<size_t>(U)]).forEach([&](int R) {
+      if (R != From && !Own.test(R) && (To == NoReg || R < To))
+        To = R;
+      if (R != From && (Fallback == NoReg || R < Fallback))
+        Fallback = R;
+    });
+  }
+  if (To == NoReg)
+    To = Fallback;
+  if (To == NoReg)
+    return false;
+  auto repoint = [&](Reg &R) {
+    if (R == From)
+      R = To;
+  };
+  for (Reg &R : P.EntryLiveRegs)
+    repoint(R);
+  for (BasicBlock &BB : P.Blocks)
+    for (Instruction &I : BB.Instrs) {
+      repoint(I.Def);
+      repoint(I.Use1);
+      repoint(I.Use2);
+    }
+  return true;
+}
+
+} // namespace
+
+// The translation validator enforces CSB privacy during its own walk, so
+// it subsumes the safety verifier on reachable code: every mutant of a
+// unit or spill-degraded allocation that collectAllocationSafety refuses
+// with a cross-thread-race error at a reachable CSB, the validator refutes.
+// The counts per mutation kind are in EXPERIMENTS.md ("One physical-program
+// check").
+TEST(AllocFuzzPrivacyTest, ValidatorRefutesEveryVerifierRaceAtReachableCSB) {
+  // Per mutation kind: refused by the verifier only, by the validator only,
+  // by both, by neither.
+  int Counts[3][4] = {};
+  int ReachableRaces = 0;
+  for (uint64_t Seed = 0; Seed < 200; ++Seed) {
+    const FuzzCase C = makeCase(Seed, /*SmallPrograms=*/true);
+    std::vector<MultiThreadProgram> Allocs;
+    InterThreadResult Unit = allocateInterThread(C.Renamed, C.Nreg);
+    if (Unit.Success)
+      Allocs.push_back(std::move(Unit.Physical));
+    // The squeezed budget of TranslationValidationHolds.
+    int SumMinPR = 0, MaxMinSRGap = 0;
+    for (const Program &P : C.Renamed.Threads) {
+      const RegBounds B = estimateRegBounds(analyzeThread(P));
+      SumMinPR += B.MinPR;
+      MaxMinSRGap = std::max(MaxMinSRGap, B.MinR - B.MinPR);
+    }
+    const int LowerBound = SumMinPR + MaxMinSRGap;
+    const int Tight = std::max(4 * C.Nthd, LowerBound - 1 -
+                                               static_cast<int>(Seed % 4));
+    if (Tight < LowerBound) {
+      SpillFallbackOptions Opts;
+      Opts.MaxSpills = 256;
+      SpillFallbackResult SF = allocateWithSpillFallback(
+          C.Renamed, Tight, {}, {}, nullptr, InterAllocLimits(), Opts);
+      if (SF.Inter.Success && SF.UsedSpilling)
+        Allocs.push_back(std::move(SF.Inter.Physical));
+    }
+    for (const MultiThreadProgram &Alloc : Allocs)
+      for (Mutation M : Mutations) {
+        MultiThreadProgram Mutant = Alloc;
+        if (!mutateAllocation(Mutant, M, Seed))
+          continue;
+        DiagnosticEngine Safety;
+        collectAllocationSafety(Mutant, Safety);
+        bool ReachableRace = false;
+        for (const Diagnostic &D : Safety.diagnostics())
+          for (const Program &P : Mutant.Threads)
+            if (D.Sev == Severity::Error && D.Check == "cross-thread-race" &&
+                D.Thread == P.Name && D.Block >= 0 &&
+                findReachableBlocks(P)[static_cast<size_t>(D.Block)])
+              ReachableRace = true;
+        DiagnosticEngine Engine;
+        const bool Refuted =
+            !validateTranslation(C.Renamed, Mutant, Engine).Proved;
+        ReachableRaces += ReachableRace;
+        EXPECT_TRUE(!ReachableRace || Refuted)
+            << "seed " << Seed << ", " << MutationNames[static_cast<int>(M)]
+            << ": the verifier refuses a race the validator proves\n"
+            << dumpDiagnostics(Safety);
+        const bool Refused = Safety.hasErrors();
+        ++Counts[static_cast<int>(M)][Refused ? (Refuted ? 2 : 0)
+                                              : (Refuted ? 1 : 3)];
+      }
+  }
+  for (Mutation M : Mutations) {
+    const int *K = Counts[static_cast<int>(M)];
+    std::printf("%-13s verifier only %d, validator only %d, both %d, "
+                "neither %d\n",
+                MutationNames[static_cast<int>(M)], K[0], K[1], K[2], K[3]);
+    EXPECT_GT(K[0] + K[1] + K[2] + K[3], 0);
+  }
+  EXPECT_GT(ReachableRaces, 0);
 }
 
 namespace {
@@ -414,8 +607,7 @@ constexpr int64_t NsPerMs = 1000000;
 
 /// One corpus case as a job: the plain seeds at their own budgets and spill
 /// seeds 0..11 squeezed below their floors with the spill fallback on (the
-/// corpus the goldens and bench/alloc_tail use), validate on, physical
-/// program kept.
+/// corpus the goldens and bench/alloc_tail use), physical program kept.
 struct JobCase {
   std::string Name;
   BatchJob Job;
@@ -432,7 +624,6 @@ std::vector<JobCase> jobCorpus() {
     K.Opts.Nreg = Nreg;
     K.Opts.AllowSpill = Spill;
     K.Opts.MaxSpills = 256;
-    K.Opts.Validate = true;
     K.Opts.KeepPhysical = true;
     Corpus.push_back(std::move(K));
   };

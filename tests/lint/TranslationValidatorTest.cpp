@@ -316,6 +316,202 @@ TEST(TranslationValidator, CopySwapBeforeXorOfSwappedValuesProves) {
   EXPECT_EQ(V.CopiesInterpreted, 3);
 }
 
+// The paired dead copy keeps x in p1 across alpha's load CSB while beta
+// writes p1. The only later read of p1 is a mov whose result is never read,
+// so the value reaches no checked operand: CSB privacy refutes the read
+// itself.
+TEST(TranslationValidator, RejectsDeadCopyOfClobberedRegister) {
+  DiagnosticEngine Engine;
+  ValidationResult V = validatePaired(
+      readFile(std::string(NPRAL_EXAMPLES_ASM_DIR) +
+               "/paired/dead_copy_paired.s"),
+      Engine);
+  EXPECT_FALSE(V.Proved);
+  ASSERT_EQ(Engine.errorCount(), 1) << renderDiags(Engine);
+  const Diagnostic *D = Engine.firstError();
+  EXPECT_EQ(D->Check, "translation-validation");
+  EXPECT_EQ(D->Message, "register p1 is live across a CSB of thread "
+                        "'alpha.phys' but referenced by thread 'beta.phys'");
+  EXPECT_EQ(D->Block, 0);
+  EXPECT_EQ(D->Instr, 2);
+  EXPECT_NE(D->Witness.find("physical `mov p3, p1`"), std::string::npos)
+      << D->Witness;
+}
+
+// A register clobbered on one incoming path stays clobbered at the join,
+// of two predecessors or of three where another is unknown; a def after
+// the CSB clears it; and another thread's entry-live register is clobbered
+// too, though that thread never names it in an instruction.
+TEST(TranslationValidator, ClobberedStateFollowsJoinsDefsAndEntryLives) {
+  const std::string Beta = R"(
+.thread beta
+.entrylive b
+main:
+    imm  z, 0
+    store [b+0], b
+    halt
+)";
+  auto paired = [&](const std::string &Alpha, const std::string &AlphaPhys,
+                    const std::string &BetaPhys) {
+    return Alpha + Beta + AlphaPhys + BetaPhys;
+  };
+  const std::string BetaWrites = R"(
+.thread beta.phys
+.entrylive p4
+main:
+    imm  p1, 0
+    store [p4+0], p4
+    halt
+)";
+  // Virtually x is stored after the join. beta.phys only ever writes p1,
+  // so the store's p1 operand carries x's value on neither path the
+  // validator can tell apart: only privacy refutes it.
+  {
+    DiagnosticEngine Engine;
+    ValidationResult V = validatePaired(paired(R"(
+.thread alpha
+.entrylive base
+main:
+    imm  x, 5
+    bz   base, skip
+    load u, [base+0]
+    store [base+2], u
+skip:
+    store [base+1], x
+    halt
+)",
+                                               R"(
+.thread alpha.phys
+.entrylive p0
+main:
+    imm  p1, 5
+    bz   p0, skip
+    load p2, [p0+0]
+    store [p0+2], p2
+skip:
+    store [p0+1], p1
+    halt
+)",
+                                               BetaWrites),
+                                        Engine);
+    EXPECT_FALSE(V.Proved);
+    ASSERT_EQ(Engine.errorCount(), 1) << renderDiags(Engine);
+    EXPECT_EQ(Engine.firstError()->Message,
+              "register p1 is live across a CSB of thread 'alpha.phys' but "
+              "referenced by thread 'beta.phys'");
+  }
+  // Three predecessors: p1 unset on the first, set on the second and
+  // clobbered by the load on the third (a fallthrough). The join must not
+  // stop at the unknown one.
+  {
+    DiagnosticEngine Engine;
+    ValidationResult V = validatePaired(paired(R"(
+.thread alpha
+.entrylive base
+main:
+    bz   base, join
+set:
+    imm  x, 5
+    bz   base, join
+csb:
+    load u, [base+0]
+join:
+    store [base+1], x
+    halt
+)",
+                                               R"(
+.thread alpha.phys
+.entrylive p0
+main:
+    bz   p0, join
+set:
+    imm  p1, 5
+    bz   p0, join
+csb:
+    load p2, [p0+0]
+join:
+    store [p0+1], p1
+    halt
+)",
+                                               BetaWrites),
+                                        Engine);
+    EXPECT_FALSE(V.Proved);
+    ASSERT_EQ(Engine.errorCount(), 1) << renderDiags(Engine);
+    EXPECT_EQ(Engine.firstError()->Message,
+              "register p1 is live across a CSB of thread 'alpha.phys' but "
+              "referenced by thread 'beta.phys'");
+  }
+  // The same value recomputed after the CSB: the def clears the state.
+  {
+    DiagnosticEngine Engine;
+    ValidationResult V = validatePaired(paired(R"(
+.thread alpha
+.entrylive base
+main:
+    load u, [base+0]
+    imm  x, 5
+    store [base+1], x
+    store [base+0], u
+    halt
+)",
+                                               R"(
+.thread alpha.phys
+.entrylive p0
+main:
+    load p2, [p0+0]
+    imm  p1, 5
+    store [p0+1], p1
+    store [p0+0], p2
+    halt
+)",
+                                               BetaWrites),
+                                        Engine);
+    EXPECT_TRUE(V.Proved) << renderDiags(Engine);
+  }
+  // beta.phys holds p1 entry-live (its unused c) and names no register in
+  // an instruction but p4.
+  {
+    DiagnosticEngine Engine;
+    ValidationResult V = validatePaired(R"(
+.thread alpha
+.entrylive base
+main:
+    imm  x, 5
+    load u, [base+0]
+    add  y, x, u
+    store [base+0], y
+    halt
+)" R"(
+.thread beta
+.entrylive b, c
+main:
+    store [b+0], b
+    halt
+)" R"(
+.thread alpha.phys
+.entrylive p0
+main:
+    imm  p1, 5
+    load p2, [p0+0]
+    add  p3, p1, p2
+    store [p0+0], p3
+    halt
+)" R"(
+.thread beta.phys
+.entrylive p4, p1
+main:
+    store [p4+0], p4
+    halt
+)",
+                                        Engine);
+    EXPECT_FALSE(V.Proved);
+    ASSERT_EQ(Engine.errorCount(), 1) << renderDiags(Engine);
+    EXPECT_EQ(Engine.firstError()->Message,
+              "register p1 is live across a CSB of thread 'alpha.phys' but "
+              "referenced by thread 'beta.phys'");
+  }
+}
+
 // A swap in the virtual program is matched by its physical image like any
 // other three instructions: whole, with a copy inside it, and when the
 // virtual swap computes into fresh registers that the image colors back

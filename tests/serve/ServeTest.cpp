@@ -140,6 +140,63 @@ TEST(ServeTest, AllocRoundTripMatchesPipelineByteForByte) {
   EXPECT_EQ(S->wait(), 0);
 }
 
+// Every ok response carries a proof, and the protocol has no key to turn
+// validation off: a request that names one is a protocol error.
+TEST(ServeTest, EveryOkResponseIsValidatedAndValidateIsNoRequestKey) {
+  auto S = startServer(ServeOptions{});
+  ServeClient C = connectOrDie(*S);
+
+  AllocRequest Req;
+  Req.Assembly = readFileOrDie(examplePath("two_threads.s"));
+  ErrorOr<ServeResponse> R = C.alloc(Req);
+  ASSERT_TRUE(R.ok()) << R.status().str();
+  ASSERT_TRUE(R->Ok) << R->Message;
+  EXPECT_TRUE(R->Validated);
+  EXPECT_EQ(encodeAllocRequest(Req).find("validate"), std::string::npos);
+
+  Frame F{static_cast<uint16_t>(FrameType::Alloc), 7,
+          "validate=1\n\n" + Req.Assembly};
+  ASSERT_TRUE(writeFrame(C.socket(), F).ok());
+  Frame In;
+  ASSERT_TRUE(C.readRawFrame(In).ok());
+  EXPECT_EQ(In.Type, static_cast<uint16_t>(FrameType::Error));
+  ErrorOr<ServeResponse> E = parseResponse(In.Type, In.Payload);
+  ASSERT_TRUE(E.ok());
+  EXPECT_EQ(E->Code, "parse-error");
+  EXPECT_EQ(E->Stage, "protocol");
+  EXPECT_NE(E->Message.find("unknown request option 'validate'"),
+            std::string::npos)
+      << E->Message;
+
+  S->requestShutdown();
+  EXPECT_EQ(S->wait(), 0);
+}
+
+// One request with a block no path reaches once aborted the bounds
+// estimator and took the daemon down with it. It now allocates and proves,
+// and the daemon keeps answering health probes.
+TEST(ServeTest, UnreachableBlockRequestLeavesTheDaemonServing) {
+  ServeOptions Opts;
+  Opts.Workers = 1;
+  auto S = startServer(Opts);
+  ServeClient C = connectOrDie(*S);
+
+  AllocRequest Req;
+  Req.Assembly = test::hashProbeWithUnreachableBlock();
+  ErrorOr<ServeResponse> R = C.alloc(Req);
+  ASSERT_TRUE(R.ok()) << R.status().str();
+  EXPECT_TRUE(R->Ok) << R->Message;
+  EXPECT_TRUE(R->Validated);
+
+  ErrorOr<ServeResponse> H = C.health();
+  ASSERT_TRUE(H.ok()) << H.status().str();
+  ASSERT_TRUE(H->Ok);
+  EXPECT_NE(H->Body.find("state=serving\n"), std::string::npos) << H->Body;
+
+  S->requestShutdown();
+  EXPECT_EQ(S->wait(), 0);
+}
+
 TEST(ServeTest, HealthAndMetricsAnswerInline) {
   auto S = startServer(ServeOptions{});
   ServeClient C = connectOrDie(*S);

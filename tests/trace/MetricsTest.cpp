@@ -186,7 +186,7 @@ PipelineStats sampleStats() {
   S.StageNs[JobStage::Analysis] = 2'250'000;
   S.StageNs[JobStage::Bounds] = 0;
   S.StageNs[JobStage::Alloc] = 500'000;
-  S.StageNs[JobStage::Verify] = 250'000;
+  S.StageNs[JobStage::Validate] = 250'000;
   S.WallNs = 8'000'000;
   return S;
 }
@@ -201,8 +201,9 @@ TEST(PipelineStatsTest, RenderTextGolden) {
   EXPECT_EQ(OS.str(),
             "batch: 4 programs, 3 ok, 1 failed, jobs=2\n"
             "stages (ms): parse 1.50  analysis 2.25  bounds 0.00  "
-            "alloc 0.50  verify 0.25\n"
+            "alloc 0.50\n"
             "cache: 3 hits, 1 misses (75.0% hit rate)\n"
+            "validate: 0 proved, 0 refuted (0.25 ms)\n"
             "wall: 8.00 ms (500.0 programs/s)\n");
 }
 
@@ -226,7 +227,9 @@ TEST(PipelineStatsTest, RenderJSONGolden) {
             "  \"cache\": {\"enabled\": true, \"hits\": 3, \"misses\": 1, "
             "\"hit_rate\": 0.7500},\n"
             "  \"stages_ns\": {\"parse\": 1500000, \"analysis\": 2250000, "
-            "\"bounds\": 0, \"alloc\": 500000, \"verify\": 250000},\n"
+            "\"bounds\": 0, \"alloc\": 500000},\n"
+            "  \"validate\": {\"proved\": 0, \"refuted\": 0, "
+            "\"ns\": 250000},\n"
             "  \"wall_ns\": 8000000,\n"
             "  \"throughput_programs_per_sec\": 500.00\n"
             "}\n");
@@ -255,8 +258,7 @@ TEST(PipelineStatsTest, RegistryKeySetIsGoldenPinned) {
             "batch.stage.analysis_ns counter 2250000\n"
             "batch.stage.bounds_ns counter 0\n"
             "batch.stage.parse_ns counter 1500000\n"
-            "batch.stage.validate_ns counter 0\n"
-            "batch.stage.verify_ns counter 250000\n"
+            "batch.stage.validate_ns counter 250000\n"
             "batch.succeeded counter 3\n"
             "batch.validate_failed counter 0\n"
             "batch.validated counter 0\n"

@@ -5,7 +5,8 @@
 // allocated program, analysis reports, or a simulation run.
 //
 //   npralc analyze  file.s             per-thread analysis + bounds report
-//   npralc alloc    file.s [-nreg N]   allocate and print physical assembly
+//   npralc alloc    file.s [-nreg N]   allocate, validate and print physical
+//                                      assembly
 //   npralc run      file.s [-nreg N] [-iters K] [-memlat L]
 //                                      allocate, simulate, report cycles
 //   npralc baseline file.s [-regs K]   fixed-partition spilling allocation
@@ -29,7 +30,7 @@
 //                                      collect an execution profile
 //   npralc batch    files... [--jobs N] [--cache] [--stats] [--json]
 //                            [-nreg N] [--profile f] [--pgo-static]
-//                                      allocate and verify many programs
+//                                      allocate and validate many programs
 //                                      across a thread pool
 //   npralc trace-validate t.json       strictly parse and validate a Chrome
 //                                      trace-event JSON file
@@ -110,9 +111,11 @@ int usage() {
          "      MinR/MinPR/MaxR/MaxPR register bounds; no options\n"
          "  alloc    file.s [-nreg N] [--explain] [--profile f]\n"
          "           [--pgo-static] [--allow-spill] [--max-spills K]\n"
-         "           [--validate]\n"
-         "      run the inter-thread allocator and print the physical\n"
-         "      assembly plus the per-thread PR/SR split\n"
+         "      run the inter-thread allocator, prove the physical output\n"
+         "      equivalent to the virtual input (translation validation,\n"
+         "      CSB privacy included; a strict run also cross-checks the\n"
+         "      decision log), and print the physical assembly plus the\n"
+         "      per-thread PR/SR split; a refuted run fails with a witness\n"
          "        -nreg N       register file size (default 128)\n"
          "        --explain     print the allocation decision log: one\n"
          "                      record per reduction step with every\n"
@@ -130,10 +133,6 @@ int usage() {
          "                      inputs produce bit-identical output)\n"
          "        --max-spills K  live ranges the fallback may demote\n"
          "                      (default 64)\n"
-         "        --validate    prove the physical output equivalent to\n"
-         "                      the virtual input (translation validation)\n"
-         "                      and cross-check the allocation decision\n"
-         "                      log; a refuted run fails with a witness\n"
          "  run      file.s [-nreg N] [-iters K] [-memlat L]\n"
          "           [--trace-cycles f.json] [--sample-cycles N]\n"
          "      allocate, then simulate on the cycle-level engine\n"
@@ -194,8 +193,8 @@ int usage() {
          "           [--profile f] [--paired]\n"
          "      allocate each file and statically prove the physical\n"
          "      output computes exactly what the virtual input computes\n"
-         "      (translation validation); a mismatch is reported as a\n"
-         "      diagnostic with a witness path\n"
+         "      (translation validation, CSB privacy included); a\n"
+         "      mismatch is reported as a diagnostic with a witness path\n"
          "        --jobs N      worker threads (default 1); the report is\n"
          "                      byte-identical for any worker count\n"
          "        --json        emit the report as JSON\n"
@@ -220,8 +219,7 @@ int usage() {
          "  batch    files... [--jobs N] [--cache] [--stats] [--json]\n"
          "           [-nreg N] [--profile f] [--pgo-static] [--allow-spill]\n"
          "           [--max-spills K] [--deadline-ms D] [--fault-inject spec]\n"
-         "           [--validate]\n"
-         "      run the full pipeline (parse, analyze, allocate, verify)\n"
+         "      run the full pipeline (parse, analyze, allocate, validate)\n"
          "      over many files on a thread pool; one result row per file\n"
          "        --jobs N      worker threads (default: hw concurrency)\n"
          "        --cache       memoise per-thread analyses by content hash\n"
@@ -244,10 +242,6 @@ int usage() {
          "                      honours NPRAL_FAULT_INJECT in the\n"
          "                      environment. Injected faults fail the job,\n"
          "                      never the batch\n"
-         "        --validate    translation-validate every successful\n"
-         "                      allocation; a refuted job fails in stage\n"
-         "                      'validate' and --stats grows a validate\n"
-         "                      line\n"
          "        --cache-bytes B  bound the analysis cache to B bytes with\n"
          "                      LRU eviction (implies --cache); 0 =\n"
          "                      unbounded (default)\n"
@@ -270,7 +264,7 @@ int usage() {
          "        --cache-bytes B  analysis-cache budget (default 64M)\n"
          "        --retry-after-ms M  backoff hint in shed responses\n"
          "  client   --socket PATH [file.s] [-nreg N] [--allow-spill]\n"
-         "           [--max-spills K] [--validate] [--deadline-ms D]\n"
+         "           [--max-spills K] [--deadline-ms D]\n"
          "           [--profile-hash H] [--health] [--fetch-metrics]\n"
          "      send one request to a running serve daemon; prints the\n"
          "      allocated physical assembly (byte-identical to `alloc`'s\n"
@@ -464,8 +458,8 @@ int cmdAlloc(const std::string &Path, BatchOptions Opts,
   Opts.KeepPhysical = true;
   BatchJob Job;
   Job.Path = Path;
-  // The log only observes; with --validate on a strict run the job also
-  // cross-checks it against the result.
+  // The log only observes; a strict run's validate stage also cross-checks
+  // it against the result.
   AllocationDecisionLog Log;
   const BatchJobResult R = runSingleJob(Job, Opts, nullptr, 0, &Log);
   if (R.FailStage == JobStage::Parse || R.FailStage == JobStage::Analysis)
@@ -489,11 +483,10 @@ int cmdAlloc(const std::string &Path, BatchOptions Opts,
   }
   if (!R.Success)
     return reportFailure(R);
-  if (R.Validated)
-    std::cout << "validated: " << R.Validation.ThreadsProved
-              << " thread(s) proved, " << R.Validation.InstructionsMatched
-              << " instruction(s) matched, " << R.Validation.CopiesInterpreted
-              << " copies interpreted\n";
+  std::cout << "validated: " << R.Validation.ThreadsProved
+            << " thread(s) proved, " << R.Validation.InstructionsMatched
+            << " instruction(s) matched, " << R.Validation.CopiesInterpreted
+            << " copies interpreted\n";
   // The default table is byte-stable against pre-PGO builds; the weighted
   // column only appears when a PGO flag is active.
   std::vector<std::string> Cols{"Thread", "PR", "SR", "PrivateBase", "Moves",
@@ -1059,8 +1052,7 @@ int dispatch(int argc, char **argv) {
         {"--profile", &ProfilePath},
         {"--pgo-static", &Batch.StaticPGO},
         {"--allow-spill", &Batch.AllowSpill},
-        {"--max-spills", &Batch.MaxSpills},
-        {"--validate", &Batch.Validate}}},
+        {"--max-spills", &Batch.MaxSpills}}},
       {"run",
        {{"-nreg", &Batch.Nreg, 1},
         {"-iters", &Sim.TargetIterations},
@@ -1113,7 +1105,6 @@ int dispatch(int argc, char **argv) {
         {"--max-spills", &Batch.MaxSpills},
         {"--deadline-ms", &Batch.DeadlineMs},
         {"--fault-inject", &Batch.Faults},
-        {"--validate", &Batch.Validate},
         {"--cache-bytes", &Batch.CacheBytes}}},
       {"serve",
        {{"--socket", &Serve.SocketPath},
@@ -1130,7 +1121,6 @@ int dispatch(int argc, char **argv) {
         {"-nreg", &Req.Nreg, 1},
         {"--allow-spill", &Req.AllowSpill},
         {"--max-spills", &Req.MaxSpills},
-        {"--validate", &Req.Validate},
         {"--deadline-ms", &Req.DeadlineMs},
         {"--profile-hash", &Req.ProfileHash},
         {"--health", &Health},
