@@ -85,8 +85,7 @@ private:
   ColorAllocation Result;
   int InsertedOps = 0;
   int64_t WeightedOps = 0;
-  /// Weights per output block (original blocks + edge splits); only
-  /// maintained under a non-unit model.
+  /// Weights per output block (original blocks + edge splits).
   std::vector<int64_t> OutWeights;
   /// Fixed entry color maps: EntryColors[b][reg] = color (-1 unset);
   /// empty vector = block not yet reached.
@@ -155,11 +154,9 @@ ColorAllocation FragmentAllocatorImpl::run() {
   }
 
   EntryColors.assign(static_cast<size_t>(P.getNumBlocks()), {});
-  if (!Cost.isUnit()) {
-    OutWeights.resize(static_cast<size_t>(P.getNumBlocks()), 1);
-    for (int B = 0; B < P.getNumBlocks(); ++B)
-      OutWeights[static_cast<size_t>(B)] = Cost.blockWeight(B);
-  }
+  OutWeights.resize(static_cast<size_t>(P.getNumBlocks()));
+  for (int B = 0; B < P.getNumBlocks(); ++B)
+    OutWeights[static_cast<size_t>(B)] = Cost.blockWeight(B);
 
   // Seed the entry block from the entry-live registers.
   {
@@ -214,7 +211,7 @@ ColorAllocation FragmentAllocatorImpl::run() {
 
   Result.ColorProgram = std::move(Out);
   Result.MoveCost = InsertedOps;
-  Result.WeightedCost = Cost.isUnit() ? InsertedOps : WeightedOps;
+  Result.WeightedCost = WeightedOps;
   Result.OutputWeights = std::move(OutWeights);
   Result.Feasible = true;
   return Result;
@@ -421,10 +418,8 @@ void FragmentAllocatorImpl::reconcileEdges(Program &Out) {
     int Target = Fix.Pred;
     if (P.successors(Fix.Pred).size() > 1) {
       Target = splitEdge(Out, Fix.Pred, Fix.Succ);
-      if (!Cost.isUnit()) {
-        OutWeights.resize(static_cast<size_t>(Out.getNumBlocks()), 1);
-        OutWeights[static_cast<size_t>(Target)] = Cost.blockWeight(Fix.Pred);
-      }
+      OutWeights.resize(static_cast<size_t>(Out.getNumBlocks()), 1);
+      OutWeights[static_cast<size_t>(Target)] = Cost.blockWeight(Fix.Pred);
     }
     BasicBlock &TB = Out.block(Target);
     int At = getTerminatorGroupBegin(TB);

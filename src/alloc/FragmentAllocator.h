@@ -51,7 +51,10 @@ struct ColorAllocation {
   int64_t WeightedCost = 0;
   /// Per-block weights aligned with ColorProgram's blocks, covering blocks
   /// the allocation created (edge splits inherit their predecessor's
-  /// weight). Empty under the unit model.
+  /// weight). The fragment allocator fills it on every feasible
+  /// allocation, so a fragment result's is never empty (weight 1 per block
+  /// under the unit model); the other strategies add no blocks and leave
+  /// it empty, their blocks weighing what the cost model says.
   std::vector<int64_t> OutputWeights;
   int PR = 0;
   int SR = 0;

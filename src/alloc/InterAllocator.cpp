@@ -472,8 +472,6 @@ InterThreadResult npral::allocateInterThread(
   Result.Physical = materializePhysical(
       ColorPrograms, PR, Result.SGR, std::max(Nreg, Result.RegistersUsed),
       MTP.Name);
-  for (Program &T : Result.Physical.Threads)
-    T.NumRegs = std::max(Nreg, Result.RegistersUsed);
   Result.Success = true;
   if (Log) {
     Log->Success = true;

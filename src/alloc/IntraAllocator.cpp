@@ -159,15 +159,12 @@ IntraResult IntraThreadAllocator::computeAllocation(int PR, int SR) {
   // Strategy 2: greedy NSR exclusion / block splitting.
   ColorAllocation Greedy = allocateWithGreedySplitting(PR, SR, Fragment);
 
-  // Under the unit model the historical raw-count comparison is preserved
-  // exactly; a frequency model compares the weighted costs instead.
-  const ColorAllocation *Best = nullptr;
+  // Weighted costs decide; under the unit model they are the move counts.
+  ColorAllocation *Best = nullptr;
   const char *Strategy = "";
-  bool GreedyWins =
-      Greedy.Feasible &&
-      (!Fragment.Feasible ||
-       (CM.isUnit() ? Greedy.MoveCost <= Fragment.MoveCost
-                    : Greedy.WeightedCost <= Fragment.WeightedCost));
+  bool GreedyWins = Greedy.Feasible && (!Fragment.Feasible ||
+                                        Greedy.WeightedCost <=
+                                            Fragment.WeightedCost);
   if (GreedyWins) {
     Best = &Greedy;
     Strategy = "split";
@@ -181,40 +178,25 @@ IntraResult IntraThreadAllocator::computeAllocation(int PR, int SR) {
                                                     : Fragment.FailReason;
     return Result;
   }
-  static_cast<ColorAllocation &>(Result) = *Best;
+  static_cast<ColorAllocation &>(Result) = std::move(*Best);
   Result.Strategy = Strategy;
   // The paper's Eliminate_unnecessary_move step: splitting strategies may
   // leave copies whose value is already in place or never read again. Every
   // removed move was one this allocation inserted (the input program is
   // live-range renamed, so its own moves connect distinct ranges and
-  // survive), hence the cost cannot go negative.
-  if (CM.isUnit()) {
-    int Removed = eliminateRedundantMoves(Result.ColorProgram);
-    Result.MoveCost -= Removed;
-    assert(Result.MoveCost >= 0 &&
-           "move elimination removed moves the allocator never inserted");
-    Result.WeightedCost = Result.MoveCost;
-  } else {
-    // Weight removals by the block they sat in. For the fragment strategy
-    // the output CFG may contain edge-split blocks beyond the input's —
-    // OutputWeights covers them; for greedy splitting the block structure
-    // is unchanged and the model's own weights align directly.
-    std::vector<int64_t> BlockWeights = Result.OutputWeights;
-    if (BlockWeights.empty()) {
-      BlockWeights.resize(
-          static_cast<size_t>(Result.ColorProgram.getNumBlocks()), 1);
-      for (int B = 0; B < Result.ColorProgram.getNumBlocks(); ++B)
-        BlockWeights[static_cast<size_t>(B)] = CM.blockWeight(B);
-    }
-    int64_t WeightedRemoved = 0;
-    int Removed = eliminateRedundantMoves(Result.ColorProgram, BlockWeights,
-                                          WeightedRemoved);
-    Result.MoveCost -= Removed;
-    Result.WeightedCost -= WeightedRemoved;
-    assert(Result.MoveCost >= 0 &&
-           "move elimination removed moves the allocator never inserted");
-    assert(Result.WeightedCost >= 0 && "weighted cost went negative");
-  }
+  // survive), hence the cost cannot go negative. Each removal is priced by
+  // the block it sat in: the fragment strategy's output may hold edge-split
+  // blocks beyond the input's, which its OutputWeights cover; greedy
+  // splitting adds no blocks, so the model's own weights line up.
+  int64_t WeightedRemoved = 0;
+  Result.MoveCost -= eliminateRedundantMoves(
+      Result.ColorProgram,
+      Best == &Fragment ? Result.OutputWeights : CM.blockWeights(),
+      &WeightedRemoved);
+  Result.WeightedCost -= WeightedRemoved;
+  assert(Result.MoveCost >= 0 &&
+         "move elimination removed moves the allocator never inserted");
+  assert(Result.WeightedCost >= 0 && "weighted cost went negative");
   return Result;
 }
 
@@ -230,13 +212,10 @@ IntraThreadAllocator::allocateWithGreedySplitting(int PR, int SR,
   // Progress cap: each split adds a register; allow a generous multiple.
   const int MaxSplits = 4 * Original.NumRegs + 16;
 
-  // The cost of the movs inserted so far, as computeAllocation compares it
-  // with the fragment fallback's.
+  // The weighted cost of the movs inserted so far, as computeAllocation
+  // compares it with the fragment fallback's. The transforms never add
+  // blocks, so per-block mov deltas line up with the model's weights.
   auto insertedCost = [&]() -> int64_t {
-    if (CM.isUnit())
-      return Work.countMoves() - Original.countMoves();
-    // The transforms never add blocks, so per-block mov deltas line up
-    // with the model's weights.
     int64_t Weighted = 0;
     for (int B = 0; B < Original.getNumBlocks(); ++B)
       Weighted += CM.blockWeight(B) *
@@ -296,8 +275,8 @@ IntraThreadAllocator::allocateWithGreedySplitting(int PR, int SR,
         for (int K = 0; K < WorkTA.NSRs.getNumNSRs(); ++K) {
           if (RefCount[static_cast<size_t>(K)] <= 0)
             continue;
-          int64_t W =
-              estimateExcludeNSRMovesWeighted(Work, WorkTA, Node, K, CM);
+          int64_t W = estimateExcludeNSRMoves(Work, WorkTA.Liveness,
+                                              WorkTA.NSRs, Node, K, CM);
           if (W < 0)
             continue;
           if (BestNSR < 0 || W < BestWeighted ||
@@ -376,9 +355,7 @@ IntraThreadAllocator::allocateWithGreedySplitting(int PR, int SR,
     // Both transforms only insert movs into existing blocks and block
     // weights are non-negative, so the inserted cost never falls. Once it
     // exceeds the fragment fallback's, greedy can no longer be chosen.
-    if (Ceiling.Feasible &&
-        insertedCost() >
-            (CM.isUnit() ? Ceiling.MoveCost : Ceiling.WeightedCost)) {
+    if (Ceiling.Feasible && insertedCost() > Ceiling.WeightedCost) {
       Result.Feasible = false;
       Result.FailReason = "greedy splitting cannot beat the fragment fallback";
       return Result;

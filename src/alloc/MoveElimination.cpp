@@ -10,10 +10,10 @@ using namespace npral;
 
 namespace {
 
-/// One sweep; returns the number of moves removed. \p BlockWeights (may be
-/// null) prices each removal by its block's weight into \p WeightedRemoved.
-int sweep(Program &P, const std::vector<int64_t> *BlockWeights,
-          int64_t &WeightedRemoved) {
+/// One sweep; returns the number of moves removed, pricing each by its
+/// block's weight into \p WeightedRemoved when that is non-null.
+int sweep(Program &P, const std::vector<int64_t> &BlockWeights,
+          int64_t *WeightedRemoved) {
   LivenessInfo LI = computeLiveness(P);
   int Removed = 0;
 
@@ -44,11 +44,10 @@ int sweep(Program &P, const std::vector<int64_t> *BlockWeights,
         bool Dead = !LI.instrLiveOut(B, MyIndex).test(I.Def);
         if (SameReg || KnownEqual || Dead) {
           ++Removed;
-          if (BlockWeights)
-            WeightedRemoved +=
-                static_cast<size_t>(B) < BlockWeights->size()
-                    ? (*BlockWeights)[static_cast<size_t>(B)]
-                    : 1;
+          if (WeightedRemoved)
+            *WeightedRemoved += static_cast<size_t>(B) < BlockWeights.size()
+                                    ? BlockWeights[static_cast<size_t>(B)]
+                                    : 1;
           continue; // drop the instruction; facts unchanged
         }
         killFactsFor(I.Def);
@@ -74,24 +73,13 @@ int sweep(Program &P, const std::vector<int64_t> *BlockWeights,
 
 } // namespace
 
-int npral::eliminateRedundantMoves(Program &P) {
-  int64_t Ignored = 0;
+int npral::eliminateRedundantMoves(Program &P,
+                                   const std::vector<int64_t> &BlockWeights,
+                                   int64_t *WeightedRemoved) {
   // Removing a dead move can make an earlier move dead; iterate.
   int Total = 0;
   for (;;) {
-    int Removed = sweep(P, nullptr, Ignored);
-    Total += Removed;
-    if (Removed == 0)
-      return Total;
-  }
-}
-
-int npral::eliminateRedundantMoves(Program &P,
-                                   const std::vector<int64_t> &BlockWeights,
-                                   int64_t &WeightedRemoved) {
-  int Total = 0;
-  for (;;) {
-    int Removed = sweep(P, &BlockWeights, WeightedRemoved);
+    int Removed = sweep(P, BlockWeights, WeightedRemoved);
     Total += Removed;
     if (Removed == 0)
       return Total;

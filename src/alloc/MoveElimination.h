@@ -29,16 +29,13 @@
 
 namespace npral {
 
-/// Remove redundant moves from \p P; returns how many were deleted.
-int eliminateRedundantMoves(Program &P);
-
-/// As above, additionally accumulating the frequency-weighted cost of the
-/// removed moves into \p WeightedRemoved: a removal in block B adds
-/// BlockWeights[B] (or 1 when B is beyond the vector — e.g. a block the
-/// caller created without registering a weight).
+/// Remove redundant moves from \p P; returns how many were deleted. When
+/// \p WeightedRemoved is given, it accumulates the removed moves'
+/// frequency-weighted cost: a removal in block B adds BlockWeights[B], or 1
+/// when B is beyond the vector (so the default prices every move at 1).
 int eliminateRedundantMoves(Program &P,
-                            const std::vector<int64_t> &BlockWeights,
-                            int64_t &WeightedRemoved);
+                            const std::vector<int64_t> &BlockWeights = {},
+                            int64_t *WeightedRemoved = nullptr);
 
 } // namespace npral
 

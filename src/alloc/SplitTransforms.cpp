@@ -102,8 +102,10 @@ Reg npral::excludeNSR(Program &P, const ThreadAnalysis &TA, Reg V, int NSRId) {
   return Fresh;
 }
 
-int npral::estimateExcludeNSRMoves(const Program &P, const LivenessInfo &LI,
-                                   const NSRInfo &NSRs, Reg V, int NSRId) {
+int64_t npral::estimateExcludeNSRMoves(const Program &P,
+                                       const LivenessInfo &LI,
+                                       const NSRInfo &NSRs, Reg V, int NSRId,
+                                       const CostModel &CM) {
   bool Referenced = false;
   for (int B = 0; B < P.getNumBlocks() && !Referenced; ++B) {
     const BasicBlock &BB = P.block(B);
@@ -120,43 +122,17 @@ int npral::estimateExcludeNSRMoves(const Program &P, const LivenessInfo &LI,
   if (!Referenced)
     return -1;
 
-  int Moves = 0;
+  int64_t Weighted = 0;
   for (const CSB &Boundary : NSRs.getCSBs()) {
     if (!Boundary.LiveAcross.test(V))
       continue;
     if (Boundary.PostNSR == NSRId)
-      ++Moves;
+      Weighted += CM.blockWeight(Boundary.Block);
     if (Boundary.PreNSR == NSRId)
-      ++Moves;
+      Weighted += CM.blockWeight(Boundary.Block);
   }
   if (LI.blockLiveIn(P.getEntryBlock()).test(V) &&
       NSRs.pointNSR(P.getEntryBlock(), 0) == NSRId)
-    ++Moves;
-  return Moves;
-}
-
-int npral::estimateExcludeNSRMoves(const Program &P, const ThreadAnalysis &TA,
-                                   Reg V, int NSRId) {
-  return estimateExcludeNSRMoves(P, TA.Liveness, TA.NSRs, V, NSRId);
-}
-
-int64_t npral::estimateExcludeNSRMovesWeighted(const Program &P,
-                                               const ThreadAnalysis &TA,
-                                               Reg V, int NSRId,
-                                               const CostModel &CM) {
-  if (estimateExcludeNSRMoves(P, TA.Liveness, TA.NSRs, V, NSRId) < 0)
-    return -1;
-  int64_t Weighted = 0;
-  for (const CSB &Boundary : TA.NSRs.getCSBs()) {
-    if (!Boundary.LiveAcross.test(V))
-      continue;
-    if (Boundary.PostNSR == NSRId)
-      Weighted += CM.blockWeight(Boundary.Block);
-    if (Boundary.PreNSR == NSRId)
-      Weighted += CM.blockWeight(Boundary.Block);
-  }
-  if (TA.Liveness.blockLiveIn(P.getEntryBlock()).test(V) &&
-      TA.NSRs.pointNSR(P.getEntryBlock(), 0) == NSRId)
     Weighted += CM.blockWeight(P.getEntryBlock());
   return Weighted;
 }

@@ -37,27 +37,17 @@ namespace npral {
 /// V has no reference inside the NSR (no-op).
 Reg excludeNSR(Program &P, const ThreadAnalysis &TA, Reg V, int NSRId);
 
-/// Cost hint for excludeNSR without performing it: the number of
-/// reconciling `mov`s the transform would insert for register \p V and NSR
-/// \p NSRId — one per CSB where V crosses into or out of the NSR, plus an
-/// entry seed when V is live at a program entry point inside the NSR.
-/// Returns -1 when V has no reference inside the NSR (excludeNSR would be
-/// a no-op). Used by the intra-thread allocator's pricing and by the lint
-/// "over-private" advisor.
-int estimateExcludeNSRMoves(const Program &P, const LivenessInfo &LI,
-                            const NSRInfo &NSRs, Reg V, int NSRId);
-
-/// Convenience overload over a full ThreadAnalysis.
-int estimateExcludeNSRMoves(const Program &P, const ThreadAnalysis &TA, Reg V,
-                            int NSRId);
-
-/// Frequency-weighted variant of the cost hint: each reconciling `mov` is
-/// priced at the weight of the block it would land in under \p CM. Returns
-/// -1 when excludeNSR would be a no-op. With the unit model this equals
-/// estimateExcludeNSRMoves.
-int64_t estimateExcludeNSRMovesWeighted(const Program &P,
-                                        const ThreadAnalysis &TA, Reg V,
-                                        int NSRId, const CostModel &CM);
+/// Cost hint for excludeNSR without performing it: the reconciling `mov`s
+/// the transform would insert for register \p V and NSR \p NSRId — one per
+/// CSB where V crosses into or out of the NSR, plus an entry seed when V is
+/// live at a program entry point inside the NSR — each priced at the
+/// weight of the block it would land in under \p CM. Under the default
+/// unit model that is the number of `mov`s. Returns -1 when V has no
+/// reference inside the NSR (excludeNSR would be a no-op). Used by the
+/// intra-thread allocator's pricing and by the lint "over-private" advisor.
+int64_t estimateExcludeNSRMoves(const Program &P, const LivenessInfo &LI,
+                                const NSRInfo &NSRs, Reg V, int NSRId,
+                                const CostModel &CM = CostModel());
 
 /// Rename \p V inside block \p BlockId to a fresh register, reconciling
 /// with moves at block entry (if V is live-in) and before the terminator

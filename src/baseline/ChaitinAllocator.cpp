@@ -157,13 +157,6 @@ ChaitinResult npral::runChaitinAllocator(const Program &P,
       return Result;
     }
     // Assign slots and spill.
-    if (getenv("NPRAL_DEBUG_SPILL")) {
-      fprintf(stderr, "round %d spills:", Round);
-      for (Reg V : ToSpill)
-        fprintf(stderr, " %s(id=%d,deg=%d)", Work.getRegName(V).c_str(), V,
-                TA.GIG.degree(V));
-      fprintf(stderr, "\n");
-    }
     SlotOf.resize(static_cast<size_t>(Work.NumRegs), 0);
     for (Reg V : ToSpill) {
       SlotOf[static_cast<size_t>(V)] = C.SpillBase + NextSlot++;

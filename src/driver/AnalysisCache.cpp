@@ -67,8 +67,8 @@ uint64_t npral::hashProgramContent(const Program &P) {
   return fnv1aHash(encodeProgram(P));
 }
 
-uint64_t npral::analysisCacheKey(std::string_view Text, uint64_t ProfileHash) {
-  return fnv1aCombine(fnv1aHash(Text), ProfileHash);
+uint64_t npral::analysisCacheKey(std::string_view Text, uint64_t Partition) {
+  return fnv1aCombine(fnv1aHash(Text), Partition);
 }
 
 void AnalysisCache::eraseLocked(

@@ -77,10 +77,10 @@ std::string encodeProgram(const Program &P);
 uint64_t hashProgramContent(const Program &P);
 
 /// The AnalysisCache key of a renamed thread whose flat encoding is \p Text,
-/// in the key-space partition \p ProfileHash (0 = unpartitioned). The batch
+/// in the key-space partition \p Partition (0 = unpartitioned). The batch
 /// pipeline and the grid's trait extraction both key through here, so a
 /// bundle one of them inserts is a hit for the other.
-uint64_t analysisCacheKey(std::string_view Text, uint64_t ProfileHash);
+uint64_t analysisCacheKey(std::string_view Text, uint64_t Partition);
 
 class AnalysisCache {
 public:

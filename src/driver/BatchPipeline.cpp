@@ -7,7 +7,6 @@
 #include "driver/AnalysisCache.h"
 #include "driver/JobRun.h"
 #include "harden/SpillFallback.h"
-#include "ir/IRPrinter.h"
 #include "ir/IRVerifier.h"
 #include "lint/TranslationValidator.h"
 #include "profile/StaticFrequencyEstimator.h"
@@ -40,12 +39,11 @@ int64_t nsBetween(Clock::time_point From, Clock::time_point To) {
 
 /// Run one input through the full pipeline into \p R. Touches only \p R
 /// (and the shared AnalysisCache, which synchronises internally).
-/// \p ProfileHash is the content hash of Opts.Profile (0 when absent),
-/// computed once by runBatch and folded into every cache key. \p Limits
-/// carries the job's deadline. \p Log, when non-null, records the
-/// allocation's decisions (see runSingleJob).
+/// \p CacheTag partitions the cache's key space (see runSingleJob).
+/// \p Limits carries the job's deadline. \p Log, when non-null, records
+/// the allocation's decisions (see runSingleJob).
 void processOne(const BatchJob &In, const BatchOptions &Opts,
-                AnalysisCache *Cache, uint64_t ProfileHash,
+                AnalysisCache *Cache, uint64_t CacheTag,
                 const InterAllocLimits &Limits, AllocationDecisionLog *Log,
                 BatchJobResult &R) {
   NPRAL_TRACE_SPAN_ARGS("batch", "job", {"name", R.Name});
@@ -97,9 +95,9 @@ void processOne(const BatchJob &In, const BatchOptions &Opts,
 
           CostModel CM;
           const ThreadProfile *TP =
-              Opts.Profile ? Opts.Profile->findByCodeHash(
-                                 fnv1aHash(programToString(T)))
-                           : nullptr;
+              Opts.Profile
+                  ? Opts.Profile->findByCodeHash(profileCodeHash(T))
+                  : nullptr;
           if (TP) {
             ++R.ProfiledThreads;
             const int ProfIdx =
@@ -112,17 +110,14 @@ void processOne(const BatchJob &In, const BatchOptions &Opts,
 
           // Cache keying runs on the flat binary encoding — no assembly
           // print in the hot path, and no encoding at all without a cache.
-          // Collected profiles are keyed by printed-text hash (the
+          // Collected profiles are matched by printed-text hash (the
           // collector's convention), so only profile-carrying runs pay for
-          // one. The bundle itself is weight-independent, but folding the
-          // profile hash keeps the cache partitioned per (program, profile)
-          // pair so a long-lived shared cache never crosses PGO
-          // configurations.
+          // one. The bundle reads no weight, so the key carries none.
           if (Cache) {
             if (Status F = Opts.Faults.check("cache", R.Name); !F.ok())
               return Job.fail(F);
             Text = encodeProgram(T);
-            Key = analysisCacheKey(Text, ProfileHash);
+            Key = analysisCacheKey(Text, CacheTag);
             Bundle = Cache->lookup(Key, Text);
             ++(Bundle ? R.CacheHits : R.CacheMisses);
             NPRAL_TRACE_INSTANT("batch", Bundle ? "cache-hit" : "cache-miss",
@@ -219,7 +214,7 @@ void processOne(const BatchJob &In, const BatchOptions &Opts,
 /// never in the caller's control flow. The job's deadline is taken here,
 /// once.
 BatchJobResult runIsolated(const BatchJob &In, const BatchOptions &Opts,
-                           AnalysisCache *Cache, uint64_t ProfileHash,
+                           AnalysisCache *Cache, uint64_t CacheTag,
                            AllocationDecisionLog *Log) {
   InterAllocLimits Limits;
   if (Opts.DeadlineMs > 0)
@@ -228,7 +223,7 @@ BatchJobResult runIsolated(const BatchJob &In, const BatchOptions &Opts,
   BatchJobResult R;
   R.Name = In.Name.empty() ? In.Path : In.Name;
   try {
-    processOne(In, Opts, Cache, ProfileHash, Limits, Log, R);
+    processOne(In, Opts, Cache, CacheTag, Limits, Log, R);
   } catch (const std::exception &E) {
     std::string Name = std::move(R.Name);
     R = BatchJobResult();
@@ -238,16 +233,6 @@ BatchJobResult runIsolated(const BatchJob &In, const BatchOptions &Opts,
     R.FailReason = std::string("uncaught exception: ") + E.what();
   }
   return R;
-}
-
-/// The cache-key partition tag for a run: a loaded profile's content hash
-/// wins, then the static-PGO constant, then the caller's override.
-uint64_t resolveProfileHash(const BatchOptions &Opts, uint64_t Override) {
-  if (Opts.Profile)
-    return Opts.Profile->contentHash();
-  if (Opts.StaticPGO)
-    return fnv1aHash("static-pgo");
-  return Override;
 }
 
 } // namespace
@@ -275,10 +260,9 @@ bool JobRun::fail(StatusCode Code, std::string Reason) {
 
 BatchJobResult npral::runSingleJob(const BatchJob &In,
                                    const BatchOptions &Opts,
-                                   AnalysisCache *Cache, uint64_t ProfileHash,
+                                   AnalysisCache *Cache, uint64_t CacheTag,
                                    AllocationDecisionLog *Log) {
-  return runIsolated(In, Opts, Cache, resolveProfileHash(Opts, ProfileHash),
-                     Log);
+  return runIsolated(In, Opts, Cache, CacheTag, Log);
 }
 
 BatchResult npral::runBatch(const std::vector<BatchJob> &Inputs,
@@ -292,12 +276,6 @@ BatchResult npral::runBatch(const std::vector<BatchJob> &Inputs,
   AnalysisCache LocalCache(Opts.CacheBytes);
   if (!Cache && Opts.UseCache)
     Cache = &LocalCache;
-
-  // One hash per batch, not per job: the profile is immutable for the run.
-  // A distinct constant tag separates static-PGO runs from unweighted ones
-  // in a shared cache (the bundles are identical, but keeping the key
-  // spaces apart makes hit/miss accounting per configuration exact).
-  const uint64_t ProfileHash = resolveProfileHash(Opts, 0);
 
   // The per-run registry holds the job-latency histogram; the batch.*
   // counters join it from PipelineStats below, and the whole run then
@@ -314,7 +292,7 @@ BatchResult npral::runBatch(const std::vector<BatchJob> &Inputs,
       // Fault isolation: whatever one item does — fail a stage, blow a
       // deadline, or throw — lands in its own result slot; the batch and
       // its siblings continue.
-      Slot = runIsolated(In, Opts, Cache, ProfileHash, /*Log=*/nullptr);
+      Slot = runIsolated(In, Opts, Cache, /*CacheTag=*/0, /*Log=*/nullptr);
       RunMetrics.histogram("batch.job_wall_ns")
           .observe(nsBetween(Job0, Clock::now()));
     });

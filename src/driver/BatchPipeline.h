@@ -101,9 +101,8 @@ struct BatchOptions {
   /// Threads are matched by code hash — a profile acts as a database: any
   /// job thread whose renamed program hashes to a profiled thread gets
   /// that thread's frequency weights; unmatched threads fall back to the
-  /// static estimator when StaticPGO is set, else to the unit model. The
-  /// profile's content hash is folded into every analysis-cache key so a
-  /// shared cache never mixes runs with different profiles.
+  /// static estimator when StaticPGO is set, else to the unit model.
+  /// Weights never reach the analysis cache: its bundles read none.
   const ExecutionProfile *Profile = nullptr;
   /// Weight blocks by 10^loop-depth (StaticFrequencyEstimator) when no
   /// collected profile covers a thread.
@@ -293,10 +292,10 @@ BatchResult runBatch(const std::vector<BatchJob> &Inputs,
 /// the one path from a program to a checked allocation behind `npralc
 /// alloc`, `run`, `batch` and `verify`.
 ///
-/// \p ProfileHash partitions a shared cache's key space the way a loaded
-/// profile's content hash does in runBatch (serve clients pass an opaque
-/// hash; 0 = the unpartitioned default). Opts.Profile / Opts.StaticPGO,
-/// when set, take precedence exactly as in runBatch.
+/// \p CacheTag is an opaque tag that partitions a shared cache's key
+/// space (serve's `profile-hash=`; 0 = the unpartitioned default, which
+/// runBatch uses). It carries no weights: Opts.Profile and Opts.StaticPGO
+/// pick the cost models, and the cached bundles read none.
 ///
 /// \p Log, when non-null, receives the allocation decision log (of the
 /// final attempt when the spill fallback retried). It only observes: the
@@ -306,7 +305,7 @@ BatchResult runBatch(const std::vector<BatchJob> &Inputs,
 /// proof.
 BatchJobResult runSingleJob(const BatchJob &In, const BatchOptions &Opts,
                             AnalysisCache *Cache = nullptr,
-                            uint64_t ProfileHash = 0,
+                            uint64_t CacheTag = 0,
                             AllocationDecisionLog *Log = nullptr);
 
 } // namespace npral

@@ -30,7 +30,7 @@ KernelTraits npral::computeKernelTraits(const std::string &Name,
   uint64_t Key = 0;
   if (Cache) {
     Text = encodeProgram(Renamed);
-    Key = analysisCacheKey(Text, /*ProfileHash=*/0);
+    Key = analysisCacheKey(Text, /*Partition=*/0);
     Bundle = Cache->lookup(Key, Text);
   }
   if (!Bundle) {

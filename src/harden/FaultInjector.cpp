@@ -2,31 +2,12 @@
 
 #include "harden/FaultInjector.h"
 
+#include "support/StringUtils.h"
+
 #include <algorithm>
 #include <cstdlib>
 
 using namespace npral;
-
-namespace {
-
-uint64_t fnv1a(uint64_t Hash, std::string_view S) {
-  for (char C : S) {
-    Hash ^= static_cast<unsigned char>(C);
-    Hash *= 1099511628211ull;
-  }
-  return Hash;
-}
-
-uint64_t fnv1aInit(uint64_t Seed) {
-  uint64_t Hash = 14695981039346656037ull;
-  for (int I = 0; I < 8; ++I) {
-    Hash ^= (Seed >> (I * 8)) & 0xff;
-    Hash *= 1099511628211ull;
-  }
-  return Hash;
-}
-
-} // namespace
 
 const std::vector<std::string> &FaultInjector::allSites() {
   static const std::vector<std::string> Sites = {"parse", "analysis", "cache",
@@ -104,9 +85,9 @@ bool FaultInjector::shouldFail(std::string_view Site,
     return false;
   if (std::find(Sites.begin(), Sites.end(), Site) == Sites.end())
     return false;
-  uint64_t Hash = fnv1aInit(Seed);
-  Hash = fnv1a(Hash, Site);
-  Hash = fnv1a(Hash, Item);
+  uint64_t Hash = fnv1aCombine(FNV1aOffsetBasis, Seed);
+  Hash = fnv1aAppend(Hash, Site);
+  Hash = fnv1aAppend(Hash, Item);
   return Hash % 100 < static_cast<uint64_t>(Rate);
 }
 

@@ -124,13 +124,6 @@ struct Instruction {
     I.Target = Target;
     return I;
   }
-  static Instruction makeCondBr(Opcode Op, Reg Rs1, Reg Rs2, int Target) {
-    Instruction I(Op);
-    I.Use1 = Rs1;
-    I.Use2 = Rs2;
-    I.Target = Target;
-    return I;
-  }
   static Instruction makeCondBrZ(Opcode Op, Reg Rs, int Target) {
     Instruction I(Op);
     I.Use1 = Rs;

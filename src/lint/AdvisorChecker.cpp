@@ -78,12 +78,12 @@ void lintchecks::adviseOverPrivate(LintContext &Ctx) {
 
       // Advise on the most reference-heavy NSR whose exclusion is cheap.
       int BestNSR = -1;
-      int BestMoves = 0;
+      int64_t BestMoves = 0;
       for (int N = 0; N < NSRs.getNumNSRs(); ++N) {
         // A single touch is not worth a reconciling move pair.
         if (Refs[static_cast<size_t>(N)].RefCount < 2)
           continue;
-        int Moves = estimateExcludeNSRMoves(P, LI, NSRs, V, N);
+        int64_t Moves = estimateExcludeNSRMoves(P, LI, NSRs, V, N);
         if (Moves < 0 || Moves > MaxAdvisedMoves)
           continue;
         if (BestNSR < 0 ||

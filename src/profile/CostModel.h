@@ -2,15 +2,14 @@
 ///
 /// \file
 /// The profile subsystem's contract with the allocators: a per-thread map
-/// from basic blocks to execution-frequency weights, and the WeightedMoveCost
-/// every allocation strategy reports through.
+/// from basic blocks to execution-frequency weights.
 ///
 /// A move inserted into block b costs `blockWeight(b)` weighted units — one
 /// per dynamic execution under a collected profile, 10^loop-depth under the
-/// static estimator, and exactly 1 under the default *unit* model. The
-/// allocators compare weighted costs wherever they used to compare raw move
-/// counts, so with the unit model every decision (and therefore every output
-/// program) is bit-identical to the unweighted allocator.
+/// static estimator, and exactly 1 under the default *unit* model. Every
+/// move the allocators insert is priced through this one formula, so under
+/// the unit model each weighted sum is the raw move count the paper reports
+/// and every output program is the unweighted allocator's.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,14 +23,6 @@
 
 namespace npral {
 
-/// A move-insertion cost under a cost model: the raw instruction count the
-/// paper reports, plus the frequency-weighted dynamic cost the inter-thread
-/// allocator minimises. Under the unit model Weighted == Moves.
-struct WeightedMoveCost {
-  int Moves = 0;
-  int64_t Weighted = 0;
-};
-
 /// Per-thread block-frequency weights. Default-constructed it is the *unit*
 /// model (every block weighs 1); profile- or estimator-built models carry
 /// one weight per block of the thread they were built for. Blocks created
@@ -44,7 +35,15 @@ public:
   CostModel() = default;
 
   /// True when every block weighs 1 (i.e. no profile data was attached).
-  /// The allocators keep their historical tie-breaking rules in this case.
+  /// Costs never need it: a weighted sum under the unit model is the raw
+  /// count. It only picks a policy, at three sites where the paper's rule
+  /// and the frequency-aware one differ:
+  ///  * IntraThreadAllocator, NSR exclusion: the NSR with the most
+  ///    references, or the one with the cheapest weighted moves;
+  ///  * IntraThreadAllocator, internal block split: the block with the most
+  ///    references, or the one with the cheapest weighted moves;
+  ///  * allocateInterThread: the rebalance pass, which runs only when some
+  ///    thread's model is weighted.
   bool isUnit() const { return Weights.empty(); }
 
   /// Weight of block \p Block; 1 for blocks beyond the known range.
@@ -60,6 +59,10 @@ public:
 
   /// Number of blocks with an explicit weight.
   int size() const { return static_cast<int>(Weights.size()); }
+
+  /// The explicit weights by block ID (empty for the unit model); blocks
+  /// beyond them weigh 1, the convention eliminateRedundantMoves shares.
+  const std::vector<int64_t> &blockWeights() const { return Weights; }
 
 private:
   std::vector<int64_t> Weights; ///< Empty = unit model.

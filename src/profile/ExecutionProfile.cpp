@@ -2,11 +2,16 @@
 
 #include "profile/ExecutionProfile.h"
 
+#include "ir/IRPrinter.h"
 #include "support/StringUtils.h"
 
 #include <sstream>
 
 using namespace npral;
+
+uint64_t npral::profileCodeHash(const Program &Thread) {
+  return fnv1aHash(programToString(Thread));
+}
 
 std::string ExecutionProfile::print() const {
   std::ostringstream OS;
@@ -19,38 +24,8 @@ std::string ExecutionProfile::print() const {
        << " " << TP.Name << "\n";
     for (const auto &[Block, Count] : TP.BlockCounts)
       OS << "block " << Block << " " << Count << "\n";
-    for (const auto &[Point, Count] : TP.SwitchCounts)
-      OS << "csb " << Point.first << " " << Point.second << " " << Count
-         << "\n";
   }
   OS << "end\n";
-  return OS.str();
-}
-
-std::string ExecutionProfile::printJSON() const {
-  std::ostringstream OS;
-  OS << "{\n  \"program\": \"" << ProgramName << "\",\n  \"threads\": [\n";
-  for (size_t T = 0; T < Threads.size(); ++T) {
-    const ThreadProfile &TP = Threads[T];
-    OS << "    {\"index\": " << TP.Index << ", \"name\": \"" << TP.Name
-       << "\", \"code_hash\": \""
-       << formatString("%016llx", (unsigned long long)TP.CodeHash)
-       << "\",\n     \"blocks\": {";
-    bool First = true;
-    for (const auto &[Block, Count] : TP.BlockCounts) {
-      OS << (First ? "" : ", ") << "\"" << Block << "\": " << Count;
-      First = false;
-    }
-    OS << "},\n     \"csbs\": [";
-    First = true;
-    for (const auto &[Point, Count] : TP.SwitchCounts) {
-      OS << (First ? "" : ", ") << "[" << Point.first << ", " << Point.second
-         << ", " << Count << "]";
-      First = false;
-    }
-    OS << "]}" << (T + 1 < Threads.size() ? "," : "") << "\n";
-  }
-  OS << "  ]\n}\n";
   return OS.str();
 }
 
@@ -140,24 +115,6 @@ ExecutionProfile::parse(std::string_view Text, std::string &Error) {
         return fail("duplicate 'block' entry");
       continue;
     }
-    if (Kw == "csb") {
-      if (!Cur)
-        return fail("'csb' before any 'thread'");
-      std::optional<int64_t> Block =
-          Tok.size() == 4 ? parseInteger(Tok[1]) : std::nullopt;
-      std::optional<int64_t> Index =
-          Tok.size() == 4 ? parseInteger(Tok[2]) : std::nullopt;
-      std::optional<int64_t> Count =
-          Tok.size() == 4 ? parseInteger(Tok[3]) : std::nullopt;
-      if (!Block || !Index || !Count || *Block < 0 || *Index < 0 ||
-          *Count < 0)
-        return fail("'csb' needs <block-id> <instr-index> <count>");
-      std::pair<int, int> Key{static_cast<int>(*Block),
-                              static_cast<int>(*Index)};
-      if (!Cur->SwitchCounts.emplace(Key, *Count).second)
-        return fail("duplicate 'csb' entry");
-      continue;
-    }
     if (Kw == "end") {
       if (Tok.size() != 1)
         return fail("trailing tokens after 'end'");
@@ -172,38 +129,6 @@ ExecutionProfile::parse(std::string_view Text, std::string &Error) {
     return fail("missing 'end'");
   return P;
 }
-
-bool ExecutionProfile::merge(const ExecutionProfile &Other,
-                             std::string &Error) {
-  if (ProgramName != Other.ProgramName) {
-    Error = "program name mismatch: '" + ProgramName + "' vs '" +
-            Other.ProgramName + "'";
-    return false;
-  }
-  if (Threads.size() != Other.Threads.size()) {
-    Error = "thread count mismatch";
-    return false;
-  }
-  for (size_t T = 0; T < Threads.size(); ++T) {
-    const ThreadProfile &A = Threads[T], &B = Other.Threads[T];
-    if (A.Index != B.Index || A.Name != B.Name || A.CodeHash != B.CodeHash) {
-      Error = "thread " + std::to_string(T) +
-              " identity mismatch (index/name/code hash)";
-      return false;
-    }
-  }
-  for (size_t T = 0; T < Threads.size(); ++T) {
-    ThreadProfile &A = Threads[T];
-    const ThreadProfile &B = Other.Threads[T];
-    for (const auto &[Block, Count] : B.BlockCounts)
-      A.BlockCounts[Block] += Count;
-    for (const auto &[Point, Count] : B.SwitchCounts)
-      A.SwitchCounts[Point] += Count;
-  }
-  return true;
-}
-
-uint64_t ExecutionProfile::contentHash() const { return fnv1aHash(print()); }
 
 const ThreadProfile *
 ExecutionProfile::findByCodeHash(uint64_t CodeHash) const {

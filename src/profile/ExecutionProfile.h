@@ -2,9 +2,8 @@
 ///
 /// \file
 /// The on-disk and in-memory representation of a simulated execution
-/// profile: per-thread basic-block execution counts and per-CSB switch
-/// counts, collected by ProfileCollector and consumed by the allocators
-/// through CostModel.
+/// profile: per-thread basic-block execution counts, collected by
+/// ProfileCollector and consumed by the allocators through CostModel.
 ///
 /// Profiles serialize to a line-oriented text format (`.npprof`):
 ///
@@ -13,15 +12,14 @@
 ///   program <name>
 ///   thread <index> <code-hash-hex> <name>
 ///   block <block-id> <count>
-///   csb <block-id> <instr-index> <count>
 ///   end
 /// \endcode
 ///
-/// `block` and `csb` lines belong to the most recent `thread` line and are
-/// emitted in ascending key order, so print(parse(T)) == T for any valid T
-/// (serialization is a fixed point). The code hash is the FNV-1a hash of
-/// the printed thread program — the same hash the analysis cache uses — so
-/// a profile can be matched against a program by content, not by name.
+/// `block` lines belong to the most recent `thread` line and are emitted in
+/// ascending block order, so print(parse(T)) == T for any valid T
+/// (serialization is a fixed point). The code hash is profileCodeHash of
+/// the thread, so a profile is matched against a program by content, not
+/// by name.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,24 +33,25 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <utility>
 #include <vector>
 
 namespace npral {
+
+/// A thread's identity in a profile: the FNV-1a hash of its printed
+/// program. The collector stamps it and the job path matches by it.
+uint64_t profileCodeHash(const Program &Thread);
 
 /// Execution counts for one thread of a MultiThreadProgram.
 struct ThreadProfile {
   int Index = 0;
   std::string Name;
-  /// FNV-1a hash of the printed thread program the counts were collected
-  /// on. Consumers refuse to apply a profile to a thread whose code hash
+  /// profileCodeHash of the thread program the counts were collected on.
+  /// Consumers refuse to apply a profile to a thread whose code hash
   /// differs — block IDs would not line up.
   uint64_t CodeHash = 0;
   /// Times each basic block was entered. Blocks never executed may be
   /// absent (equivalent to count 0).
   std::map<int, int64_t> BlockCounts;
-  /// Times each context-switch point (block, instruction index) executed.
-  std::map<std::pair<int, int>, int64_t> SwitchCounts;
 
   int64_t blockCount(int Block) const {
     auto It = BlockCounts.find(Block);
@@ -60,8 +59,7 @@ struct ThreadProfile {
   }
 };
 
-/// A full execution profile of one MultiThreadProgram run (or the merge of
-/// several runs of the same program).
+/// A full execution profile of one MultiThreadProgram run.
 class ExecutionProfile {
 public:
   std::string ProgramName;
@@ -74,24 +72,10 @@ public:
   /// input exactly.
   std::string print() const;
 
-  /// Serialize to JSON (for tooling; not parsed back).
-  std::string printJSON() const;
-
   /// Parse the text form. Returns std::nullopt and sets \p Error on
   /// malformed input.
   static std::optional<ExecutionProfile> parse(std::string_view Text,
                                                std::string &Error);
-
-  /// Accumulate \p Other into this profile. Both must describe the same
-  /// program: same thread count and, per thread, same name and code hash.
-  /// Counts are summed, so merging the profiles of two runs equals the
-  /// profile of one run that executed both workloads back to back.
-  /// Returns false and sets \p Error on shape mismatch.
-  bool merge(const ExecutionProfile &Other, std::string &Error);
-
-  /// FNV-1a hash of the printed form; folded into analysis-cache keys so
-  /// cached bundles are keyed by (program, profile) pairs.
-  uint64_t contentHash() const;
 
   /// Find the thread profile whose code hash is \p CodeHash (nullptr when
   /// absent). Batch mode uses this to match profiles to programs by

@@ -2,25 +2,20 @@
 
 #include "profile/ProfileCollector.h"
 
-#include "ir/IRPrinter.h"
-#include "support/StringUtils.h"
 #include "trace/MetricsRegistry.h"
 
 using namespace npral;
 
 ProfileCollector::ProfileCollector(const MultiThreadProgram &MTP)
     : BlockEvents(
-          &MetricsRegistry::global().counter("profile.block_events")),
-      SwitchEvents(
-          &MetricsRegistry::global().counter("profile.ctx_switch_points")) {
+          &MetricsRegistry::global().counter("profile.block_events")) {
   Profile.ProgramName = MTP.Name;
   Profile.Threads.reserve(MTP.Threads.size());
   for (int T = 0; T < MTP.getNumThreads(); ++T) {
     ThreadProfile TP;
     TP.Index = T;
     TP.Name = MTP.Threads[static_cast<size_t>(T)].Name;
-    TP.CodeHash =
-        fnv1aHash(programToString(MTP.Threads[static_cast<size_t>(T)]));
+    TP.CodeHash = profileCodeHash(MTP.Threads[static_cast<size_t>(T)]);
     Profile.Threads.push_back(std::move(TP));
   }
 }
@@ -30,12 +25,4 @@ void ProfileCollector::onBlockEntered(int Thread, int Block) {
     return;
   ++Profile.Threads[static_cast<size_t>(Thread)].BlockCounts[Block];
   BlockEvents->increment();
-}
-
-void ProfileCollector::onCtxSwitchPoint(int Thread, int Block, int Index) {
-  if (Thread < 0 || static_cast<size_t>(Thread) >= Profile.Threads.size())
-    return;
-  ++Profile.Threads[static_cast<size_t>(Thread)]
-        .SwitchCounts[{Block, Index}];
-  SwitchEvents->increment();
 }

@@ -2,12 +2,12 @@
 ///
 /// \file
 /// The bridge from the simulator to the profile subsystem: a SimObserver
-/// that counts block entries and context-switch-point executions per
-/// thread, and packages them as an ExecutionProfile.
+/// that counts block entries per thread and packages them as an
+/// ExecutionProfile.
 ///
 /// Collection runs on the *virtual* (renamed, pre-allocation) program in
-/// the simulator's reference mode, so the block IDs and CSB positions in
-/// the profile are exactly the ones the allocators see.
+/// the simulator's reference mode, so the block IDs in the profile are
+/// exactly the ones the allocators see.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,11 +29,10 @@ public:
   explicit ProfileCollector(const MultiThreadProgram &MTP);
 
   void onBlockEntered(int Thread, int Block) override;
-  void onCtxSwitchPoint(int Thread, int Block, int Index) override;
 
   /// The profile accumulated so far. Counts keep accumulating if the
   /// simulator runs again, so two runs observed by one collector produce
-  /// the same profile as merging two single-run profiles.
+  /// one profile of both.
   const ExecutionProfile &getProfile() const { return Profile; }
 
   /// Move the accumulated profile out, leaving the collector empty.
@@ -41,10 +40,9 @@ public:
 
 private:
   ExecutionProfile Profile;
-  /// Cached global-registry instruments (references stay valid until a
-  /// registry clear; the observer callbacks are too hot for name lookups).
+  /// Cached global-registry instrument (the reference stays valid until a
+  /// registry clear; the observer callback is too hot for name lookups).
   Counter *BlockEvents = nullptr;
-  Counter *SwitchEvents = nullptr;
 };
 
 } // namespace npral

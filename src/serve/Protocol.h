@@ -93,7 +93,8 @@ struct AllocRequest {
   /// Per-request deadline in ms (BatchOptions::DeadlineMs); 0 = the
   /// server's default.
   int DeadlineMs = 0;
-  /// Opaque cache-partition tag (a profile content hash); 0 = none.
+  /// Opaque cache-partition tag, passed to runSingleJob; 0 = none. No
+  /// request carries weights, so nothing else reads it.
   uint64_t ProfileHash = 0;
   /// The assembly to allocate.
   std::string Assembly;

@@ -71,15 +71,21 @@ uint32_t Simulator::readMemoryWord(uint32_t Address) const {
 
 uint64_t Simulator::hashMemoryRange(uint32_t Base, uint32_t Len) const {
   assert(static_cast<size_t>(Base) + Len <= Config.MemWords && "range oob");
-  uint64_t Hash = 1469598103934665603ULL;
+  // fnv1aHash of the words' bytes, least significant first, walked a
+  // buffer at a time.
+  uint64_t Hash = fnv1aHash({});
+  char Bytes[256];
+  size_t N = 0;
   for (uint32_t I = 0; I < Len; ++I) {
     uint32_t W = loadWord(Base + I);
-    for (int Byte = 0; Byte < 4; ++Byte) {
-      Hash ^= (W >> (8 * Byte)) & 0xFF;
-      Hash *= 1099511628211ULL;
+    for (int Byte = 0; Byte < 4; ++Byte)
+      Bytes[N++] = static_cast<char>((W >> (8 * Byte)) & 0xFF);
+    if (N == sizeof(Bytes)) {
+      Hash = fnv1aAppend(Hash, std::string_view(Bytes, N));
+      N = 0;
     }
   }
-  return Hash;
+  return fnv1aAppend(Hash, std::string_view(Bytes, N));
 }
 
 int Simulator::memoryPages() const {
@@ -155,8 +161,6 @@ bool Simulator::step(int T, int64_t &Clock, std::string &Error) {
     const Instruction &I = BB->Instrs[static_cast<size_t>(Index)];
     ++Index;
     ++Executed;
-    if (Observer && I.causesCtxSwitch())
-      Observer->onCtxSwitchPoint(T, Block, Index - 1);
 
     auto u32 = [&](Reg Slot) { return R[static_cast<size_t>(Slot)]; };
     auto setReg = [&](Reg Slot, uint32_t V) {

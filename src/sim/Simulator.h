@@ -69,7 +69,7 @@ struct SimConfig {
 
 /// Execution observer interface. The simulator reports control-flow events
 /// to an attached observer; `src/profile`'s ProfileCollector implements it
-/// to build per-thread block/CSB execution profiles. Callbacks fire on the
+/// to build per-thread block execution profiles. Callbacks fire on the
 /// simulator's thread, in deterministic execution order.
 class SimObserver {
 public:
@@ -77,9 +77,6 @@ public:
   /// Control of thread \p Thread transferred to block \p Block (initial
   /// dispatch, branch, or fallthrough) of that thread's program.
   virtual void onBlockEntered(int Thread, int Block) = 0;
-  /// Thread \p Thread executed the context-switch-causing instruction at
-  /// (\p Block, \p Index) — a ctx, memory operation, signal or wait.
-  virtual void onCtxSwitchPoint(int Thread, int Block, int Index) = 0;
 };
 
 /// Work-source interface for multi-engine grids (src/grid). When a port is

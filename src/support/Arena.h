@@ -18,6 +18,8 @@
 #ifndef NPRAL_SUPPORT_ARENA_H
 #define NPRAL_SUPPORT_ARENA_H
 
+#include "support/StringUtils.h"
+
 #include <cassert>
 #include <cstdint>
 #include <string_view>
@@ -35,7 +37,7 @@ class StringInterner {
 public:
   /// Intern \p S, returning its id (existing id when already present).
   int32_t intern(std::string_view S) {
-    const uint64_t H = hashBytes(S);
+    const uint64_t H = fnv1aHash(S);
     if (!Table.empty()) {
       size_t Mask = Table.size() - 1;
       for (size_t Slot = static_cast<size_t>(H) & Mask;;
@@ -84,15 +86,6 @@ public:
   int32_t size() const { return static_cast<int32_t>(Offsets.size()); }
 
 private:
-  static uint64_t hashBytes(std::string_view S) {
-    uint64_t H = 1469598103934665603ull; // FNV-1a
-    for (char C : S) {
-      H ^= static_cast<unsigned char>(C);
-      H *= 1099511628211ull;
-    }
-    return H;
-  }
-
   void insertIntoTable(int32_t Id, uint64_t H) {
     size_t Mask = Table.size() - 1;
     size_t Slot = static_cast<size_t>(H) & Mask;
@@ -104,7 +97,7 @@ private:
   void rehash(size_t NewSize) {
     Table.assign(NewSize, NoStr);
     for (int32_t Id = 0; Id < size(); ++Id)
-      insertIntoTable(Id, hashBytes(view(Id)));
+      insertIntoTable(Id, fnv1aHash(view(Id)));
   }
 
   std::vector<char> Bytes;       ///< All string data, concatenated.

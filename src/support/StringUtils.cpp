@@ -115,21 +115,23 @@ std::string npral::formatString(const char *Fmt, ...) {
   return Result;
 }
 
-uint64_t npral::fnv1aHash(std::string_view Data) {
-  uint64_t Hash = 1469598103934665603ULL;
+uint64_t npral::fnv1aAppend(uint64_t Hash, std::string_view Data) {
   for (char C : Data) {
     Hash ^= static_cast<unsigned char>(C);
-    Hash *= 1099511628211ULL;
+    Hash *= 1099511628211ULL; // The 64-bit FNV prime.
   }
   return Hash;
 }
 
+uint64_t npral::fnv1aHash(std::string_view Data) {
+  return fnv1aAppend(1469598103934665603ULL, Data);
+}
+
 uint64_t npral::fnv1aCombine(uint64_t Seed, uint64_t Value) {
-  for (int Byte = 0; Byte < 8; ++Byte) {
-    Seed ^= (Value >> (8 * Byte)) & 0xFF;
-    Seed *= 1099511628211ULL;
-  }
-  return Seed;
+  char Bytes[8];
+  for (int Byte = 0; Byte < 8; ++Byte)
+    Bytes[Byte] = static_cast<char>((Value >> (8 * Byte)) & 0xFF);
+  return fnv1aAppend(Seed, std::string_view(Bytes, sizeof(Bytes)));
 }
 
 void npral::writeJSONString(std::ostream &OS, std::string_view S) {

@@ -58,13 +58,25 @@ ErrorOr<std::string> readTextFile(const std::string &Path);
 Status writeFile(const std::string &Path,
                  const std::function<void(std::ostream &)> &Write);
 
-/// 64-bit FNV-1a over \p Data. The one content hash used across the
-/// codebase (analysis cache keys, profile code hashes, memory digests).
+/// The published 64-bit FNV-1a offset basis. Fault injection and the
+/// workloads' input data seed their hashes with it.
+constexpr uint64_t FNV1aOffsetBasis = 0xcbf29ce484222325ULL;
+
+/// Continue a 64-bit FNV-1a hash: fold each byte of \p Data into \p Hash
+/// (xor, then multiply by the FNV prime) and return the result. This is the
+/// one FNV-1a loop in the tree; every hash below is this walk from a seed.
+uint64_t fnv1aAppend(uint64_t Hash, std::string_view Data);
+
+/// 64-bit FNV-1a over \p Data, seeded with 1469598103934665603 (the
+/// offset basis short of its last digit). The one content hash used across
+/// the codebase (analysis cache keys, profile code hashes, memory digests,
+/// string interning). Stored hashes (`.npprof` code hashes, goldens) depend
+/// on the seed, so it stays. fnv1aHash({}) is the seed itself.
 uint64_t fnv1aHash(std::string_view Data);
 
-/// Fold \p Value into \p Seed FNV-style, byte by byte. Used to combine
-/// independent hashes (e.g. program content + execution profile) into one
-/// cache key.
+/// Fold the 8 bytes of \p Value, least significant first, into \p Seed.
+/// Used to combine a hash with a 64-bit value (a cache key's partition
+/// tag, a fault-injection seed).
 uint64_t fnv1aCombine(uint64_t Seed, uint64_t Value);
 
 } // namespace npral

@@ -5,6 +5,7 @@
 #include "analysis/LiveRangeRenaming.h"
 #include "asmparse/AsmParser.h"
 #include "support/Random.h"
+#include "support/StringUtils.h"
 #include "workloads/Kernels.h"
 
 #include <functional>
@@ -69,9 +70,7 @@ Workload kernels::fromAsm(const std::string &Name, const std::string &AsmText,
 std::vector<uint32_t> kernels::makeInputData(const std::string &Name, int Slot,
                                              size_t Words) {
   // Deterministic per (kernel, slot) so experiments are reproducible.
-  uint64_t Seed = 0xcbf29ce484222325ULL;
-  for (char C : Name)
-    Seed = (Seed ^ static_cast<uint64_t>(C)) * 0x100000001b3ULL;
+  uint64_t Seed = fnv1aAppend(FNV1aOffsetBasis, Name);
   Seed ^= static_cast<uint64_t>(Slot) * 0x9e3779b97f4a7c15ULL;
   Rng R(Seed);
   std::vector<uint32_t> Data(Words);

@@ -281,10 +281,11 @@ TEST(IntraAllocatorTest, BorrowsTheRenamedProgramAndSharesTheBundle) {
     ASSERT_EQ(A.Feasible, B.Feasible) << "PR " << PR;
     EXPECT_EQ(A.Strategy, B.Strategy) << "PR " << PR;
     EXPECT_EQ(A.MoveCost, B.MoveCost) << "PR " << PR;
-    if (A.Feasible)
+    if (A.Feasible) {
       EXPECT_EQ(programToString(A.ColorProgram),
                 programToString(B.ColorProgram))
           << "PR " << PR;
+    }
   }
 }
 

@@ -3,14 +3,16 @@
 // The allocator's pricing is only as sound as its cost hints. Two
 // properties over every workload kernel:
 //
-//  * estimateExcludeNSRMoves(P, TA, V, NSR) equals the number of `mov`s
-//    excludeNSR actually inserts for the same (V, NSR) — for every pair
-//    where the hint says the transform is not a no-op;
+//  * estimateExcludeNSRMoves(P, LI, NSRs, V, NSR) under the unit model
+//    equals the number of `mov`s excludeNSR actually inserts for the same
+//    (V, NSR) — for every pair where the hint says the transform is not a
+//    no-op — and a uniform weight w scales it by exactly w;
 //
 //  * ColorAllocation::MoveCost from the fragment allocator equals the
 //    number of mov/xor ops the allocation actually added to the program
 //    (relocations, xor swaps, and edge-fix parallel copies included), and
-//    WeightedCost == MoveCost under the unit model;
+//    under the unit model WeightedCost == MoveCost and every output block
+//    weighs 1;
 //
 //  * excludeNSR and splitInBlock only insert `mov`s into existing blocks —
 //    the block count is unchanged, no block's mov count falls, and no
@@ -95,16 +97,21 @@ TEST(CostHintTest, ExcludeNSRHintMatchesInsertedMoves) {
     ASSERT_TRUE(W.ok()) << W.status().str();
     const Program &P = W->Code;
     ThreadAnalysis TA = analyzeThread(P);
+    CostModel Sevens;
+    for (int B = 0; B < P.getNumBlocks(); ++B)
+      Sevens.setBlockWeight(B, 7);
 
     for (int NSR = 0; NSR < TA.NSRs.getNumNSRs(); ++NSR) {
       for (Reg V = 0; V < P.NumRegs; ++V) {
-        const int Hint = estimateExcludeNSRMoves(P, TA, V, NSR);
-        // Unit-model weighted hint must agree exactly.
-        EXPECT_EQ(estimateExcludeNSRMovesWeighted(P, TA, V, NSR, CostModel()),
-                  Hint)
-            << Name << " V=" << V << " NSR=" << NSR;
+        const int64_t Hint =
+            estimateExcludeNSRMoves(P, TA.Liveness, TA.NSRs, V, NSR);
         if (Hint < 0)
           continue;
+        // Every reconciling mov lands in a block of weight 7.
+        EXPECT_EQ(
+            estimateExcludeNSRMoves(P, TA.Liveness, TA.NSRs, V, NSR, Sevens),
+            7 * Hint)
+            << Name << " V=" << V << " NSR=" << NSR;
 
         Program Copy = P;
         ThreadAnalysis CopyTA = analyzeThread(Copy);
@@ -172,9 +179,13 @@ TEST(CostHintTest, FragmentMoveCostMatchesInsertedOps) {
         continue;
       EXPECT_EQ(A.MoveCost, countMoveOps(A.ColorProgram) - countMoveOps(P))
           << Name << " PR=" << PR << " SR=" << SR;
-      // Unit model: the weighted cost is the raw op count.
+      // Unit model: the weighted cost is the raw op count, and every
+      // output block, edge splits included, weighs 1.
       EXPECT_EQ(A.WeightedCost, A.MoveCost) << Name;
-      EXPECT_TRUE(A.OutputWeights.empty()) << Name;
+      EXPECT_EQ(A.OutputWeights,
+                std::vector<int64_t>(
+                    static_cast<size_t>(A.ColorProgram.getNumBlocks()), 1))
+          << Name;
       ++Checked;
     }
   }
@@ -206,5 +217,7 @@ TEST(CostHintTest, FragmentWeightedCostPricesBlocksByWeight) {
   // Uniform weight w: same placement decisions, cost scales by exactly w.
   EXPECT_EQ(Weighted.MoveCost, Unit.MoveCost);
   EXPECT_EQ(Weighted.WeightedCost, 7 * Unit.WeightedCost);
-  EXPECT_FALSE(Weighted.OutputWeights.empty());
+  EXPECT_EQ(Weighted.OutputWeights,
+            std::vector<int64_t>(
+                static_cast<size_t>(Weighted.ColorProgram.getNumBlocks()), 7));
 }

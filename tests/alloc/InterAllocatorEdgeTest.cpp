@@ -111,10 +111,11 @@ TEST(InterAllocatorEdgeTest, MoveCostGrowsMonotonically) {
   for (int Nreg = Lower; Nreg <= Upper; ++Nreg) {
     InterThreadResult R = allocateInterThread(MTP, Nreg);
     ASSERT_TRUE(R.Success) << "Nreg=" << Nreg;
-    if (PrevCost >= 0)
+    if (PrevCost >= 0) {
       EXPECT_LE(R.TotalMoveCost, PrevCost + 12)
           << "cost should broadly fall as registers are added (Nreg="
           << Nreg << ")";
+    }
     PrevCost = R.TotalMoveCost;
   }
   // At the top of the range no moves are needed at all.

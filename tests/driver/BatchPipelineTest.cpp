@@ -2,15 +2,24 @@
 //
 // Covers the batch allocation pipeline: result ordering, worker-count
 // independence, cache hit accounting (within a run and across runs sharing
-// one AnalysisCache), failure isolation, the stats renderers, and the job
-// stage contract between stage times, trace spans and failure verdicts.
+// one AnalysisCache), failure isolation, the stats renderers, the job
+// stage contract between stage times, trace spans and failure verdicts,
+// and profile-guided jobs (collected and static weights, stale profiles,
+// and a cache shared across weighted and unweighted jobs).
 //
 //===----------------------------------------------------------------------===//
 
 #include "alloc/AllocationVerifier.h"
+#include "alloc/InterAllocator.h"
+#include "analysis/LiveRangeRenaming.h"
+#include "asmparse/AsmParser.h"
 #include "driver/AnalysisCache.h"
 #include "driver/BatchPipeline.h"
 #include "ir/IRPrinter.h"
+#include "profile/ProfileCollector.h"
+#include "profile/StaticFrequencyEstimator.h"
+#include "sim/Simulator.h"
+#include "support/StringUtils.h"
 #include "trace/TraceEngine.h"
 #include "workloads/ProgramGenerator.h"
 
@@ -92,6 +101,74 @@ tracedStageSpans(const std::vector<BatchJob> &Jobs, const BatchOptions &Opts,
   }
   TE.clear();
   return Spans;
+}
+
+/// The examples/asm program \p File parsed and live-range renamed, as the
+/// job path renames it.
+MultiThreadProgram renamedExample(const char *File) {
+  ErrorOr<std::string> Text = readTextFile(examplePath(File));
+  EXPECT_TRUE(Text.ok()) << File;
+  ErrorOr<MultiThreadProgram> MTP = parseAssembly(*Text);
+  EXPECT_TRUE(MTP.ok()) << File << ": " << MTP.status().str();
+  MultiThreadProgram Out = MTP.take();
+  for (Program &T : Out.Threads)
+    T = renameLiveRanges(std::move(T));
+  return Out;
+}
+
+/// The profile `npralc profile` collects for \p MTP: one reference-mode
+/// run with every entry-live register 0.
+ExecutionProfile collectProfile(const MultiThreadProgram &MTP) {
+  ProfileCollector Collector(MTP);
+  Simulator Sim(MTP, SimConfig());
+  Sim.setObserver(&Collector);
+  for (int T = 0; T < MTP.getNumThreads(); ++T)
+    Sim.setEntryValues(
+        T, std::vector<uint32_t>(
+               MTP.Threads[static_cast<size_t>(T)].EntryLiveRegs.size(), 0));
+  SimResult Run = Sim.run();
+  EXPECT_TRUE(Run.Completed) << Run.FailReason;
+  return Collector.takeProfile();
+}
+
+std::string physicalText(const MultiThreadProgram &Physical) {
+  std::string Out;
+  for (const Program &T : Physical.Threads)
+    Out += programToString(T);
+  return Out;
+}
+
+/// The profile-guided fixtures and the budgets to allocate them at: roomy,
+/// tight, and 2, where fig3_paper.s needs three moves, all in blocks its
+/// profile never entered (weighted cost 0), and two_threads.s fails.
+const char *const PgoFixtures[] = {"two_threads.s", "fig3_paper.s"};
+const int PgoBudgets[] = {128, 8, 2};
+
+/// runSingleJob on \p File under \p Opts must allocate exactly as
+/// allocateInterThread does on the renamed program under \p Models.
+void expectJobMatchesAllocator(const char *File, const MultiThreadProgram &MTP,
+                               BatchOptions Opts,
+                               const std::vector<CostModel> &Models,
+                               int ExpectProfiled) {
+  Opts.KeepPhysical = true;
+  BatchJob Job;
+  Job.Path = examplePath(File);
+  for (int Nreg : PgoBudgets) {
+    Opts.Nreg = Nreg;
+    BatchJobResult R = runSingleJob(Job, Opts);
+    InterThreadResult Direct = allocateInterThread(MTP, Nreg, {}, Models);
+    EXPECT_EQ(R.ProfiledThreads, ExpectProfiled) << File << " Nreg=" << Nreg;
+    ASSERT_EQ(R.Success, Direct.Success)
+        << File << " Nreg=" << Nreg << ": " << R.FailReason;
+    if (!R.Success)
+      continue;
+    EXPECT_EQ(physicalText(R.Physical), physicalText(Direct.Physical))
+        << File << " Nreg=" << Nreg;
+    EXPECT_EQ(R.TotalWeightedCost, Direct.TotalWeightedCost)
+        << File << " Nreg=" << Nreg;
+    EXPECT_EQ(R.TotalMoveCost, Direct.TotalMoveCost)
+        << File << " Nreg=" << Nreg;
+  }
 }
 
 } // namespace
@@ -328,6 +405,89 @@ TEST(BatchPipelineTest, CountsOnlyDeadlineFailuresAsDeadlineExceeded) {
                              "\"deadline_exceeded\": 1, \"faults_injected\": 0}"),
             std::string::npos)
       << BJSON.str();
+}
+
+TEST(BatchPipelineTest, CollectedProfileWeightsTheJobAsTheAllocator) {
+  for (const char *File : PgoFixtures) {
+    MultiThreadProgram MTP = renamedExample(File);
+    ExecutionProfile Prof = collectProfile(MTP);
+    std::vector<CostModel> Models;
+    for (int T = 0; T < MTP.getNumThreads(); ++T)
+      Models.push_back(Prof.costModel(
+          T, MTP.Threads[static_cast<size_t>(T)].getNumBlocks()));
+    BatchOptions Opts;
+    Opts.Profile = &Prof;
+    expectJobMatchesAllocator(File, MTP, Opts, Models, MTP.getNumThreads());
+  }
+}
+
+TEST(BatchPipelineTest, StaticPGOWeightsTheJobAsTheAllocator) {
+  for (const char *File : PgoFixtures) {
+    MultiThreadProgram MTP = renamedExample(File);
+    std::vector<CostModel> Models;
+    for (const Program &T : MTP.Threads)
+      Models.push_back(estimateCostModel(T));
+    BatchOptions Opts;
+    Opts.StaticPGO = true;
+    expectJobMatchesAllocator(File, MTP, Opts, Models, 0);
+  }
+}
+
+TEST(BatchPipelineTest, ProfileOfChangedCodeMatchesNoThread) {
+  for (const char *File : PgoFixtures) {
+    // Collect on a copy whose every thread runs one extra instruction, so
+    // no code hash matches the file's threads.
+    MultiThreadProgram Changed = renamedExample(File);
+    for (Program &T : Changed.Threads) {
+      const Reg Extra = T.addReg("extra");
+      std::vector<Instruction> &Entry = T.block(T.getEntryBlock()).Instrs;
+      Entry.insert(Entry.begin(), Instruction::makeImm(Extra, 0));
+    }
+    ExecutionProfile Prof = collectProfile(Changed);
+
+    BatchJob Job;
+    Job.Path = examplePath(File);
+    BatchOptions Plain;
+    Plain.KeepPhysical = true;
+    BatchOptions Stale = Plain;
+    Stale.Profile = &Prof;
+    for (int Nreg : PgoBudgets) {
+      Plain.Nreg = Stale.Nreg = Nreg;
+      BatchJobResult U = runSingleJob(Job, Plain);
+      BatchJobResult R = runSingleJob(Job, Stale);
+      EXPECT_EQ(R.ProfiledThreads, 0) << File << " Nreg=" << Nreg;
+      ASSERT_EQ(R.Success, U.Success) << File << " Nreg=" << Nreg;
+      EXPECT_EQ(physicalText(R.Physical), physicalText(U.Physical))
+          << File << " Nreg=" << Nreg;
+      EXPECT_EQ(R.TotalMoveCost, U.TotalMoveCost) << File << " Nreg=" << Nreg;
+      EXPECT_EQ(R.TotalWeightedCost, U.TotalWeightedCost)
+          << File << " Nreg=" << Nreg;
+    }
+  }
+}
+
+TEST(BatchPipelineTest, ProfiledJobHitsTheCacheAPlainJobFilled) {
+  // The analysis bundles read no weight, so a profiled job reuses what an
+  // unweighted job of the same file cached.
+  for (const char *File : PgoFixtures) {
+    MultiThreadProgram MTP = renamedExample(File);
+    ExecutionProfile Prof = collectProfile(MTP);
+    AnalysisCache Cache;
+    BatchJob Job;
+    Job.Path = examplePath(File);
+
+    BatchJobResult Plain = runSingleJob(Job, BatchOptions{}, &Cache);
+    ASSERT_TRUE(Plain.Success) << File << ": " << Plain.FailReason;
+    EXPECT_EQ(Plain.CacheMisses, MTP.getNumThreads()) << File;
+
+    BatchOptions Opts;
+    Opts.Profile = &Prof;
+    BatchJobResult Profiled = runSingleJob(Job, Opts, &Cache);
+    ASSERT_TRUE(Profiled.Success) << File << ": " << Profiled.FailReason;
+    EXPECT_EQ(Profiled.ProfiledThreads, MTP.getNumThreads()) << File;
+    EXPECT_EQ(Profiled.CacheHits, MTP.getNumThreads()) << File;
+    EXPECT_EQ(Profiled.CacheMisses, 0) << File;
+  }
 }
 
 TEST(AnalysisCacheTest, HashDistinguishesPrograms) {

@@ -360,8 +360,9 @@ TEST(FaultInjectionTest, BatchNeverAbortsAndReportsAccurately) {
         }
       EXPECT_GT(Injected, 0) << "site " << Site << " never fired";
       EXPECT_EQ(Batch.Stats.FaultsInjected, Injected);
-      if (Site == "parse")
+      if (Site == "parse") {
         EXPECT_EQ(static_cast<size_t>(Injected), Batch.Results.size());
+      }
     }
   }
 }

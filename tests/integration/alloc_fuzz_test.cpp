@@ -285,10 +285,11 @@ TEST_P(AllocFuzzTest, TranslationValidationHolds) {
       << "seed " << Seed << ": spill-degraded allocation at Nreg=" << Tight
       << " refuted\n" << dumpDiagnostics(Engine) << "\n"
       << dumpNpralAllocation(SF.Inter);
-  if (SF.UsedSpilling)
+  if (SF.UsedSpilling) {
     EXPECT_GT(V.CopiesInterpreted, 0)
         << "seed " << Seed
         << ": degraded output proved without interpreting any spill code";
+  }
 }
 
 namespace {

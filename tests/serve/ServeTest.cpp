@@ -288,8 +288,9 @@ TEST(ServeTest, GarbageAndTruncatedFramesNeverKillTheServer) {
     ASSERT_TRUE(C.sendRaw(Garbage, sizeof(Garbage)).ok());
     Frame In;
     Status St = C.readRawFrame(In);
-    if (St.ok())
+    if (St.ok()) {
       EXPECT_EQ(In.Type, static_cast<uint16_t>(FrameType::Error));
+    }
   }
   {
     // Truncated header: client disappears mid-frame; no response owed.
@@ -621,8 +622,9 @@ TEST(ServeTest, InfeasibleBudgetReturnsClassifiedErrorAndSpillDegrades) {
   Degrade.AllowSpill = true;
   ErrorOr<ServeResponse> D = C.alloc(Degrade);
   ASSERT_TRUE(D.ok()) << D.status().str();
-  if (D->Ok)
+  if (D->Ok) {
     EXPECT_GE(D->SpilledRanges + (D->Degraded ? 1 : 0), 0);
+  }
 
   EXPECT_GT(S->stats().Failed.load(), 0);
   S->requestShutdown();

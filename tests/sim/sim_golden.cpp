@@ -44,16 +44,10 @@ MultiThreadProgram parseOrDie(const char *Asm) {
 }
 
 uint64_t hashCtxTrace(const std::vector<CtxSwitchEvent> &Trace) {
-  uint64_t Hash = 1469598103934665603ULL;
-  auto mix = [&](uint64_t V) {
-    for (int Byte = 0; Byte < 8; ++Byte) {
-      Hash ^= (V >> (8 * Byte)) & 0xFF;
-      Hash *= 1099511628211ULL;
-    }
-  };
+  uint64_t Hash = fnv1aHash({});
   for (const CtxSwitchEvent &E : Trace) {
-    mix(static_cast<uint64_t>(E.Cycle));
-    mix(static_cast<uint64_t>(E.Thread));
+    Hash = fnv1aCombine(Hash, static_cast<uint64_t>(E.Cycle));
+    Hash = fnv1aCombine(Hash, static_cast<uint64_t>(E.Thread));
   }
   return Hash;
 }

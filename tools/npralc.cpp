@@ -212,7 +212,7 @@ int usage() {
          "                      of allocating\n"
          "  profile  file.s [-iters K] [-memlat L] [-o out.npprof]\n"
          "      simulate the virtual (pre-allocation) program and collect\n"
-         "      per-block execution and context-switch counts\n"
+         "      per-block execution counts\n"
          "        -iters K   loop iterations to simulate (default 10)\n"
          "        -memlat L  memory latency in cycles (default 40)\n"
          "        -o file    write the profile to file (default: stdout)\n"
@@ -430,30 +430,34 @@ int cmdAnalyze(const MultiThreadProgram &MTP) {
   return 0;
 }
 
-/// Read and parse a .npprof file; exits through the caller on failure.
-std::optional<ExecutionProfile> loadProfile(const std::string &Path) {
+/// Read and parse the .npprof file at \p Path into \p Prof and point
+/// \p Opts.Profile at it; an empty \p Path loads nothing. Reports the
+/// error and returns false when the file cannot be read or parsed.
+bool loadProfile(const std::string &Path, std::optional<ExecutionProfile> &Prof,
+                 BatchOptions &Opts) {
+  if (Path.empty())
+    return true;
   ErrorOr<std::string> Text = readTextFile(Path);
   if (!Text.ok()) {
     std::cerr << "error: profile: " << Text.status().str() << "\n";
-    return std::nullopt;
+    return false;
   }
   std::string Error;
-  std::optional<ExecutionProfile> Prof = ExecutionProfile::parse(*Text, Error);
-  if (!Prof)
+  Prof = ExecutionProfile::parse(*Text, Error);
+  if (!Prof) {
     std::cerr << "error: malformed profile '" << Path << "': " << Error
               << "\n";
-  return Prof;
+    return false;
+  }
+  Opts.Profile = &*Prof;
+  return true;
 }
 
 int cmdAlloc(const std::string &Path, BatchOptions Opts,
              const std::string &ProfilePath, bool Explain) {
   std::optional<ExecutionProfile> Prof;
-  if (!ProfilePath.empty()) {
-    Prof = loadProfile(ProfilePath);
-    if (!Prof)
-      return 1;
-    Opts.Profile = &*Prof;
-  }
+  if (!loadProfile(ProfilePath, Prof, Opts))
+    return 1;
   const bool PGO = Prof || Opts.StaticPGO;
   Opts.KeepPhysical = true;
   BatchJob Job;
@@ -611,7 +615,6 @@ int cmdRun(const std::string &Path, BatchOptions Opts,
 
 int cmdBaseline(const MultiThreadProgram &MTP, int RegsPerThread) {
   TableFormatter Table({"Thread", "Colors", "Spilled", "SpillOps", "Rounds"});
-  std::vector<Program> Allocated;
   int64_t SpillBase = 0xF000;
   for (const Program &T : MTP.Threads) {
     ChaitinConfig Config;
@@ -630,7 +633,6 @@ int cmdBaseline(const MultiThreadProgram &MTP, int RegsPerThread) {
         .cell(R.SpilledRanges)
         .cell(R.SpillLoads + R.SpillStores)
         .cell(R.Rounds);
-    Allocated.push_back(R.Allocated);
   }
   Table.print(std::cout);
   return 0;
@@ -714,12 +716,8 @@ int cmdVerify(const std::vector<std::string> &Files, BatchOptions Opts,
     return usage();
   }
   std::optional<ExecutionProfile> Prof;
-  if (!ProfilePath.empty()) {
-    Prof = loadProfile(ProfilePath);
-    if (!Prof)
-      return 1;
-    Opts.Profile = &*Prof;
-  }
+  if (!loadProfile(ProfilePath, Prof, Opts))
+    return 1;
   if (Opts.Jobs == 0)
     Opts.Jobs = ThreadPool::hardwareConcurrency();
   VerifyResult R = runVerify(Files, std::move(Opts), Paired);
@@ -739,12 +737,8 @@ int cmdBatch(const std::vector<std::string> &Files, BatchOptions Opts,
     return usage();
   }
   std::optional<ExecutionProfile> Prof;
-  if (!ProfilePath.empty()) {
-    Prof = loadProfile(ProfilePath);
-    if (!Prof)
-      return 1;
-    Opts.Profile = &*Prof;
-  }
+  if (!loadProfile(ProfilePath, Prof, Opts))
+    return 1;
   std::vector<BatchJob> Inputs;
   Inputs.reserve(Files.size());
   for (const std::string &F : Files) {
